@@ -122,8 +122,13 @@ def default_catalog() -> list[CatalogEntry]:
 def load_catalog_pairs(path: str) -> list[tuple[str, str]]:
     """(label, spec) pairs from a JSON file: a list of spec strings or of
     objects with ``spec`` and optional ``label`` keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise GroupSpecError(f"cannot read catalog file: {exc}")
+    except ValueError as exc:
+        raise GroupSpecError(f"catalog file {path!r} is not valid JSON: {exc}")
     if not isinstance(data, list):
         raise GroupSpecError("catalog file must hold a JSON list")
     pairs = []

@@ -97,7 +97,21 @@ def _cmd_classify(args) -> int:
     return EXIT_DISAGREEMENT if disagreement else EXIT_OK
 
 
+def _worker_count(flag: int | None) -> int:
+    """``--workers``, else PCL_WORKERS, else 1; must be a positive integer."""
+    if flag is None:
+        raw = os.environ.get("PCL_WORKERS", "1")
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise GroupSpecError(f"PCL_WORKERS must be an integer, got {raw!r}")
+    if flag < 1:
+        raise GroupSpecError(f"worker count must be at least 1, got {flag}")
+    return flag
+
+
 def _cmd_verify(args) -> int:
+    workers = _worker_count(args.workers)
     if args.catalog == "default":
         entries: list = default_catalog()
     else:
@@ -105,7 +119,6 @@ def _cmd_verify(args) -> int:
         # row instead of aborting the whole run
         entries = load_catalog_pairs(args.catalog)
     methods = _parse_methods(args.methods)
-    workers = args.workers or int(os.environ.get("PCL_WORKERS", "1"))
     summary = report.run_verification_matrix(entries, methods, out=args.out,
                                              workers=workers)
     if args.out is None:

@@ -1,9 +1,11 @@
 """Subgroup computations: lattices, characteristic subgroups, recognizers.
 
 Subgroups are dense membership masks over a fixed parent group.  The full
-subgroup lattice is enumerated by a layered join closure (seed with every
-cyclic subgroup, repeatedly join with cyclic subgroups until no new masks
-appear) and cached on the parent, so repeated structural queries stay cheap.
+subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
+an element of prime-power order that normalizes it, as a union of cosets of
+V), which is complete for solvable groups; a group that is not solvable gets
+one join pass against its cyclic subgroups on top.  The lattice is cached on
+the parent, so repeated structural queries stay cheap.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ def subgroup_from_members(G: Group, members, generators=None) -> Subgroup:
 
 
 def subgroup_generated(G: Group, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (breadth-first product closure)."""
+    """Smallest subgroup containing ``gens`` (closure by repeated squaring of
+    the product set)."""
     gens = sorted({int(g) for g in gens} - {0})
     members = G.closure(gens)
     mask = np.zeros(G.order, dtype=bool)
@@ -135,9 +138,16 @@ def subgroup_generated(G: Group, gens) -> Subgroup:
 def all_subgroups(G: Group) -> list[Subgroup]:
     """Every subgroup of G exactly once, sorted by (order, member tuple).
 
-    Layered join closure: every subgroup is a join of cyclic subgroups, so
-    seeding with the cyclic ones and repeatedly joining against them reaches
-    the whole lattice.
+    Cyclic extension (Neubüser 1960): starting from the trivial subgroup,
+    each layer extends every subgroup V of the last layer by each element z
+    of prime-power order that normalizes V, lies outside V and has z^p in V
+    (p the prime of o(z)); then V<z> is the union of the p cosets V z^i.
+    Every nontrivial solvable subgroup has a normal subgroup of prime index,
+    so this reaches every subgroup of a solvable group.  For a group that is
+    not solvable (the derived series decides), one join pass against the
+    cyclic subgroups, seeded with what the extension found, completes the
+    lattice.  Generators are the canonical ones of ``Subgroup(G, mask)``, so
+    they do not depend on how the lattice was found.
     """
     cached = G._cache.get("lattice")
     if cached is not None:
@@ -145,41 +155,117 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     if G.order > max_order():
         raise SizeLimitError(
             f"subgroup enumeration of order {G.order} exceeds PCL_MAX_ORDER={max_order()}")
-    seeds: list[tuple[np.ndarray, int]] = []
-    seen_seed: set[bytes] = set()
-    for g in range(1, G.order):
-        members = G.closure([g])
-        key = members.tobytes()
-        if key not in seen_seed:
-            seen_seed.add(key)
-            seeds.append((members, g))
-    trivial = np.zeros(1, dtype=np.int32)
-    records: dict[bytes, tuple[np.ndarray, tuple[int, ...]]] = {
-        trivial.tobytes(): (trivial, ())}
-    for members, g in seeds:
-        records.setdefault(members.tobytes(), (members, (g,)))
-    queue = list(records.values())
-    while queue:
-        current, gens = queue.pop()
-        mask = np.zeros(G.order, dtype=bool)
-        mask[current] = True
-        for members, g in seeds:
-            if mask[members].all():
-                continue
-            joined = G.closure(np.concatenate((current, members)))
-            key = joined.tobytes()
-            if key not in records:
-                new_gens = gens if g in gens else gens + (g,)
-                records[key] = (joined, new_gens)
-                queue.append((joined, new_gens))
-    subgroups = []
-    for members, gens in records.values():
-        mask = np.zeros(G.order, dtype=bool)
-        mask[members] = True
-        subgroups.append(Subgroup(G, mask, generators=gens))
-    subgroups.sort(key=Subgroup.sort_key)
+    masks = _cyclic_extensions(G)
+    if not _is_solvable(G):
+        masks = _join_completion(G, masks)
+    subgroups = sorted((Subgroup(G, mask) for mask in masks), key=Subgroup.sort_key)
     G._cache["lattice"] = subgroups
     return subgroups
+
+
+def _cyclic_extensions(G: Group) -> list[np.ndarray]:
+    """Membership masks of every subgroup reachable by cyclic extension."""
+    n = G.order
+    idx = np.arange(n, dtype=np.int32)
+    orders = G.element_orders()
+    prime = np.zeros(n, dtype=np.int64)
+    pth_power = np.zeros(n, dtype=np.int32)
+    for k in np.unique(orders).tolist():
+        pk = prime_power(k)
+        if pk is not None:
+            prime[orders == k] = pk[0]
+    for p in np.unique(prime[prime > 0]).tolist():
+        power = idx
+        for _ in range(p - 1):
+            power = G.mult[power, idx]
+        pth_power[prime == p] = power[prime == p]
+    candidates = np.flatnonzero(prime)
+    ct = G.conj_table[candidates]
+    trivial = np.zeros(n, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes(): trivial}
+    layer = [trivial]
+    while layer:
+        next_layer = []
+        for V in layer:
+            members = np.flatnonzero(V)
+            extends = (V[ct[:, members]].all(axis=1) & ~V[candidates]
+                       & V[pth_power[candidates]])
+            # z inside an extension V<y> already made gives V<z> = V<y>
+            covered = V.copy()
+            for z in candidates[extends].tolist():
+                if covered[z]:
+                    continue
+                U = np.zeros(n, dtype=bool)
+                coset = members
+                for _ in range(int(prime[z])):
+                    U[coset] = True
+                    coset = G.mult[coset, z]
+                covered |= U
+                key = U.tobytes()
+                if key not in found:
+                    found[key] = U
+                    next_layer.append(U)
+        layer = next_layer
+    return list(found.values())
+
+
+def _is_solvable(G: Group) -> bool:
+    """Whether the derived series of G reaches the trivial subgroup."""
+    members = np.arange(G.order, dtype=np.int32)
+    while members.size > 1:
+        derived = G.closure(_commutators(G, members))
+        if derived.size == members.size:
+            return False
+        members = derived
+    return True
+
+
+def _commutators(G: Group, members: np.ndarray) -> np.ndarray:
+    """Sorted distinct commutators a^-1 b^-1 a b over members a, b."""
+    a, b = members[:, None], members[None, :]
+    return np.unique(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+
+
+def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
+    """Close the conjugation-closed ``masks`` under joins with their cyclic
+    subgroups.
+
+    Every nontrivial subgroup is the join of a maximal subgroup and a cyclic
+    subgroup, and joins commute with conjugation, so joining one subgroup of
+    each conjugacy class, old or new, with every cyclic subgroup, and adding
+    each new subgroup with all its conjugates, reaches the whole lattice.
+    """
+    orders = G.element_orders()
+    ct = G.conj_table
+    rows = np.arange(G.order)[:, None]
+
+    def conjugates(mask: np.ndarray) -> np.ndarray:
+        out = np.zeros((G.order, G.order), dtype=bool)
+        out[rows, ct[:, mask]] = True
+        return out
+
+    cyclic = [m for m in masks if (orders[m] == m.sum()).any()]
+    found = {m.tobytes(): m for m in masks}
+    queue = []
+    classed: set[bytes] = set()
+    for m in masks:
+        if m.tobytes() not in classed:
+            queue.append(m)
+            classed.update(c.tobytes() for c in conjugates(m))
+    while queue:
+        current = queue.pop()
+        for c in cyclic:
+            if not (c & ~current).any():
+                continue
+            joined = np.zeros(G.order, dtype=bool)
+            joined[G.closure(np.flatnonzero(current | c))] = True
+            if joined.tobytes() in found:
+                continue
+            queue.append(joined)
+            for conj in conjugates(joined):
+                found.setdefault(conj.tobytes(), conj)
+    return list(found.values())
 
 
 def subgroups_of(H: Subgroup) -> list[Subgroup]:
@@ -226,8 +312,7 @@ def derived_subgroup(G: Group) -> Subgroup:
     """Subgroup generated by all commutators."""
     cached = G._cache.get("derived")
     if cached is None:
-        left = G.mult[G.inv[:, None], G.inv[None, :]]
-        comms = np.unique(G.mult[left, G.mult])
+        comms = _commutators(G, np.arange(G.order))
         cached = subgroup_generated(G, comms.tolist())
         G._cache["derived"] = cached
     return cached
@@ -356,7 +441,7 @@ def abelian_quotient_exponents(G: Group, N: Subgroup, p: int) -> tuple[int, ...]
     Counts solutions of x^(p^k) in N instead of building the quotient table;
     the counts determine the factor type.
     """
-    comms = np.unique(G.mult[G.mult[G.inv[:, None], G.inv[None, :]], G.mult])
+    comms = _commutators(G, np.arange(G.order))
     if not N.mask[comms].all():
         raise PreconditionError("quotient is not abelian: commutators leave N")
     n = G.order

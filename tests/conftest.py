@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pcl.catalog import default_catalog
@@ -72,3 +73,37 @@ def abelian_rank(H: Subgroup) -> int:
     count = int((G.squares[H.members] == 0).sum())
     assert count & (count - 1) == 0
     return count.bit_length() - 1
+
+
+def join_closure_subgroups(G) -> set[tuple[int, ...]]:
+    """Member tuples of every subgroup of G by a layered join closure.
+
+    The lattice kernel this library used before cyclic extension, kept as an
+    independent reference: every subgroup is a join of cyclic subgroups, so
+    seeding with the cyclic ones and joining every found subgroup with every
+    cyclic one until nothing new appears reaches the whole lattice.
+    """
+    seeds = []
+    seen = set()
+    for g in range(1, G.order):
+        members = G.closure([g])
+        if members.tobytes() not in seen:
+            seen.add(members.tobytes())
+            seeds.append(members)
+    trivial = np.zeros(1, dtype=np.int32)
+    records = {trivial.tobytes(): trivial}
+    for members in seeds:
+        records.setdefault(members.tobytes(), members)
+    queue = list(records.values())
+    while queue:
+        current = queue.pop()
+        mask = np.zeros(G.order, dtype=bool)
+        mask[current] = True
+        for members in seeds:
+            if mask[members].all():
+                continue
+            joined = G.closure(np.concatenate((current, members)))
+            if joined.tobytes() not in records:
+                records[joined.tobytes()] = joined
+                queue.append(joined)
+    return {tuple(m.tolist()) for m in records.values()}

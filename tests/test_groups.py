@@ -29,9 +29,9 @@ def test_group_axioms(spec):
     assert all(len(set(g.mult[:, i].tolist())) == n for i in range(n))
 
 
-def test_sampled_associativity_path_runs_above_exhaustive_limit():
-    g = build_family("C(100)")
-    g.check_axioms()
+def test_associativity_check_accepts_large_groups():
+    build_family("C(100)").check_axioms()
+    build_family("EA(2,7)").check_axioms()
 
 
 def test_catalog_entries_satisfy_group_axioms(catalog):
@@ -160,6 +160,19 @@ def test_raw_table_rejects_bad_input():
             "4 3 1 2 0")
     with pytest.raises(GroupSpecError):
         groups.from_raw_table_text(loop)
+
+
+def test_raw_table_rejects_a_swapped_intercalate_above_order_64():
+    # rows 1, 2 and columns 4, 7 of EA(2,7) hold the Latin subsquare
+    # [[5, 6], [6, 5]]; swapping it keeps a Latin square with identity 0 and
+    # valid inverses, so only the associativity check can reject the table
+    table = build_family("EA(2,7)").mult.copy()
+    rows, cols = np.ix_([1, 2], [4, 7])
+    assert table[rows, cols].tolist() == [[5, 6], [6, 5]]
+    table[rows, cols] = [[6, 5], [5, 6]]
+    text = "\n".join(" ".join(map(str, row)) for row in table.tolist())
+    with pytest.raises(GroupSpecError, match="associativity"):
+        groups.from_raw_table_text(text)
 
 
 def test_power_and_inverse():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 import numpy as np
-from hypothesis import given, settings, strategies as stst
+from hypothesis import assume, given, settings, strategies as stst
 
 from pcl import codes, structure as st, theorems as th
 from pcl.specs import build_family, parse_group_spec
+
+from conftest import join_closure_subgroups
 
 SMALL_SPECS = [
     "C(2)", "C(4)", "C(8)", "C(12)", "EA(2,2)", "EA(2,3)", "C(4)xC(2)",
@@ -88,3 +92,57 @@ def test_normalizer_contains_and_is_closed(spec, data):
     assert H.issubset(N)
     sub = g.mult[np.ix_(N.members, N.members)]
     assert set(np.unique(sub).tolist()) == set(N.members.tolist())
+
+
+_FACTOR_ORDERS = {"C(2)": 2, "C(3)": 3, "C(4)": 4, "C(5)": 5, "C(6)": 6,
+                  "C(8)": 8, "D(6)": 6, "D(8)": 8, "D(10)": 10, "Q8": 8}
+
+
+@stst.composite
+def product_specs(draw):
+    factors = draw(stst.lists(stst.sampled_from(sorted(_FACTOR_ORDERS)),
+                              min_size=2, max_size=3))
+    assume(prod(_FACTOR_ORDERS[f] for f in factors) <= 64)
+    return "x".join(factors)
+
+
+@stst.composite
+def semidirect_specs(draw):
+    n = draw(stst.integers(2, 16))
+    m = draw(stst.integers(2, 64 // n))
+    units = [k for k in range(1, n) if gcd(k, n) == 1 and pow(k, m, n) == 1]
+    return f"SD(C({n});C({m});1->{draw(stst.sampled_from(units))})"
+
+
+@stst.composite
+def permutation_specs(draw):
+    """Generators acting on the blocks {1..4}, {5, 6} or {1, 2, 3}, {4, 5, 6},
+    so the group lies in S4 x S2 or S3 x S3 (order at most 48)."""
+    blocks = draw(stst.sampled_from([((1, 2, 3, 4), (5, 6)), ((1, 2, 3), (4, 5, 6))]))
+    gens = []
+    for _ in range(draw(stst.integers(1, 3))):
+        image = {}
+        for block in blocks:
+            image.update(zip(block, draw(stst.permutations(block))))
+        cycles, seen = [], set()
+        for start in sorted(image):
+            if start in seen or image[start] == start:
+                continue
+            cycle, point = [], start
+            while point not in seen:
+                seen.add(point)
+                cycle.append(point)
+                point = image[point]
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+        gens.append("".join(cycles) or "(1)")
+    return "perm:" + ",".join(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
+def test_lattice_matches_join_closure_outside_the_catalog(spec):
+    g = build_family(spec)
+    lattice = st.all_subgroups(g)
+    assert {tuple(S.members.tolist()) for S in lattice} == join_closure_subgroups(g)
+    for S in lattice:
+        assert S.generators == st._reduced_generators(g, S.members)

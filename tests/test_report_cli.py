@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -12,9 +14,10 @@ from pcl.cli import main
 from pcl.errors import PclError
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "pcl.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -257,6 +260,58 @@ def test_load_catalog_file_rejects_garbage(tmp_path):
     bad.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(PclError):
         load_catalog_file(str(bad))
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_cli_verify_missing_catalog_file(tmp_path):
+    code, _, err = run_cli("verify", "--catalog", str(tmp_path / "nope.json"))
+    _assert_input_error(code, err)
+
+
+def test_cli_verify_malformed_catalog_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('["Q8", ')
+    code, _, err = run_cli("verify", "--catalog", str(bad))
+    _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("flag,env", [
+    ([], {"PCL_WORKERS": "abc"}),
+    (["--workers", "0"], None),
+    ([], {"PCL_WORKERS": "-3"}),
+])
+def test_cli_verify_rejects_bad_worker_counts(tmp_path, flag, env):
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["Q8"]))
+    code, _, err = run_cli("verify", "--catalog", str(spec_file), *flag, env=env)
+    _assert_input_error(code, err)
+
+
+GOLDEN_CATALOG = ["D(8)", "Q8", "M2(2,2,1)", "C(4)xC(2)",
+                  {"label": "S3", "spec": "perm:(1 2 3),(1 2)"},
+                  {"label": "A4", "spec": "perm:(1 2 3),(1 2)(3 4)"},
+                  {"label": "A5", "spec": "perm:(1 2 3 4 5),(1 2 3)"}]
+GOLDEN_DIGEST = "5999e87a15afd015356741de7f14bf36880ab4f319e5b53bfa4b5e4bb5fb0d8b"
+
+
+def test_verify_record_content_matches_golden_digest(tmp_path):
+    # any change to record content (verdicts, evidence, generators, order of
+    # records) must update this digest on purpose
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(GOLDEN_CATALOG))
+    out_file = tmp_path / "records.jsonl"
+    assert main(["verify", "--catalog", str(spec_file), "--out", str(out_file)]) == 0
+    digest = hashlib.sha256()
+    for line in out_file.read_text().splitlines():
+        record = json.loads(line)
+        for verdict in record["verdicts"].values():
+            del verdict["time_ms"]
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_main_callable_directly(capsys):

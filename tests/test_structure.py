@@ -8,7 +8,7 @@ from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
 from conftest import (abelian_rank, brute_force_min_generators,
-                      brute_force_subgroups)
+                      brute_force_subgroups, join_closure_subgroups)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,40 @@ def test_subgroup_counts_against_subset_bruteforce(spec, count):
     assert len(subs) == count
     brute = brute_force_subgroups(g)
     assert {frozenset(s.members.tolist()) for s in subs} == set(brute)
+
+
+def test_lattice_matches_join_closure_on_catalog(catalog):
+    small = [e for e in catalog if e.group.order <= 32]
+    assert len(small) > 40
+    for entry in small:
+        G = entry.group
+        subs = st.all_subgroups(G)
+        reference = join_closure_subgroups(G)
+        assert len(subs) == len(reference), entry.label
+        assert {tuple(S.members.tolist()) for S in subs} == reference, entry.label
+
+
+@pytest.mark.parametrize("spec,count,solvable", [
+    ("perm:(1 2 3 4),(1 2)", 30, True),        # S4
+    ("perm:(1 2 3 4 5),(1 2 3)", 59, False),   # A5, through the join pass
+    ("perm:(1 2 3 4 5),(1 2)", 156, False),    # S5, through the join pass
+])
+def test_symmetric_and_alternating_subgroup_counts(spec, count, solvable):
+    G = build_family(spec)
+    subs = st.all_subgroups(G)
+    assert len(subs) == count
+    assert st._is_solvable(G) == solvable
+    if G.order <= 60:
+        assert {tuple(S.members.tolist()) for S in subs} == join_closure_subgroups(G)
+
+
+def test_lattice_generators_are_canonical():
+    for spec in ["D(8)", "Q8", "M2(2,2,1)", "C(4)xC(2)", "D(12)",
+                 "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)"]:
+        G = build_family(spec)
+        for S in st.all_subgroups(G):
+            assert S.generators == st._reduced_generators(G, S.members), spec
+            assert st.subgroup_generated(G, S.generators) == S
 
 
 def test_all_subgroups_sorted_and_deduplicated(q8):
