@@ -3,7 +3,7 @@
 Run:  python demos/01_building_groups.py
 """
 
-from pcl import build_family, element_order, involutions
+from pcl import build_family, involutions
 
 # Family atoms, direct products, semidirect products and permutation
 # generators all share one textual syntax.
@@ -27,5 +27,5 @@ for spec in [
 # generators are real element indices.
 m = build_family("M2(2,1)")
 a, b = m.witness["a"], m.witness["b"]
-print(f"\nIn M2(2,1): o(a) = {element_order(m, a)}, o(b) = {element_order(m, b)},"
+print(f"\nIn M2(2,1): o(a) = {m.element_order(a)}, o(b) = {m.element_order(b)},"
       f" b^-1 a b = a^{ [m.power(a, k) for k in range(4)].index(m.conjugate(a, b)) }")

@@ -3,9 +3,9 @@
 Run:  python demos/05_classifiers_and_matrix.py
 """
 
-from pcl import (all_subgroups, build_entry, build_family,
-                 classify_a1_2group, classify_abelian_2group, criterion3,
-                 render_summary_table, run_verification_matrix)
+from pcl import (all_subgroups, build_family, classify_a1_2group,
+                 classify_abelian_2group, criterion3, render_summary_table,
+                 run_verification_matrix)
 
 # Abelian 2-groups: H is a code iff H meets the Frattini subgroup of G
 # inside its own Frattini subgroup.
@@ -23,9 +23,8 @@ for H in all_subgroups(m):
     print(f"  |H|={H.order}  {H.members.tolist()!s:24s} code={out.is_code}"
           f" [{out.clause}]{mark}")
 
-# The report matrix runs every method on every subgroup and flags any
-# disagreement between them.
-entries = [build_entry(s, s) for s in ["Q8", "D(8)", "C(4)xC(2)"]]
-summary = run_verification_matrix(entries)
+# The report matrix builds each (label, spec) entry, runs every method on
+# every subgroup and flags any disagreement between them.
+summary = run_verification_matrix([(s, s) for s in ["Q8", "D(8)", "C(4)xC(2)"]])
 print()
 print(render_summary_table(summary["rows"]))

@@ -19,14 +19,13 @@ from .codes import (ConnectionSet, Transversal, Verdict,
                     verify_perfect_code_in_cayley, zhang_reduce)
 from .errors import (GroupSpecError, PclError, PreconditionError,
                      SizeLimitError, WrongClassifierError)
-from .groups import (Group, cyclic, dihedral, direct_product, element_order,
-                     elementary_abelian, from_mult_table, from_permutations,
-                     from_raw_table_file, from_raw_table_text, max_order,
-                     metacyclic_m2, nonmetacyclic_m2, quaternion,
+from .groups import (Group, cyclic, dihedral, direct_product,
+                     elementary_abelian, from_permutations, from_raw_table_text,
+                     max_order, metacyclic_m2, nonmetacyclic_m2, quaternion,
                      semidirect_product)
 from .report import (METHODS, conjugacy_class_rows, render_summary_table,
-                     run_verification_matrix, verdict_to_json)
-from .specs import build_family, build_from_permutations, parse_group_spec
+                     run_verification_matrix)
+from .specs import build_family, parse_group_spec
 from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
                         centralizer, derived_subgroup, frattini, full_subgroup,
                         involutions, is_minimal_nonabelian, is_square,

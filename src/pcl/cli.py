@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success (and agreement), 1 a disagreement was found,
-2 input error, 3 size limit exceeded.
+2 input error (a bad catalog spec included), 3 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ import json
 import os
 import sys
 
-from . import codes, report
-from .catalog import (build_entry, default_catalog, load_catalog_file,
-                      load_catalog_pairs)
+from . import catalog, codes, report
 from .errors import GroupSpecError, PclError, PreconditionError, SizeLimitError
 from .specs import build_family
 from .structure import all_subgroups, subgroup_generated
@@ -60,22 +58,9 @@ def _cmd_subgroups(args) -> int:
     return EXIT_OK
 
 
-def _parse_methods(raw: str | None) -> tuple[str, ...]:
-    if raw is None:
-        return report.METHODS
-    methods = tuple(m.strip() for m in raw.split(",") if m.strip())
-    for m in methods:
-        if m not in report.METHODS:
-            raise GroupSpecError(
-                f"unknown method {m!r}; choose from {', '.join(report.METHODS)}")
-    if not methods:
-        raise GroupSpecError("no methods selected")
-    return methods
-
-
 def _cmd_classify(args) -> int:
-    entry = build_entry(args.spec, args.spec)
-    methods = _parse_methods(args.methods)
+    entry = catalog.build_entry(args.spec, args.spec)
+    methods = report.parse_methods(args.methods)
     if args.subgroup:
         try:
             gens = [int(x) for x in args.subgroup.split(",") if x.strip() != ""]
@@ -113,13 +98,10 @@ def _worker_count(flag: int | None) -> int:
 def _cmd_verify(args) -> int:
     workers = _worker_count(args.workers)
     if args.catalog == "default":
-        entries: list = default_catalog()
+        pairs = catalog.default_catalog_specs()
     else:
-        # pass (label, spec) pairs so a too-large entry surfaces in its own
-        # row instead of aborting the whole run
-        entries = load_catalog_pairs(args.catalog)
-    methods = _parse_methods(args.methods)
-    summary = report.run_verification_matrix(entries, methods, out=args.out,
+        pairs = catalog.load_catalog_pairs(args.catalog)
+    summary = report.run_verification_matrix(pairs, args.methods, out=args.out,
                                              workers=workers)
     if args.out is None:
         for record in summary["records"]:
@@ -127,11 +109,17 @@ def _cmd_verify(args) -> int:
     if args.summary == "table":
         sys.stdout.write(report.render_summary_table(summary["rows"]) + "\n")
     elif args.summary == "classes":
-        built = entries if args.catalog == "default" else load_catalog_file(args.catalog)
+        built = [catalog.build_entry(label, spec) for (label, spec), row
+                 in zip(pairs, summary["rows"]) if "error" not in row]
         sys.stdout.write(report.render_summary_table(
             report.conjugacy_class_rows(built)) + "\n")
+    for row in summary["rows"]:
+        if "error" in row:
+            print(f"{row['group']}: {row['error']}", file=sys.stderr)
     if summary["disagreements"]:
         return EXIT_DISAGREEMENT
+    if summary["spec_errors"]:
+        return EXIT_INPUT
     if summary["size_limited"]:
         return EXIT_SIZE
     return EXIT_OK

@@ -72,61 +72,40 @@ def _require_subgroup_of(G: Group, H: Subgroup) -> None:
 
 def criterion3(G: Group, H: Subgroup) -> Verdict:
     """Coset test: every x with x^2 in H and odd |H| / |H meet H^x| must have
-    a solution of y^2 = 1 in the coset Hx.  Fails with a violating x."""
+    a solution of y^2 = 1 in the coset Hx.  Fails with the least violating x."""
     _require_subgroup_of(G, H)
-    memo = G._cache.setdefault("criterion3", {})
-    if H.mask_int in memo:
-        return memo[H.mask_int]
-    verdict = _criterion3_impl(G, H)
-    memo[H.mask_int] = verdict
-    return verdict
-
-
-def _criterion3_impl(G: Group, H: Subgroup) -> Verdict:
-    sq = G.squares
-    ct = G.conj_table
-    members = H.members
-    mask = H.mask
-    for x in range(G.order):
-        if not mask[sq[x]]:
-            continue
-        intersection = int(mask[ct[x, members]].sum())
-        if (H.order // intersection) % 2 == 0:
-            continue
-        coset = G.mult[members, x]
-        if not (sq[coset] == 0).any():
-            return Verdict(False, "criterion3", {"violating_x": int(x)})
-    return Verdict(True, "criterion3")
+    return G.memo(("criterion3", H.mask_int),
+                  lambda: _coset_criterion(G, H, "criterion3", H.mask[G.squares]))
 
 
 def criterion4(G: Group, H: Subgroup) -> Verdict:
     """Double-coset variant: x ranges over elements with HxH = Hx^-1 H (placed
     by membership of x^-1 in HxH) and odd |H| / |H meet H^x|."""
     _require_subgroup_of(G, H)
-    memo = G._cache.setdefault("criterion4", {})
-    if H.mask_int in memo:
-        return memo[H.mask_int]
-    verdict = _criterion4_impl(G, H)
-    memo[H.mask_int] = verdict
-    return verdict
+    return G.memo(("criterion4", H.mask_int), lambda: _coset_criterion(
+        G, H, "criterion4", _self_inverse_double_cosets(G, H)))
 
 
-def _criterion4_impl(G: Group, H: Subgroup) -> Verdict:
-    sq = G.squares
-    ct = G.conj_table
+def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
+    """Mask of the x with x^-1 in HxH.  Double cosets partition G, so that is
+    HxH = Hx^-1 H, decided by comparing least elements: the least element of
+    HxH is the least over h of the least element of the right coset Hxh."""
+    coset_min = G.mult[H.members, :].min(axis=0)
+    label = coset_min[G.mult[:, H.members]].min(axis=1)
+    return label == label[G.inv]
+
+
+def _coset_criterion(G: Group, H: Subgroup, method: str,
+                     selected: np.ndarray) -> Verdict:
+    """The coset condition of both criteria, over all x at once: every
+    selected x with odd |H| / |H meet H^x| needs a y in Hx with y^2 = 1."""
     members = H.members
-    mask = H.mask
-    for x in range(G.order):
-        double_coset = G.mult[np.ix_(members, G.mult[x, members])]
-        if not (double_coset == G.inv[x]).any():
-            continue
-        intersection = int(mask[ct[x, members]].sum())
-        if (H.order // intersection) % 2 == 0:
-            continue
-        coset = G.mult[members, x]
-        if not (sq[coset] == 0).any():
-            return Verdict(False, "criterion4", {"violating_x": int(x)})
-    return Verdict(True, "criterion4")
+    odd = (H.order // H.mask[G.conj_table[:, members]].sum(axis=1)) % 2 == 1
+    has_involution = (G.squares[G.mult[members, :]] == 0).any(axis=0)
+    violating = np.flatnonzero(selected & odd & ~has_involution)
+    if violating.size:
+        return Verdict(False, method, {"violating_x": int(violating[0])})
+    return Verdict(True, method)
 
 
 def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None:
@@ -144,12 +123,7 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
     deterministic, and results are memoised per subgroup.
     """
     _require_subgroup_of(G, H)
-    memo = G._cache.setdefault("transversals", {})
-    if H.mask_int in memo:
-        return memo[H.mask_int]
-    result = _transversal_search(G, H)
-    memo[H.mask_int] = result
-    return result
+    return G.memo(("transversal", H.mask_int), lambda: _transversal_search(G, H))
 
 
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
@@ -245,10 +219,15 @@ def connection_set_from_transversal(G: Group, H: Subgroup,
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:
     """Definition check: every vertex is at distance at most 1 from exactly
     one element of C in the Cayley graph with connection set S."""
-    smask = S.mask()
-    code = C.members
-    counts = smask[G.mult[:, G.inv[code]]].sum(axis=1)
-    # the distance-0 hit: g equals a code element only for g in C, once
+    return _dominates_once(S.mask(), G.mult[:, G.inv[C.members]], C.members)
+
+
+def _dominates_once(smask: np.ndarray, neighbours: np.ndarray,
+                    code: np.ndarray) -> bool:
+    """Whether every vertex g is at distance at most 1 from exactly one code
+    element: g is adjacent to c_i when ``neighbours[g, i] = g c_i^-1`` lies
+    in the connection set ``smask``, and at distance 0 from c_i when g = c_i."""
+    counts = smask[neighbours].sum(axis=1)
     counts[code] += 1
     return bool((counts == 1).all())
 
@@ -282,12 +261,9 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
     """Brute force over every inverse-closed S: first S realizing H as a
     perfect code, or None after exhausting all of them."""
     _require_subgroup_of(G, H)
-    code = H.members
-    inv_code = G.inv[code]
+    neighbours = G.mult[:, G.inv[H.members]]
     for mask in inverse_closed_subsets(G):
-        counts = mask[G.mult[:, inv_code]].sum(axis=1)
-        counts[code] += 1
-        if (counts == 1).all():
+        if _dominates_once(mask, neighbours, H.members):
             return ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
     return None
 

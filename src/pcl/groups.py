@@ -46,11 +46,11 @@ class Group:
     ``mult[i, j]`` is the index of the product of elements i and j, and
     ``inv[i]`` the index of the inverse of i.  Instances are safe to share
     between threads for reads; derived data (element orders, conjugation
-    table, subgroup lattice) is memoised on first use and recomputation is
-    idempotent.
+    table, subgroup lattice) is memoised on first use by ``memo`` and
+    recomputation is idempotent.
     """
 
-    __slots__ = ("order", "mult", "inv", "label", "witness", "_orders", "_conj", "_cache")
+    __slots__ = ("order", "mult", "inv", "label", "witness", "_cache")
 
     def __init__(self, mult: np.ndarray, label: str = "G",
                  witness: dict[str, int] | None = None):
@@ -79,8 +79,6 @@ class Group:
         self.inv = inv
         self.label = label
         self.witness = dict(witness) if witness else {}
-        self._orders = None
-        self._conj = None
         self._cache: dict = {}
 
     def __repr__(self) -> str:
@@ -118,54 +116,57 @@ class Group:
         left = self.mult[self.inv[a], self.inv[b]]
         return int(self.mult[left, self.mult[a, b]])
 
+    def memo(self, key, compute):
+        """The value of ``compute()``, computed once per group and ``key``.
+
+        Every derived value of a group (element orders, conjugation table,
+        lattice, per-subgroup verdicts keyed on ``(name, H.mask_int)``) is
+        memoised here.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
+
     @property
     def squares(self) -> np.ndarray:
         """Vector of g*g for every g."""
-        sq = self._cache.get("squares")
-        if sq is None:
-            sq = self.mult[np.arange(self.order), np.arange(self.order)]
-            sq.setflags(write=False)
-            self._cache["squares"] = sq
-        return sq
+        return self.memo("squares", lambda: _readonly(self.mult.diagonal().copy()))
 
     @property
     def conj_table(self) -> np.ndarray:
         """Table ct[x, h] = x^-1 h x."""
-        if self._conj is None:
-            left = self.mult[self.inv, :]
-            ct = self.mult[left, np.arange(self.order, dtype=np.int32)[:, None]]
-            ct.setflags(write=False)
-            self._conj = ct
-        return self._conj
+        return self.memo("conj", self._conj_table)
+
+    def _conj_table(self) -> np.ndarray:
+        left = self.mult[self.inv, :]
+        return _readonly(self.mult[left, np.arange(self.order, dtype=np.int32)[:, None]])
 
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            n = self.order
-            orders = np.ones(n, dtype=np.int32)
-            idx = np.arange(n, dtype=np.int32)
-            current = idx.copy()
-            pending = current != 0
-            k = 1
-            while pending.any():
-                current = self.mult[current, idx]
-                k += 1
-                closed = pending & (current == 0)
-                orders[closed] = k
-                pending &= ~closed
-            orders.setflags(write=False)
-            self._orders = orders
-        return self._orders
+        return self.memo("orders", self._element_orders)
+
+    def _element_orders(self) -> np.ndarray:
+        n = self.order
+        orders = np.ones(n, dtype=np.int32)
+        idx = np.arange(n, dtype=np.int32)
+        current = idx.copy()
+        pending = current != 0
+        k = 1
+        while pending.any():
+            current = self.mult[current, idx]
+            k += 1
+            closed = pending & (current == 0)
+            orders[closed] = k
+            pending &= ~closed
+        return _readonly(orders)
 
     def element_order(self, g: int) -> int:
         return int(self.element_orders()[g])
 
     @property
     def is_abelian(self) -> bool:
-        value = self._cache.get("abelian")
-        if value is None:
-            value = bool(np.array_equal(self.mult, self.mult.T))
-            self._cache["abelian"] = value
-        return value
+        return self.memo("abelian", lambda: bool(np.array_equal(self.mult, self.mult.T)))
 
     def closure(self, elems: Iterable[int]) -> np.ndarray:
         """Sorted member indices of the subgroup generated by ``elems``."""
@@ -200,19 +201,14 @@ class Group:
                 raise ValueError(f"associativity fails in {self.label}")
 
 
-def element_order(group: Group, g: int) -> int:
-    """Least k >= 1 with g^k equal to the identity."""
-    return group.element_order(g)
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def from_mult_table(table: Sequence[Sequence[int]] | np.ndarray, label: str = "G",
-                    witness: dict[str, int] | None = None) -> Group:
-    return Group(np.asarray(table), label=label, witness=witness)
-
 
 def cyclic(n: int, label: str | None = None) -> Group:
     if n < 1:
@@ -462,12 +458,6 @@ def from_raw_table_text(text: str, label: str = "table") -> Group:
     except ValueError as exc:
         raise GroupSpecError(f"raw table is not a group table: {exc}")
     return group
-
-
-def from_raw_table_file(path: str, label: str | None = None) -> Group:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return from_raw_table_text(text, label=label or os.path.basename(path))
 
 
 def _is_prime(p: int) -> bool:

@@ -15,93 +15,111 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import codes, theorems
+from . import catalog, codes, theorems
 from .catalog import (CatalogEntry, TAG_A1_2GROUP, TAG_ABELIAN_2,
-                      TAG_ABELIAN_SYLOW2, TAG_DIHEDRAL, build_entry)
-from .errors import PclError, SizeLimitError
+                      TAG_ABELIAN_SYLOW2, TAG_DIHEDRAL)
+from .errors import GroupSpecError, PclError, SizeLimitError
 from .structure import Subgroup, all_subgroups
 
-METHODS = ("criterion3", "criterion4", "oracle", "cayley", "theorem")
 EXHAUSTIVE_CAYLEY_LIMIT = 16
 
+# The tables below look every function up on its module at call time, so a
+# wrapper installed there (a tracer, a test double) sees every call.
 
-def _oracle_verdict(G, H) -> codes.Verdict:
-    transversal = codes.find_inverse_closed_transversal(G, H)
+# Theorem classifiers by structural tag, in priority order: an entry uses the
+# first of its tags listed here.
+CLASSIFIERS = {
+    TAG_ABELIAN_2: lambda e, H: theorems.classify_abelian_2group(e.group, H),
+    TAG_A1_2GROUP: lambda e, H: theorems.classify_a1_2group(e.group, H, e.recognition),
+    TAG_DIHEDRAL: lambda e, H: theorems.dihedral_classify(e.group, H, e.dihedral_rotation),
+    TAG_ABELIAN_SYLOW2: lambda e, H: theorems.classify_abelian_sylow2(e.group, H),
+}
+
+
+def _verdict(v: codes.Verdict) -> dict:
+    return {"is_code": v.is_code, "evidence": v.evidence}
+
+
+def _oracle(entry: CatalogEntry, H: Subgroup) -> dict:
+    transversal = codes.find_inverse_closed_transversal(entry.group, H)
     if transversal is None:
-        return codes.Verdict(False, "oracle")
-    return codes.Verdict(True, "oracle", {"transversal": list(transversal.reps)})
+        return {"is_code": False, "evidence": None}
+    return {"is_code": True, "evidence": {"transversal": list(transversal.reps)}}
 
 
-def _cayley_verdict(G, H) -> codes.Verdict | None:
+def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
     """Definition-level verdict: re-check a constructed connection set, or
     exhaust all inverse-closed sets on small groups.  None when neither
     route applies (no witness and the group is too large to sweep)."""
+    G = entry.group
     transversal = codes.find_inverse_closed_transversal(G, H)
     if transversal is not None:
         connection = codes.connection_set_from_transversal(G, H, transversal)
-        ok = codes.verify_perfect_code_in_cayley(G, connection, H)
-        return codes.Verdict(ok, "cayley", {"connection_set": list(connection.members)})
-    if G.order <= EXHAUSTIVE_CAYLEY_LIMIT:
-        found = codes.exhaustive_connection_set_search(G, H)
-        if found is None:
-            return codes.Verdict(False, "cayley", {"exhausted_all_sets": True})
-        return codes.Verdict(True, "cayley", {"connection_set": list(found.members)})
-    return None
+        return {"is_code": codes.verify_perfect_code_in_cayley(G, connection, H),
+                "evidence": {"connection_set": list(connection.members)}}
+    if G.order > EXHAUSTIVE_CAYLEY_LIMIT:
+        return None
+    found = codes.exhaustive_connection_set_search(G, H)
+    if found is None:
+        return {"is_code": False, "evidence": {"exhausted_all_sets": True}}
+    return {"is_code": True, "evidence": {"connection_set": list(found.members)}}
 
 
-def theorem_outcome(entry: CatalogEntry, H: Subgroup) -> theorems.ClassificationOutcome | None:
-    """Dispatch to the classifier matching the entry's structural tags."""
-    G = entry.group
-    if TAG_ABELIAN_2 in entry.tags:
-        return theorems.classify_abelian_2group(G, H)
-    if TAG_A1_2GROUP in entry.tags:
-        return theorems.classify_a1_2group(G, H, entry.recognition)
-    if TAG_DIHEDRAL in entry.tags:
-        return theorems.dihedral_classify(G, H, entry.dihedral_rotation)
-    if TAG_ABELIAN_SYLOW2 in entry.tags:
-        return theorems.classify_abelian_sylow2(G, H)
-    return None
+def _theorem(entry: CatalogEntry, H: Subgroup) -> dict | None:
+    tag = next((t for t in CLASSIFIERS if t in entry.tags), None)
+    if tag is None:
+        return None
+    outcome = CLASSIFIERS[tag](entry, H)
+    payload = {"is_code": outcome.is_code, "clause": outcome.clause}
+    if outcome.match is not None:
+        payload["match"] = {"family": outcome.match.family,
+                            "params": outcome.match.params,
+                            "generators": list(outcome.match.generators)}
+    return payload
 
 
-def _verdict_payload(entry: CatalogEntry, H: Subgroup, method: str) -> dict:
-    G = entry.group
+# Decision routes in record order: name -> (entry, H) -> payload, or None
+# where the route does not apply.  All but the theorem classifiers decide
+# the question exactly and form the correctness gate.
+ROUTES = {
+    "criterion3": lambda e, H: _verdict(codes.criterion3(e.group, H)),
+    "criterion4": lambda e, H: _verdict(codes.criterion4(e.group, H)),
+    "oracle": _oracle,
+    "cayley": _cayley,
+    "theorem": _theorem,
+}
+METHODS = tuple(ROUTES)
+GROUND_TRUTH_METHODS = frozenset(ROUTES) - {"theorem"}
+
+
+def parse_methods(methods) -> tuple[str, ...]:
+    """Route names from a comma separated string or a sequence of names;
+    None selects every route."""
+    if methods is None:
+        return METHODS
+    if isinstance(methods, str):
+        methods = methods.split(",")
+    chosen = tuple(m.strip() for m in methods if m.strip())
+    for m in chosen:
+        if m not in ROUTES:
+            raise GroupSpecError(
+                f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    if not chosen:
+        raise GroupSpecError("no methods selected")
+    return chosen
+
+
+def _timed_payload(entry: CatalogEntry, H: Subgroup, method: str) -> dict:
     start = time.perf_counter()
-    if method == "criterion3":
-        v = codes.criterion3(G, H)
-        payload = {"is_code": v.is_code, "evidence": v.evidence}
-    elif method == "criterion4":
-        v = codes.criterion4(G, H)
-        payload = {"is_code": v.is_code, "evidence": v.evidence}
-    elif method == "oracle":
-        v = _oracle_verdict(G, H)
-        payload = {"is_code": v.is_code, "evidence": v.evidence}
-    elif method == "cayley":
-        v = _cayley_verdict(G, H)
-        if v is None:
-            payload = {"not_applicable": True}
-        else:
-            payload = {"is_code": v.is_code, "evidence": v.evidence}
-    elif method == "theorem":
-        outcome = theorem_outcome(entry, H)
-        if outcome is None:
-            payload = {"not_applicable": True}
-        else:
-            payload = {"is_code": outcome.is_code, "clause": outcome.clause}
-            if outcome.match is not None:
-                payload["match"] = {"family": outcome.match.family,
-                                    "params": outcome.match.params,
-                                    "generators": list(outcome.match.generators)}
-    else:
-        raise PclError(f"unknown method {method!r}")
+    payload = ROUTES[method](entry, H)
+    if payload is None:
+        payload = {"not_applicable": True}
     payload["time_ms"] = (time.perf_counter() - start) * 1000.0
     return payload
 
 
-GROUND_TRUTH_METHODS = ("criterion3", "criterion4", "oracle", "cayley")
-
-
 def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
-    verdicts = {m: _verdict_payload(entry, H, m) for m in methods}
+    verdicts = {m: _timed_payload(entry, H, m) for m in methods}
     votes = {v["is_code"] for v in verdicts.values() if "is_code" in v}
     return {
         "group": entry.label,
@@ -135,52 +153,47 @@ def entry_records(entry: CatalogEntry, methods=METHODS) -> list[dict]:
     return [record_for(entry, H, methods) for H in all_subgroups(entry.group)]
 
 
-def _records_for_spec(args: tuple[str, str, tuple[str, ...]]) -> list[dict] | str:
-    label, spec_text, methods = args
+def _records_for_pair(job: tuple[str, str, tuple[str, ...]]) -> list[dict] | PclError:
+    """Build one catalog entry and run it; a bad or too-large spec gives its
+    error instead."""
+    label, spec_text, methods = job
     try:
-        return entry_records(build_entry(label, spec_text), methods)
-    except SizeLimitError as exc:
-        return str(exc)
+        return entry_records(catalog.build_entry(label, spec_text), methods)
+    except (GroupSpecError, SizeLimitError) as exc:
+        return exc.with_traceback(None)
 
 
-def run_verification_matrix(entries: list[CatalogEntry | tuple[str, str]],
-                            methods=METHODS, out=None, workers: int = 1) -> dict:
-    """Run the matrix; returns a summary with per-group rows and the records.
+def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
+                            out=None, workers: int = 1) -> dict:
+    """Run the matrix over (label, spec) pairs; returns a summary with
+    per-group rows and the records.
 
-    Entries may be built CatalogEntry objects or (label, spec) pairs; pairs
-    are built here so that a size-limit error surfaces in that entry's row
-    instead of aborting the run.  Entries run in catalog order (or across
-    ``workers`` processes, results still emitted in catalog order).  A record
-    disagrees when two applicable methods return different verdicts.
+    Each entry is built in the process that runs it, so a malformed or
+    too-large spec surfaces in that entry's row instead of aborting the run.
+    Entries run in catalog order (or across ``workers`` processes, results
+    still emitted in catalog order).  A record disagrees when two applicable
+    methods return different verdicts.
     """
-    methods = tuple(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise PclError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    labels = [e.label if isinstance(e, CatalogEntry) else e[0] for e in entries]
-    if workers > 1 and len(entries) > 1:
-        jobs = [(e.label, e.spec_text, methods) if isinstance(e, CatalogEntry)
-                else (e[0], e[1], methods) for e in entries]
+    methods = parse_methods(methods)
+    jobs = [(label, spec, methods) for label, spec in entries]
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_entry = list(pool.map(_records_for_spec, jobs))
+            per_entry = list(pool.map(_records_for_pair, jobs))
     else:
-        per_entry = []
-        for entry in entries:
-            if isinstance(entry, CatalogEntry):
-                per_entry.append(entry_records(entry, methods))
-            else:
-                per_entry.append(_records_for_spec((entry[0], entry[1], methods)))
+        per_entry = list(map(_records_for_pair, jobs))
     rows = []
     records = []
     disagreements = 0
     findings = 0
     size_limited = 0
-    for label, recs in zip(labels, per_entry):
-        if isinstance(recs, str):
-            size_limited += 1
+    spec_errors = 0
+    for (label, _, _), recs in zip(jobs, per_entry):
+        if isinstance(recs, PclError):
+            size_limited += isinstance(recs, SizeLimitError)
+            spec_errors += isinstance(recs, GroupSpecError)
             rows.append({"group": label, "order": "", "subgroups": 0,
                          "codes": 0, "disagreements": 0, "findings": 0,
-                         "error": recs})
+                         "error": str(recs)})
             continue
         codes_found = sum(1 for r in recs
                           if next((v["is_code"] for v in r["verdicts"].values()
@@ -202,7 +215,8 @@ def run_verification_matrix(entries: list[CatalogEntry | tuple[str, str]],
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return {"rows": rows, "records": records, "disagreements": disagreements,
-            "findings": findings, "size_limited": size_limited}
+            "findings": findings, "size_limited": size_limited,
+            "spec_errors": spec_errors}
 
 
 def render_summary_table(rows: list[dict]) -> str:
@@ -254,10 +268,3 @@ def conjugacy_class_rows(entries: list[CatalogEntry]) -> list[dict]:
                      "subgroups": classes, "codes": code_classes,
                      "disagreements": 0})
     return rows
-
-
-def verdict_to_json(group_label: str, H: Subgroup, verdict: codes.Verdict) -> dict:
-    """Single-verdict serialization: group, subgroup indices, method, result."""
-    return {"group": group_label, "subgroup": H.members.tolist(),
-            "method": verdict.method, "is_code": verdict.is_code,
-            "evidence": verdict.evidence}

@@ -349,8 +349,3 @@ def build_family(spec: GroupSpec | str, label: str | None = None) -> Group:
             built = groups.direct_product(built, build_family(factor))
         return Group(built.mult, label=label or spec.render())
     raise GroupSpecError(f"unknown spec node {spec!r}")
-
-
-def build_from_permutations(perms, label: str | None = None) -> Group:
-    """Closure of explicit permutations (image tuples over 0..k-1)."""
-    return groups.from_permutations(perms, label=label)

@@ -111,11 +111,7 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def full_subgroup(G: Group) -> Subgroup:
-    cached = G._cache.get("full_subgroup")
-    if cached is None:
-        cached = Subgroup(G, np.ones(G.order, dtype=bool))
-        G._cache["full_subgroup"] = cached
-    return cached
+    return G.memo("full_subgroup", lambda: Subgroup(G, np.ones(G.order, dtype=bool)))
 
 
 def subgroup_from_members(G: Group, members, generators=None) -> Subgroup:
@@ -149,18 +145,17 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     lattice.  Generators are the canonical ones of ``Subgroup(G, mask)``, so
     they do not depend on how the lattice was found.
     """
-    cached = G._cache.get("lattice")
-    if cached is not None:
-        return cached
+    return G.memo("lattice", lambda: _lattice(G))
+
+
+def _lattice(G: Group) -> list[Subgroup]:
     if G.order > max_order():
         raise SizeLimitError(
             f"subgroup enumeration of order {G.order} exceeds PCL_MAX_ORDER={max_order()}")
     masks = _cyclic_extensions(G)
     if not _is_solvable(G):
         masks = _join_completion(G, masks)
-    subgroups = sorted((Subgroup(G, mask) for mask in masks), key=Subgroup.sort_key)
-    G._cache["lattice"] = subgroups
-    return subgroups
+    return sorted((Subgroup(G, mask) for mask in masks), key=Subgroup.sort_key)
 
 
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
@@ -276,55 +271,39 @@ def subgroups_of(H: Subgroup) -> list[Subgroup]:
 
 def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
     """Maximal proper subgroups of H, from the parent lattice."""
-    G = H.parent
-    cache = G._cache.setdefault("maximal", {})
-    hit = cache.get(H.mask_int)
-    if hit is not None:
-        return hit
+    return H.parent.memo(("maximal", H.mask_int), lambda: _maximal_subgroups(H))
+
+
+def _maximal_subgroups(H: Subgroup) -> list[Subgroup]:
     proper = [S for S in subgroups_of(H) if S.order < H.order]
     proper.sort(key=lambda s: -s.order)
-    maximal = [S for S in proper
-               if not any(T.order > S.order and (S.mask_int & ~T.mask_int) == 0
-                          for T in proper)]
-    cache[H.mask_int] = maximal
-    return maximal
+    return [S for S in proper
+            if not any(T.order > S.order and (S.mask_int & ~T.mask_int) == 0
+                       for T in proper)]
 
 
 def frattini(H: Subgroup) -> Subgroup:
     """Intersection of the maximal subgroups of H; trivial H gives H itself."""
-    G = H.parent
-    cache = G._cache.setdefault("frattini", {})
-    hit = cache.get(H.mask_int)
-    if hit is not None:
-        return hit
+    return H.parent.memo(("frattini", H.mask_int), lambda: _frattini(H))
+
+
+def _frattini(H: Subgroup) -> Subgroup:
     if H.order == 1:
-        cache[H.mask_int] = H
         return H
     mask = H.mask.copy()
     for M in maximal_subgroups(H):
         mask &= M.mask
-    phi = Subgroup(G, mask)
-    cache[H.mask_int] = phi
-    return phi
+    return Subgroup(H.parent, mask)
 
 
 def derived_subgroup(G: Group) -> Subgroup:
     """Subgroup generated by all commutators."""
-    cached = G._cache.get("derived")
-    if cached is None:
-        comms = _commutators(G, np.arange(G.order))
-        cached = subgroup_generated(G, comms.tolist())
-        G._cache["derived"] = cached
-    return cached
+    return G.memo("derived", lambda: subgroup_generated(
+        G, _commutators(G, np.arange(G.order)).tolist()))
 
 
 def center(G: Group) -> Subgroup:
-    cached = G._cache.get("center")
-    if cached is None:
-        mask = (G.mult == G.mult.T).all(axis=1)
-        cached = Subgroup(G, mask)
-        G._cache["center"] = cached
-    return cached
+    return G.memo("center", lambda: Subgroup(G, (G.mult == G.mult.T).all(axis=1)))
 
 
 def centralizer(G: Group, elements) -> Subgroup:
@@ -497,12 +476,7 @@ def recognize_a1_family(G: Group) -> FamilyRecognition:
     """
     if not _is_2group(G):
         raise PreconditionError(f"recognize_a1_family requires a 2-group, got order {G.order}")
-    cached = G._cache.get("a1_recognition")
-    if cached is not None:
-        return cached
-    result = _recognize_a1(G)
-    G._cache["a1_recognition"] = result
-    return result
+    return G.memo("a1_recognition", lambda: _recognize_a1(G))
 
 
 def _recognize_a1(G: Group) -> FamilyRecognition:
@@ -584,12 +558,12 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
     """Find (a, b) with o(a) = |G|/2, b an involution inverting a, if any."""
     if G.order % 2 != 0:
         return None
-    cached = G._cache.get("dihedral_witness", "missing")
-    if cached != "missing":
-        return cached
+    return G.memo("dihedral_witness", lambda: _dihedral_witness(G))
+
+
+def _dihedral_witness(G: Group) -> tuple[int, int] | None:
     n = G.order // 2
     orders = G.element_orders()
-    witness = None
     for a in np.flatnonzero(orders == n).tolist() if n > 1 else [0]:
         rotations = G.closure([a])
         if rotations.size != n:
@@ -601,12 +575,8 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
             if in_rot[b] or G.mul(b, b) != 0:
                 continue
             if G.mult[G.mult[G.inv[b], a], b] == a_inv:
-                witness = (a, int(b))
-                break
-        if witness:
-            break
-    G._cache["dihedral_witness"] = witness
-    return witness
+                return (a, int(b))
+    return None
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:

@@ -175,9 +175,10 @@ def _family_shapes(n2: int, m2: int):
 
 def _family_candidates(G: Group, rec: FamilyRecognition):
     """All candidate (shape, params, generators, member-mask) tuples, cached."""
-    cached = G._cache.get("family_candidates")
-    if cached is not None:
-        return cached
+    return G.memo("family_candidates", lambda: _build_family_candidates(G, rec))
+
+
+def _build_family_candidates(G: Group, rec: FamilyRecognition):
     n2, m2 = rec.params
     a, b, c = rec.witness
     powers = {"a": a, "b": b, "c": c}
@@ -200,7 +201,6 @@ def _family_candidates(G: Group, rec: FamilyRecognition):
                 members = G.closure([g1, g2])
                 seen_pair[pair] = members
             candidates.append((label, params, pair, members.tobytes()))
-    G._cache["family_candidates"] = candidates
     return candidates
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcl.catalog import default_catalog
+from pcl.codes import Verdict
 from pcl.specs import build_family
 from pcl.structure import Subgroup
 
@@ -107,3 +108,29 @@ def join_closure_subgroups(G) -> set[tuple[int, ...]]:
                 records[joined.tobytes()] = joined
                 queue.append(joined)
     return {tuple(m.tolist()) for m in records.values()}
+
+
+def reference_criterion3(G, H) -> Verdict:
+    """criterion3 as the library computed it before the vectorised core: an
+    ascending loop over x, so the first violator is the least one."""
+    for x in range(G.order):
+        if H.mask[G.squares[x]] and _odd_and_no_involution(G, H, x):
+            return Verdict(False, "criterion3", {"violating_x": x})
+    return Verdict(True, "criterion3")
+
+
+def reference_criterion4(G, H) -> Verdict:
+    """criterion4 by the same loop, building the double coset HxH per x."""
+    for x in range(G.order):
+        double_coset = G.mult[np.ix_(H.members, G.mult[x, H.members])]
+        if (double_coset == G.inv[x]).any() and _odd_and_no_involution(G, H, x):
+            return Verdict(False, "criterion4", {"violating_x": x})
+    return Verdict(True, "criterion4")
+
+
+def _odd_and_no_involution(G, H, x) -> bool:
+    """|H| / |H meet H^x| is odd and no y in Hx has y^2 = 1."""
+    intersection = int(H.mask[G.conj_table[x, H.members]].sum())
+    if (H.order // intersection) % 2 == 0:
+        return False
+    return not (G.squares[G.mult[H.members, x]] == 0).any()

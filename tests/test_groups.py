@@ -47,12 +47,12 @@ def test_cyclic_orders():
 
 
 def test_identity_element_order_is_one():
-    assert groups.element_order(build_family("Q8"), 0) == 1
+    assert build_family("Q8").element_order(0) == 1
 
 
 def test_m2_generator_a_has_order_four():
     g = build_family("M2(2,1)")
-    assert groups.element_order(g, g.witness["a"]) == 4
+    assert g.element_order(g.witness["a"]) == 4
 
 
 def test_q8_unique_involution_has_order_two():

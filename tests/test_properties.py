@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as stst
 from pcl import codes, structure as st, theorems as th
 from pcl.specs import build_family, parse_group_spec
 
-from conftest import join_closure_subgroups
+from conftest import (join_closure_subgroups, reference_criterion3,
+                      reference_criterion4)
 
 SMALL_SPECS = [
     "C(2)", "C(4)", "C(8)", "C(12)", "EA(2,2)", "EA(2,3)", "C(4)xC(2)",
@@ -146,3 +147,15 @@ def test_lattice_matches_join_closure_outside_the_catalog(spec):
     assert {tuple(S.members.tolist()) for S in lattice} == join_closure_subgroups(g)
     for S in lattice:
         assert S.generators == st._reduced_generators(g, S.members)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
+def test_coset_criteria_agree_outside_the_catalog(spec):
+    g = build_family(spec)
+    for S in st.all_subgroups(g):
+        c3, c4 = codes.criterion3(g, S), codes.criterion4(g, S)
+        assert c3 == reference_criterion3(g, S)
+        assert c4 == reference_criterion4(g, S)
+        oracle = codes.find_inverse_closed_transversal(g, S) is not None
+        assert c3.is_code == c4.is_code == oracle

@@ -87,8 +87,7 @@ def test_theorem_method_not_applicable_for_odd_order():
 
 
 def test_matrix_summary_and_determinism(tmp_path):
-    entries = [build_entry("Q8", "Q8"), build_entry("D(8)", "D(8)"),
-               build_entry("S3", "perm:(1 2 3),(1 2)")]
+    entries = [("Q8", "Q8"), ("D(8)", "D(8)"), ("S3", "perm:(1 2 3),(1 2)")]
     out1 = report.run_verification_matrix(entries, out=str(tmp_path / "a.jsonl"))
     out2 = report.run_verification_matrix(entries, out=str(tmp_path / "b.jsonl"))
     assert out1["disagreements"] == 0
@@ -104,8 +103,7 @@ def test_matrix_summary_and_determinism(tmp_path):
 
 
 def test_matrix_parallel_workers_match_serial():
-    entries = [build_entry("Q8", "Q8"), build_entry("D(10)", "D(10)"),
-               build_entry("C(8)", "C(8)")]
+    entries = [("Q8", "Q8"), ("D(10)", "D(10)"), ("C(8)", "C(8)")]
     serial = report.run_verification_matrix(entries, workers=1)
     parallel = report.run_verification_matrix(entries, workers=2)
     assert canonical(serial["records"]) == canonical(parallel["records"])
@@ -113,7 +111,7 @@ def test_matrix_parallel_workers_match_serial():
 
 def test_matrix_rejects_unknown_method():
     with pytest.raises(PclError):
-        report.run_verification_matrix([build_entry("Q8", "Q8")], methods=("bogus",))
+        report.run_verification_matrix([("Q8", "Q8")], methods=("bogus",))
 
 
 def test_matrix_surfaces_size_limit_per_entry(monkeypatch):
@@ -143,7 +141,7 @@ def test_theorem_clause_mismatch_counts_as_finding_not_disagreement():
     # one noncyclic central subgroup of this group is a code by every
     # equivalence route but matches no classified shape; the matrix reports
     # it as a finding and keeps exit-worthy disagreements at zero
-    summary = report.run_verification_matrix([build_entry("M2(2,2,1)", "M2(2,2,1)")])
+    summary = report.run_verification_matrix([("M2(2,2,1)", "M2(2,2,1)")])
     assert summary["disagreements"] == 0
     assert summary["findings"] == 1
     flagged = [r for r in summary["records"] if not r["agreement"]]
@@ -174,16 +172,6 @@ def test_conjugacy_class_summary():
                        "disagreements": 0}
     # A4: classes 1, C2, C3, V4, A4
     assert rows[1]["subgroups"] == 5 and rows[1]["codes"] == 5
-
-
-def test_verdict_to_json_shape():
-    from pcl import codes as c
-    from pcl.structure import trivial_subgroup
-    entry = build_entry("Q8", "Q8")
-    H = trivial_subgroup(entry.group)
-    payload = report.verdict_to_json("Q8", H, c.criterion3(entry.group, H))
-    assert payload == {"group": "Q8", "subgroup": [0], "method": "criterion3",
-                       "is_code": True, "evidence": None}
 
 
 def test_cli_build_and_exit_codes(tmp_path):
@@ -243,6 +231,21 @@ def test_cli_verify_custom_catalog(tmp_path):
     records = [json.loads(l) for l in out_file.read_text().splitlines()]
     assert len(records) == 16
     assert all(r["agreement"] for r in records)
+
+
+def test_cli_verify_bad_spec_gets_its_own_row(tmp_path, capsys):
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["Q8", {"spec": "M2(1,1)", "label": "bad"},
+                                     "D(8)"]))
+    out_file = tmp_path / "r.jsonl"
+    assert main(["verify", "--catalog", str(spec_file), "--out", str(out_file),
+                 "--summary", "table"]) == 2
+    records = [json.loads(l) for l in out_file.read_text().splitlines()]
+    assert [r["group"] for r in records] == ["Q8"] * 6 + ["D(8)"] * 10
+    captured = capsys.readouterr()
+    bad_row = next(l for l in captured.out.splitlines() if l.startswith("bad "))
+    assert "! M2(n1,m1) requires n1 >= 2" in bad_row
+    assert "bad: M2(n1,m1) requires n1 >= 2" in captured.err
 
 
 def test_cli_codeperfect():
