@@ -11,7 +11,7 @@ nonabelian 2-groups, dihedral groups and groups with abelian Sylow
 """
 
 from .catalog import (CatalogEntry, build_entry, default_catalog,
-                      load_catalog_file, load_catalog_pairs)
+                      load_catalog_pairs)
 from .codes import (ConnectionSet, Transversal, Verdict,
                     connection_set_from_transversal, criterion3, criterion4,
                     criterion3_on_pair, exhaustive_connection_set_search,
@@ -27,13 +27,12 @@ from .report import (METHODS, conjugacy_class_rows, render_summary_table,
                      run_verification_matrix)
 from .specs import build_family, parse_group_spec
 from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
-                        centralizer, derived_subgroup, frattini, full_subgroup,
-                        involutions, is_minimal_nonabelian, is_square,
-                        maximal_subgroups, min_generators, normalizer, omega1,
+                        derived_subgroup, frattini, full_subgroup, involutions,
+                        is_minimal_nonabelian, maximal_subgroups,
+                        min_generators, normalizer, omega1,
                         recognize_a1_family, recognize_dihedral, squares_set,
-                        subgroup_as_group, subgroup_from_members,
-                        subgroup_generated, sylow, sylow_containing,
-                        trivial_subgroup)
+                        subgroup_as_group, subgroup_generated, sylow,
+                        sylow_containing, trivial_subgroup)
 from .theorems import (ClassificationOutcome, FamilyMatch,
                        classify_a1_2group, classify_abelian_2group,
                        classify_abelian_sylow2, dihedral_classify,

@@ -43,14 +43,9 @@ def build_entry(label: str, spec_text: str) -> CatalogEntry:
     if witness is not None:
         tags.add(TAG_DIHEDRAL)
         rotation = witness[0]
-    if prime_power(group.order) is not None and group.order % 2 == 0:
-        # a 2-group is its own Sylow 2-subgroup; skip the lattice
-        if group.is_abelian:
-            tags.add(TAG_ABELIAN_SYLOW2)
-    elif group.order > 1:
-        syl2 = sylow(group, 2)
-        if syl2.order > 1 and syl2.is_abelian:
-            tags.add(TAG_ABELIAN_SYLOW2)
+    syl2 = sylow(group, 2)
+    if syl2.order > 1 and syl2.is_abelian:
+        tags.add(TAG_ABELIAN_SYLOW2)
     if group.order > 1 and prime_power(group.order) is None:
         tags.add(TAG_MIXED_ORDER)
     return CatalogEntry(label, spec_text, group, frozenset(tags),
@@ -135,13 +130,9 @@ def load_catalog_pairs(path: str) -> list[tuple[str, str]]:
     for item in data:
         if isinstance(item, str):
             pairs.append((item, item))
-        elif isinstance(item, dict) and "spec" in item:
+        elif (isinstance(item, dict) and isinstance(item.get("spec"), str)
+              and isinstance(item.get("label", ""), str)):
             pairs.append((item.get("label", item["spec"]), item["spec"]))
         else:
             raise GroupSpecError(f"bad catalog item: {item!r}")
     return pairs
-
-
-def load_catalog_file(path: str) -> list[CatalogEntry]:
-    """Built catalog entries from a JSON file (see ``load_catalog_pairs``)."""
-    return [build_entry(label, spec) for label, spec in load_catalog_pairs(path)]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import PreconditionError
 from .groups import Group
 from .structure import (Subgroup, full_subgroup, normalizer, subgroup_as_group,
-                        trivial_subgroup, _sylow_within)
+                        _sylow_within)
 
 
 @dataclass(frozen=True)
@@ -271,10 +271,10 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
 def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:
     """Reduce the perfect-code question to a pair of 2-groups.
 
-    Returns (Q, P) with Q the canonical Sylow 2-subgroup of H and P a Sylow
-    2-subgroup of the normalizer of Q containing Q.  H is a perfect code of
-    G exactly when Q is a perfect code of P; the choice of Sylow subgroups
-    does not affect that verdict.
+    Returns (Q, P) with Q a Sylow 2-subgroup of H, grown from the trivial
+    subgroup, and P a Sylow 2-subgroup of the normalizer of Q grown from Q.
+    H is a perfect code of G exactly when Q is a perfect code of P; the
+    choice of Sylow subgroups does not affect that verdict.
     """
     _require_subgroup_of(G, H)
     Q = _sylow_within(G, H, 2, None)

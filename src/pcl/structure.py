@@ -5,7 +5,8 @@ subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
 an element of prime-power order that normalizes it, as a union of cosets of
 V), which is complete for solvable groups; a group that is not solvable gets
 one join pass against its cyclic subgroups on top.  The lattice is cached on
-the parent, so repeated structural queries stay cheap.
+the parent; Frattini and Sylow subgroups and the minimal nonabelian test come
+from p-group identities and never build it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, max_order, prime_power, _is_prime
+from .groups import Group, max_order, prime_power, _is_prime, _readonly
 
 
 class Subgroup:
@@ -68,9 +69,6 @@ class Subgroup:
     def issubset(self, other: "Subgroup") -> bool:
         return (self.mask_int & ~other.mask_int) == 0
 
-    def meet(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, self.mask & other.mask)
-
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -114,13 +112,6 @@ def full_subgroup(G: Group) -> Subgroup:
     return G.memo("full_subgroup", lambda: Subgroup(G, np.ones(G.order, dtype=bool)))
 
 
-def subgroup_from_members(G: Group, members, generators=None) -> Subgroup:
-    mask = np.zeros(G.order, dtype=bool)
-    mask[np.asarray(list(members), dtype=np.int64)] = True
-    mask[0] = True
-    return Subgroup(G, mask, generators=generators)
-
-
 def subgroup_generated(G: Group, gens) -> Subgroup:
     """Smallest subgroup containing ``gens`` (closure by repeated squaring of
     the product set)."""
@@ -161,19 +152,7 @@ def _lattice(G: Group) -> list[Subgroup]:
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
     """Membership masks of every subgroup reachable by cyclic extension."""
     n = G.order
-    idx = np.arange(n, dtype=np.int32)
-    orders = G.element_orders()
-    prime = np.zeros(n, dtype=np.int64)
-    pth_power = np.zeros(n, dtype=np.int32)
-    for k in np.unique(orders).tolist():
-        pk = prime_power(k)
-        if pk is not None:
-            prime[orders == k] = pk[0]
-    for p in np.unique(prime[prime > 0]).tolist():
-        power = idx
-        for _ in range(p - 1):
-            power = G.mult[power, idx]
-        pth_power[prime == p] = power[prime == p]
+    prime, pth_power = _prime_powers(G)
     candidates = np.flatnonzero(prime)
     ct = G.conj_table[candidates]
     trivial = np.zeros(n, dtype=bool)
@@ -203,6 +182,30 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
                     next_layer.append(U)
         layer = next_layer
     return list(found.values())
+
+
+def _prime_powers(G: Group) -> tuple[np.ndarray, np.ndarray]:
+    """(prime, pth_power): the prime p of each element of p-power order (0 for
+    the identity and all other elements) and the p-th power of each."""
+    return G.memo("prime_powers", lambda: _prime_power_table(G))
+
+
+def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
+    n = G.order
+    idx = np.arange(n, dtype=np.int32)
+    orders = G.element_orders()
+    prime = np.zeros(n, dtype=np.int64)
+    pth_power = np.zeros(n, dtype=np.int32)
+    for k in np.unique(orders).tolist():
+        pk = prime_power(k)
+        if pk is not None:
+            prime[orders == k] = pk[0]
+    for p in np.unique(prime[prime > 0]).tolist():
+        power = idx
+        for _ in range(p - 1):
+            power = G.mult[power, idx]
+        pth_power[prime == p] = power[prime == p]
+    return _readonly(prime), _readonly(pth_power)
 
 
 def _is_solvable(G: Group) -> bool:
@@ -263,19 +266,10 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
     return list(found.values())
 
 
-def subgroups_of(H: Subgroup) -> list[Subgroup]:
-    """All subgroups of the parent contained in H, canonically sorted."""
-    return [S for S in all_subgroups(H.parent)
-            if (S.mask_int & ~H.mask_int) == 0]
-
-
 def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
     """Maximal proper subgroups of H, from the parent lattice."""
-    return H.parent.memo(("maximal", H.mask_int), lambda: _maximal_subgroups(H))
-
-
-def _maximal_subgroups(H: Subgroup) -> list[Subgroup]:
-    proper = [S for S in subgroups_of(H) if S.order < H.order]
+    proper = [S for S in all_subgroups(H.parent)
+              if S.order < H.order and (S.mask_int & ~H.mask_int) == 0]
     proper.sort(key=lambda s: -s.order)
     return [S for S in proper
             if not any(T.order > S.order and (S.mask_int & ~T.mask_int) == 0
@@ -283,17 +277,21 @@ def _maximal_subgroups(H: Subgroup) -> list[Subgroup]:
 
 
 def frattini(H: Subgroup) -> Subgroup:
-    """Intersection of the maximal subgroups of H; trivial H gives H itself."""
+    """Phi(H) of the p-group H: by Burnside, the subgroup generated by the
+    p-th powers and commutators of H.  Trivial H gives H itself; H of order
+    divisible by two primes raises ``PreconditionError``."""
     return H.parent.memo(("frattini", H.mask_int), lambda: _frattini(H))
 
 
 def _frattini(H: Subgroup) -> Subgroup:
     if H.order == 1:
         return H
-    mask = H.mask.copy()
-    for M in maximal_subgroups(H):
-        mask &= M.mask
-    return Subgroup(H.parent, mask)
+    if prime_power(H.order) is None:
+        raise PreconditionError(f"frattini requires a p-group, got order {H.order}")
+    G = H.parent
+    _, pth_power = _prime_powers(G)
+    gens = np.union1d(pth_power[H.members], _commutators(G, H.members))
+    return subgroup_generated(G, gens.tolist())
 
 
 def derived_subgroup(G: Group) -> Subgroup:
@@ -304,14 +302,6 @@ def derived_subgroup(G: Group) -> Subgroup:
 
 def center(G: Group) -> Subgroup:
     return G.memo("center", lambda: Subgroup(G, (G.mult == G.mult.T).all(axis=1)))
-
-
-def centralizer(G: Group, elements) -> Subgroup:
-    els = np.asarray(sorted({int(e) for e in elements}), dtype=np.int64)
-    if els.size == 0:
-        return full_subgroup(G)
-    mask = (G.mult[:, els] == G.mult[els, :].T).all(axis=1)
-    return Subgroup(G, mask)
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
@@ -328,14 +318,14 @@ def _p_part(n: int, p: int) -> int:
 
 
 def sylow(G: Group, p: int) -> Subgroup:
-    """The canonically first Sylow p-subgroup (lattice order is deterministic)."""
+    """A Sylow p-subgroup of G, grown as in ``_sylow_within``."""
     if not _is_prime(p):
         raise PreconditionError(f"sylow requires a prime, got {p}")
-    return _sylow_within(G, full_subgroup(G), p, None)
+    return G.memo(("sylow", p), lambda: _sylow_within(G, full_subgroup(G), p, None))
 
 
 def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
-    """The canonically first Sylow p-subgroup of G containing the p-group Q."""
+    """A Sylow p-subgroup of G containing the p-group Q, grown from Q."""
     if not _is_prime(p):
         raise PreconditionError(f"sylow_containing requires a prime, got {p}")
     if Q.order != 1:
@@ -348,18 +338,28 @@ def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
 
 def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
+    """A Sylow p-subgroup of ``within`` grown from its p-subgroup
+    ``containing`` (default trivial): P becomes the union of the cosets P z^i
+    for the least p-element z of ``within`` that normalizes P, lies outside P
+    and has z^p in P.  Such a z exists until P is Sylow, since P lies in a
+    Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
-    if q == 1:
-        return trivial_subgroup(G)
-    for S in all_subgroups(G):
-        if S.order != q:
-            continue
-        if (S.mask_int & ~within.mask_int) != 0:
-            continue
-        if containing is not None and (containing.mask_int & ~S.mask_int) != 0:
-            continue
-        return S
-    raise RuntimeError("no Sylow subgroup found; lattice enumeration is broken")
+    if q == within.order:
+        return within
+    prime, pth_power = _prime_powers(G)
+    candidates = np.flatnonzero(within.mask & (prime == p))
+    P = trivial_subgroup(G) if containing is None else containing
+    while P.order < q:
+        extends = (P.mask[G.conj_table[np.ix_(candidates, P.members)]].all(axis=1)
+                   & ~P.mask[candidates] & P.mask[pth_power[candidates]])
+        z = int(candidates[np.argmax(extends)])
+        mask = np.zeros(G.order, dtype=bool)
+        coset = P.members
+        for _ in range(p):
+            mask[coset] = True
+            coset = G.mult[coset, z]
+        P = Subgroup(G, mask, generators=P.generators + (z,))
+    return P
 
 
 def involutions(G: Group) -> np.ndarray:
@@ -375,10 +375,6 @@ def omega1(G: Group) -> Subgroup:
 def squares_set(G: Group) -> np.ndarray:
     """Sorted indices of elements of the form y*y."""
     return np.unique(G.squares)
-
-
-def is_square(G: Group, g: int) -> bool:
-    return bool(np.isin(g, squares_set(G)))
 
 
 def min_generators(H: Subgroup) -> int:
@@ -408,10 +404,17 @@ def min_generators(H: Subgroup) -> int:
 
 
 def is_minimal_nonabelian(G: Group) -> bool:
-    """Nonabelian with every maximal (hence every proper) subgroup abelian."""
+    """Whether the p-group G is nonabelian with every proper subgroup abelian:
+    by Rédei, exactly when it is nonabelian, |G'| = p and d(G) = 2.  G of
+    order divisible by two primes raises ``PreconditionError``."""
+    pk = prime_power(G.order)
+    if pk is None and G.order > 1:
+        raise PreconditionError(
+            f"is_minimal_nonabelian requires a p-group, got order {G.order}")
     if G.is_abelian:
         return False
-    return all(M.is_abelian for M in maximal_subgroups(full_subgroup(G)))
+    return (derived_subgroup(G).order == pk[0]
+            and min_generators(full_subgroup(G)) == 2)
 
 
 def abelian_quotient_exponents(G: Group, N: Subgroup, p: int) -> tuple[int, ...]:

@@ -232,7 +232,8 @@ def dihedral_classify(G: Group, H: Subgroup,
             raise WrongClassifierError(f"{G.label} is not dihedral")
         rotation = witness[0]
     n = G.order // 2
-    rotations = subgroup_generated(G, [rotation])
+    rotations = G.memo(("rotations", rotation),
+                       lambda: subgroup_generated(G, [rotation]))
     if rotations.order != n:
         raise WrongClassifierError("rotation witness has the wrong order")
     if H.issubset(rotations):

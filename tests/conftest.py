@@ -7,8 +7,11 @@ import pytest
 
 from pcl.catalog import default_catalog
 from pcl.codes import Verdict
+from pcl.groups import prime_power
 from pcl.specs import build_family
-from pcl.structure import Subgroup
+from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
+                           is_minimal_nonabelian, sylow, sylow_containing,
+                           _sylow_within)
 
 
 @pytest.fixture(scope="session")
@@ -134,3 +137,71 @@ def _odd_and_no_involution(G, H, x) -> bool:
     if (H.order // intersection) % 2 == 0:
         return False
     return not (G.squares[G.mult[H.members, x]] == 0).any()
+
+
+def reference_maximal_subgroups(H: Subgroup) -> list[Subgroup]:
+    """Maximal proper subgroups of H, read off the parent's lattice: the
+    proper subgroups of H inside no other proper subgroup of H."""
+    G = H.parent
+    lattice = all_subgroups(G)
+    masks = G.memo("reference_lattice_masks",
+                   lambda: np.array([S.mask for S in lattice]))
+    orders = np.array([S.order for S in lattice])
+    proper = np.flatnonzero(~(masks & ~H.mask).any(axis=1) & (orders < H.order))
+    sub = masks[proper].astype(np.float32)
+    inside = sub @ (1 - sub).T == 0  # inside[i, j]: S_i <= S_j
+    return [lattice[i] for i in proper[inside.sum(axis=1) == 1]]
+
+
+def reference_frattini(H: Subgroup) -> np.ndarray:
+    """Membership mask of Phi(H) as the library computed it before
+    Burnside's formula: the intersection of the maximal subgroups of H."""
+    mask = H.mask.copy()
+    for M in reference_maximal_subgroups(H):
+        mask &= M.mask
+    return mask
+
+
+def reference_is_minimal_nonabelian(G) -> bool:
+    """Nonabelian with every maximal subgroup abelian, from the lattice."""
+    return not G.is_abelian and all(
+        M.is_abelian for M in reference_maximal_subgroups(full_subgroup(G)))
+
+
+def reference_sylow(G, within: Subgroup, p: int) -> Subgroup:
+    """The first subgroup in lattice order of order |within|_p inside
+    ``within``, as the library chose a Sylow subgroup before growing one."""
+    q = _p_part(within.order, p)
+    return next(S for S in all_subgroups(G) if S.order == q and S.issubset(within))
+
+
+def _p_part(n: int, p: int) -> int:
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
+def assert_structure_matches_references(G) -> None:
+    """Burnside's Frattini on every p-subgroup, Sylow growth for every
+    subgroup and prime, and Rédei's test on G, against the references."""
+    primes = [p for p in range(2, G.order + 1)
+              if G.order % p == 0 and prime_power(p) == (p, 1)]
+    full = full_subgroup(G)
+    for H in all_subgroups(G):
+        if H.order == 1 or prime_power(H.order) is not None:
+            assert np.array_equal(frattini(H).mask, reference_frattini(H)), \
+                (G.label, H.members.tolist())
+        for p in primes:
+            Q = _sylow_within(G, H, p, None)
+            P = sylow_containing(G, p, Q)
+            for S, within in ((Q, H), (P, full)):
+                assert S.order == _p_part(within.order, p)
+                assert S.issubset(within)
+                assert G.closure(S.members).size == S.order
+            assert Q.issubset(P), (G.label, H.members.tolist(), p)
+    for p in primes:
+        S, R = sylow(G, p), reference_sylow(G, full, p)
+        assert (S.order, S.is_abelian) == (R.order, R.is_abelian)
+    if prime_power(G.order) is not None:
+        assert is_minimal_nonabelian(G) == reference_is_minimal_nonabelian(G)

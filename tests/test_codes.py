@@ -207,8 +207,7 @@ def test_criterion_is_conjugation_invariant():
         for H in st.all_subgroups(g):
             verdict = codes.criterion3(g, H).is_code
             for x in range(g.order):
-                conj = st.subgroup_from_members(
-                    g, [g.conjugate(h, x) for h in H.members.tolist()])
+                conj = st.Subgroup(g, H.mask[g.conj_table[g.inv[x]]])
                 assert codes.criterion3(g, conj).is_code == verdict, (spec, x)
 
 

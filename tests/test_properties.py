@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as stst
 from pcl import codes, structure as st, theorems as th
 from pcl.specs import build_family, parse_group_spec
 
-from conftest import (join_closure_subgroups, reference_criterion3,
+from conftest import (assert_structure_matches_references,
+                      join_closure_subgroups, reference_criterion3,
                       reference_criterion4)
 
 SMALL_SPECS = [
@@ -159,3 +160,9 @@ def test_coset_criteria_agree_outside_the_catalog(spec):
         assert c4 == reference_criterion4(g, S)
         oracle = codes.find_inverse_closed_transversal(g, S) is not None
         assert c3.is_code == c4.is_code == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
+def test_structural_subgroups_match_the_lattice_references_outside_the_catalog(spec):
+    assert_structure_matches_references(build_family(spec))

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from pcl import report
-from pcl.catalog import build_entry, load_catalog_file
+from pcl import report, structure
+from pcl.catalog import build_entry, load_catalog_pairs
 from pcl.cli import main
 from pcl.errors import PclError
 
@@ -262,7 +262,7 @@ def test_load_catalog_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(PclError):
-        load_catalog_file(str(bad))
+        load_catalog_pairs(str(bad))
 
 
 def _assert_input_error(code, err):
@@ -280,6 +280,18 @@ def test_cli_verify_malformed_catalog_file(tmp_path):
     bad.write_text('["Q8", ')
     code, _, err = run_cli("verify", "--catalog", str(bad))
     _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("item", [{"spec": "C(4)", "label": ["x"]},
+                                  {"spec": 4}, {"spec": ["C(4)"], "label": "x"}])
+def test_cli_verify_rejects_non_string_catalog_fields(tmp_path, capsys, item):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([item]))
+    out_file = tmp_path / "r.jsonl"
+    code = main(["verify", "--catalog", str(bad), "--out", str(out_file)])
+    err = capsys.readouterr().err
+    _assert_input_error(code, err)
+    assert "bad catalog item" in err and not out_file.exists()
 
 
 @pytest.mark.parametrize("flag,env", [
@@ -321,3 +333,26 @@ def test_main_callable_directly(capsys):
     assert main(["codeperfect", "C(2)"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["code_perfect"] is True
+
+
+LATTICE_FREE_SPECS = ["EA(2,5)", "D(64)", "D(20)", "M2(2,2,1)", "M2(3,2)", "Q8",
+                      "perm:(1 2 3),(1 2)(3 4)", "perm:(1 2 3 4 5),(1 2 3)",
+                      "SD(C(5);C(4);1->2)"]
+
+
+def test_tagging_and_routes_never_build_the_lattice(monkeypatch):
+    def no_lattice(G):
+        raise AssertionError(f"the subgroup lattice of {G.label} was built")
+
+    monkeypatch.setattr(structure, "_lattice", no_lattice)
+    for spec in LATTICE_FREE_SPECS:
+        entry = build_entry(spec, spec)
+        G = entry.group
+        H = structure.subgroup_generated(G, [1, G.order - 1])
+        record = report.record_for(entry, H)
+        verdicts = record["verdicts"]
+        assert sorted(verdicts) == sorted(report.METHODS)
+        assert "is_code" in verdicts["theorem"], spec
+        assert verdicts["criterion3"]["is_code"] == verdicts["oracle"]["is_code"]
+        for tag in entry.tags & set(report.CLASSIFIERS):
+            report.CLASSIFIERS[tag](entry, H)
