@@ -23,8 +23,7 @@ from .groups import (Group, cyclic, dihedral, direct_product,
                      elementary_abelian, from_permutations, from_raw_table_text,
                      max_order, metacyclic_m2, nonmetacyclic_m2, quaternion,
                      semidirect_product)
-from .report import (METHODS, conjugacy_class_rows, render_summary_table,
-                     run_verification_matrix)
+from .report import METHODS, render_summary_table, run_verification_matrix
 from .specs import build_family, parse_group_spec
 from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
                         derived_subgroup, frattini, full_subgroup, involutions,

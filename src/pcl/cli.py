@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import catalog, codes, report
 from .errors import GroupSpecError, PclError, PreconditionError, SizeLimitError
@@ -22,12 +23,23 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 
 
+@contextmanager
+def _output(path: str | None):
+    """The stream for ``--out``: the named file, opened for writing, else stdout."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise GroupSpecError(f"cannot write --out file: {exc}") from None
+    with fh:
+        yield fh
+
+
 def _write(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
+    with _output(out) as fh:
+        fh.write(payload if payload.endswith("\n") else payload + "\n")
 
 
 def _cmd_build(args) -> int:
@@ -97,22 +109,23 @@ def _worker_count(flag: int | None) -> int:
 
 def _cmd_verify(args) -> int:
     workers = _worker_count(args.workers)
+    methods = report.parse_methods(args.methods)
     if args.catalog == "default":
         pairs = catalog.default_catalog_specs()
     else:
         pairs = catalog.load_catalog_pairs(args.catalog)
-    summary = report.run_verification_matrix(pairs, args.methods, out=args.out,
-                                             workers=workers)
-    if args.out is None:
-        for record in summary["records"]:
-            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    if args.summary == "table":
-        sys.stdout.write(report.render_summary_table(summary["rows"]) + "\n")
-    elif args.summary == "classes":
-        built = [catalog.build_entry(label, spec) for (label, spec), row
-                 in zip(pairs, summary["rows"]) if "error" not in row]
-        sys.stdout.write(report.render_summary_table(
-            report.conjugacy_class_rows(built)) + "\n")
+    with _output(args.out) as out:
+        summary = report.run_verification_matrix(pairs, methods, out=out,
+                                                 workers=workers)
+    rows = summary["rows"]
+    if args.summary == "classes":
+        # a perfect code stays one under conjugation, so each class of
+        # conjugate subgroups counts once
+        rows = [{key: value for key, value in row.items() if key != "findings"}
+                | {"subgroups": row["classes"], "codes": row["code_classes"]}
+                for row in rows]
+    if args.summary != "none":
+        sys.stdout.write(report.render_summary_table(rows) + "\n")
     for row in summary["rows"]:
         if "error" in row:
             print(f"{row['group']}: {row['error']}", file=sys.stderr)

@@ -153,70 +153,76 @@ def entry_records(entry: CatalogEntry, methods=METHODS) -> list[dict]:
     return [record_for(entry, H, methods) for H in all_subgroups(entry.group)]
 
 
-def _records_for_pair(job: tuple[str, str, tuple[str, ...]]) -> list[dict] | PclError:
-    """Build one catalog entry and run it; a bad or too-large spec gives its
-    error instead."""
+def _run_entry(job: tuple[str, str, tuple[str, ...]]) -> tuple[dict, list[dict]] | PclError:
+    """Build one catalog entry and run it: its summary row and its records.
+    A bad or too-large spec gives its error instead."""
     label, spec_text, methods = job
     try:
-        return entry_records(catalog.build_entry(label, spec_text), methods)
+        entry = catalog.build_entry(label, spec_text)
+        records = entry_records(entry, methods)
     except (GroupSpecError, SizeLimitError) as exc:
         return exc.with_traceback(None)
+    G = entry.group
+    coded = np.array([next((v["is_code"] for v in r["verdicts"].values()
+                            if "is_code" in v), False) for r in records], dtype=bool)
+    # Conjugation is an automorphism, so a class of conjugate subgroups is all
+    # codes or none, and counting orbits gives the classes: each subgroup H
+    # adds |N_G(H)| / |G| to the count of its class.
+    normalizer_orders = np.array([H.mask[G.conj_table[:, H.members]].all(axis=1).sum()
+                                  for H in all_subgroups(G)])
+    splits = [_split_disagreement(r) for r in records]
+    return {"group": label, "order": G.order, "subgroups": len(records),
+            "codes": int(coded.sum()),
+            "classes": int(normalizer_orders.sum()) // G.order,
+            "code_classes": int(normalizer_orders[coded].sum()) // G.order,
+            "disagreements": sum(split for split, _ in splits),
+            "findings": sum(finding for _, finding in splits)}, records
+
+
+def _entry_results(jobs: list, workers: int):
+    """Each job's result of ``_run_entry``, in job order, as each arrives."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_entry, jobs)
+    else:
+        yield from map(_run_entry, jobs)
 
 
 def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
                             out=None, workers: int = 1) -> dict:
     """Run the matrix over (label, spec) pairs; returns a summary with
-    per-group rows and the records.
+    per-group rows and counters.
 
     Each entry is built in the process that runs it, so a malformed or
     too-large spec surfaces in that entry's row instead of aborting the run.
     Entries run in catalog order (or across ``workers`` processes, results
-    still emitted in catalog order).  A record disagrees when two applicable
-    methods return different verdicts.
+    still taken in catalog order).  As each entry arrives its records are
+    written to the text stream ``out``, one JSON line each, and flushed.  A
+    record disagrees when two applicable methods return different verdicts.
+    A row counts its subgroups and codes both one by one and up to
+    conjugacy (``classes``, ``code_classes``).
     """
     methods = parse_methods(methods)
     jobs = [(label, spec, methods) for label, spec in entries]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_entry = list(pool.map(_records_for_pair, jobs))
-    else:
-        per_entry = list(map(_records_for_pair, jobs))
-    rows = []
-    records = []
-    disagreements = 0
-    findings = 0
-    size_limited = 0
-    spec_errors = 0
-    for (label, _, _), recs in zip(jobs, per_entry):
-        if isinstance(recs, PclError):
-            size_limited += isinstance(recs, SizeLimitError)
-            spec_errors += isinstance(recs, GroupSpecError)
-            rows.append({"group": label, "order": "", "subgroups": 0,
-                         "codes": 0, "disagreements": 0, "findings": 0,
-                         "error": str(recs)})
+    summary = {"rows": [], "disagreements": 0, "findings": 0,
+               "size_limited": 0, "spec_errors": 0}
+    for (label, _, _), result in zip(jobs, _entry_results(jobs, workers)):
+        if isinstance(result, PclError):
+            summary["size_limited"] += isinstance(result, SizeLimitError)
+            summary["spec_errors"] += isinstance(result, GroupSpecError)
+            summary["rows"].append(
+                {"group": label, "order": "", "subgroups": 0, "codes": 0,
+                 "classes": 0, "code_classes": 0, "disagreements": 0,
+                 "findings": 0, "error": str(result)})
             continue
-        codes_found = sum(1 for r in recs
-                          if next((v["is_code"] for v in r["verdicts"].values()
-                                   if "is_code" in v), False))
-        bad = found = 0
-        for r in recs:
-            route_split, finding = _split_disagreement(r)
-            bad += route_split
-            found += finding
-        disagreements += bad
-        findings += found
-        rows.append({"group": label,
-                     "order": max(r["subgroup"]["order"] for r in recs),
-                     "subgroups": len(recs), "codes": codes_found,
-                     "disagreements": bad, "findings": found})
-        records.extend(recs)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return {"rows": rows, "records": records, "disagreements": disagreements,
-            "findings": findings, "size_limited": size_limited,
-            "spec_errors": spec_errors}
+        row, records = result
+        if out is not None:
+            out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+            out.flush()
+        summary["disagreements"] += row["disagreements"]
+        summary["findings"] += row["findings"]
+        summary["rows"].append(row)
+    return summary
 
 
 def render_summary_table(rows: list[dict]) -> str:
@@ -238,33 +244,3 @@ def render_summary_table(rows: list[dict]) -> str:
     total["order"] = ""
     lines.append("  ".join(str(total[h]).ljust(w) for h, w in zip(headers, widths)))
     return "\n".join(lines)
-
-
-def conjugacy_class_rows(entries: list[CatalogEntry]) -> list[dict]:
-    """Summary rows with subgroups collapsed to conjugacy classes.
-
-    Perfect-code status is constant on a conjugacy class (the records stay
-    per-subgroup; only this summary collapses), so each class reports the
-    verdict of its canonical representative.
-    """
-    rows = []
-    for entry in entries:
-        G = entry.group
-        ct = G.conj_table
-        seen: set[int] = set()
-        classes = 0
-        code_classes = 0
-        for H in all_subgroups(G):
-            if H.mask_int in seen:
-                continue
-            classes += 1
-            for x in range(G.order):
-                conj = np.zeros(G.order, dtype=bool)
-                conj[ct[x, H.members]] = True
-                seen.add(int.from_bytes(np.packbits(conj).tobytes(), "big"))
-            if codes.criterion3(G, H).is_code:
-                code_classes += 1
-        rows.append({"group": entry.label, "order": G.order,
-                     "subgroups": classes, "codes": code_classes,
-                     "disagreements": 0})
-    return rows

@@ -278,8 +278,9 @@ def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
 
 def frattini(H: Subgroup) -> Subgroup:
     """Phi(H) of the p-group H: by Burnside, the subgroup generated by the
-    p-th powers and commutators of H.  Trivial H gives H itself; H of order
-    divisible by two primes raises ``PreconditionError``."""
+    p-th powers and commutators of H, or by the squares alone when p = 2.
+    Trivial H gives H itself; H of order divisible by two primes raises
+    ``PreconditionError``."""
     return H.parent.memo(("frattini", H.mask_int), lambda: _frattini(H))
 
 
@@ -290,7 +291,10 @@ def _frattini(H: Subgroup) -> Subgroup:
         raise PreconditionError(f"frattini requires a p-group, got order {H.order}")
     G = H.parent
     _, pth_power = _prime_powers(G)
-    gens = np.union1d(pth_power[H.members], _commutators(G, H.members))
+    gens = pth_power[H.members]
+    # for p = 2 the squares suffice: [a, b] = a^-2 (ab^-1)^2 b^2
+    if H.order % 2:
+        gens = np.union1d(gens, _commutators(G, H.members))
     return subgroup_generated(G, gens.tolist())
 
 

@@ -162,6 +162,25 @@ def reference_frattini(H: Subgroup) -> np.ndarray:
     return mask
 
 
+def reference_class_counts(G, is_code) -> tuple[int, int]:
+    """(classes, code classes) of the subgroups of G, as the library counted
+    them before orbit counting: list every conjugate of each new subgroup
+    and ask ``is_code(H)`` of one subgroup per class."""
+    ct = G.conj_table
+    seen: set[int] = set()
+    classes = code_classes = 0
+    for H in all_subgroups(G):
+        if H.mask_int in seen:
+            continue
+        classes += 1
+        for x in range(G.order):
+            conj = np.zeros(G.order, dtype=bool)
+            conj[ct[x, H.members]] = True
+            seen.add(int.from_bytes(np.packbits(conj).tobytes(), "big"))
+        code_classes += bool(is_code(H))
+    return classes, code_classes
+
+
 def reference_is_minimal_nonabelian(G) -> bool:
     """Nonabelian with every maximal subgroup abelian, from the lattice."""
     return not G.is_abelian and all(

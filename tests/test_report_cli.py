@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +9,13 @@ import sys
 
 import pytest
 
-from pcl import report, structure
-from pcl.catalog import build_entry, load_catalog_pairs
+import pcl.catalog
+from pcl import codes, report, structure
+from pcl.catalog import build_entry, default_catalog_specs, load_catalog_pairs
 from pcl.cli import main
 from pcl.errors import PclError
+
+from conftest import reference_class_counts
 
 
 def run_cli(*args, env=None):
@@ -19,6 +23,13 @@ def run_cli(*args, env=None):
                           capture_output=True, text=True,
                           env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_matrix(entries, **kwargs):
+    """The matrix summary and the records it streamed, read back."""
+    stream = io.StringIO()
+    summary = report.run_verification_matrix(entries, out=stream, **kwargs)
+    return summary, [json.loads(line) for line in stream.getvalue().splitlines()]
 
 
 def canonical(records):
@@ -86,27 +97,42 @@ def test_theorem_method_not_applicable_for_odd_order():
         assert r["agreement"] is True
 
 
-def test_matrix_summary_and_determinism(tmp_path):
+def test_matrix_summary_and_determinism():
     entries = [("Q8", "Q8"), ("D(8)", "D(8)"), ("S3", "perm:(1 2 3),(1 2)")]
-    out1 = report.run_verification_matrix(entries, out=str(tmp_path / "a.jsonl"))
-    out2 = report.run_verification_matrix(entries, out=str(tmp_path / "b.jsonl"))
+    out1, records1 = run_matrix(entries)
+    out2, records2 = run_matrix(entries)
     assert out1["disagreements"] == 0
-    assert canonical(out1["records"]) == canonical(out2["records"])
+    assert canonical(records1) == canonical(records2)
     rows = out1["rows"]
     assert rows[0] == {"group": "Q8", "order": 8, "subgroups": 6, "codes": 2,
+                       "classes": 6, "code_classes": 2,
                        "disagreements": 0, "findings": 0}
     table = report.render_summary_table(rows)
     assert "Q8" in table and "TOTAL" in table
-    lines = (tmp_path / "a.jsonl").read_text().splitlines()
-    assert len(lines) == sum(r["subgroups"] for r in rows)
-    assert canonical([json.loads(l) for l in lines]) == canonical(out1["records"])
+    assert len(records1) == sum(r["subgroups"] for r in rows)
+    assert [r["group"] for r in records1] == ["Q8"] * 6 + ["D(8)"] * 10 + ["S3"] * 6
+
+
+def test_matrix_streams_each_entry_before_building_the_next(monkeypatch):
+    stream = io.StringIO()
+    build = pcl.catalog.build_entry
+    lines_at_build = []
+
+    def spy(label, spec):
+        lines_at_build.append(len(stream.getvalue().splitlines()))
+        return build(label, spec)
+
+    monkeypatch.setattr(pcl.catalog, "build_entry", spy)
+    report.run_verification_matrix([("Q8", "Q8"), ("C(4)", "C(4)")], out=stream)
+    assert lines_at_build == [0, 6]
 
 
 def test_matrix_parallel_workers_match_serial():
     entries = [("Q8", "Q8"), ("D(10)", "D(10)"), ("C(8)", "C(8)")]
-    serial = report.run_verification_matrix(entries, workers=1)
-    parallel = report.run_verification_matrix(entries, workers=2)
-    assert canonical(serial["records"]) == canonical(parallel["records"])
+    serial, serial_records = run_matrix(entries, workers=1)
+    parallel, parallel_records = run_matrix(entries, workers=2)
+    assert canonical(serial_records) == canonical(parallel_records)
+    assert serial["rows"] == parallel["rows"]
 
 
 def test_matrix_rejects_unknown_method():
@@ -116,13 +142,13 @@ def test_matrix_rejects_unknown_method():
 
 def test_matrix_surfaces_size_limit_per_entry(monkeypatch):
     monkeypatch.setenv("PCL_MAX_ORDER", "16")
-    summary = report.run_verification_matrix(
+    summary, records = run_matrix(
         [("Q8", "Q8"), ("too-big", "C(100)"), ("D(8)", "D(8)")])
     assert summary["size_limited"] == 1
     assert summary["disagreements"] == 0
     assert [r["group"] for r in summary["rows"]] == ["Q8", "too-big", "D(8)"]
     assert "error" in summary["rows"][1]
-    assert len(summary["records"]) == 16  # Q8 and D(8) still ran
+    assert len(records) == 16  # Q8 and D(8) still ran
     table = report.render_summary_table(summary["rows"])
     assert "too-big" in table and "!" in table
 
@@ -141,10 +167,10 @@ def test_theorem_clause_mismatch_counts_as_finding_not_disagreement():
     # one noncyclic central subgroup of this group is a code by every
     # equivalence route but matches no classified shape; the matrix reports
     # it as a finding and keeps exit-worthy disagreements at zero
-    summary = report.run_verification_matrix([("M2(2,2,1)", "M2(2,2,1)")])
+    summary, records = run_matrix([("M2(2,2,1)", "M2(2,2,1)")])
     assert summary["disagreements"] == 0
     assert summary["findings"] == 1
-    flagged = [r for r in summary["records"] if not r["agreement"]]
+    flagged = [r for r in records if not r["agreement"]]
     assert len(flagged) == 1
     assert flagged[0]["subgroup"]["elements"] == [0, 5, 17, 20]
     truth = {v["is_code"] for m, v in flagged[0]["verdicts"].items()
@@ -164,14 +190,35 @@ def test_cli_verify_findings_do_not_fail_the_run(tmp_path):
 
 
 def test_conjugacy_class_summary():
-    entries = [build_entry("D(8)", "D(8)"), build_entry("A4", "perm:(1 2 3),(1 2)(3 4)")]
-    rows = report.conjugacy_class_rows(entries)
+    rows = report.run_verification_matrix(
+        [("D(8)", "D(8)"), ("A4", "perm:(1 2 3),(1 2)(3 4)")])["rows"]
     # D(8): the five order-2 subgroups fall into 3 classes, so 8 classes and
     # the center is still the only non-code
-    assert rows[0] == {"group": "D(8)", "order": 8, "subgroups": 8, "codes": 7,
-                       "disagreements": 0}
+    assert (rows[0]["classes"], rows[0]["code_classes"]) == (8, 7)
     # A4: classes 1, C2, C3, V4, A4
-    assert rows[1]["subgroups"] == 5 and rows[1]["codes"] == 5
+    assert (rows[1]["classes"], rows[1]["code_classes"]) == (5, 5)
+
+
+def test_class_counts_match_conjugate_enumeration(catalog):
+    small = {e.label: e.group for e in catalog if e.group.order <= 64}
+    pairs = [(label, spec) for label, spec in default_catalog_specs() if label in small]
+    rows = report.run_verification_matrix(pairs, methods="criterion3")["rows"]
+    assert len(rows) == len(small)
+    for row in rows:
+        G = small[row["group"]]
+        expected = reference_class_counts(G, lambda H: codes.criterion3(G, H).is_code)
+        assert (row["classes"], row["code_classes"]) == expected, row["group"]
+
+
+def test_cli_verify_class_summary_keeps_error_rows(tmp_path, capsys):
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["D(8)", {"spec": "M2(1,1)", "label": "bad"}]))
+    assert main(["verify", "--catalog", str(spec_file), "--out",
+                 str(tmp_path / "r.jsonl"), "--summary", "classes"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["group", "order", "subgroups", "codes", "disagreements"]
+    assert lines[2].split() == ["D(8)", "8", "8", "7", "0"]
+    assert lines[3].startswith("bad ") and "! M2(n1,m1) requires n1 >= 2" in lines[3]
 
 
 def test_cli_build_and_exit_codes(tmp_path):
@@ -270,6 +317,23 @@ def _assert_input_error(code, err):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["build", "Q8"], ["subgroups", "Q8"],
+                                     ["classify", "Q8"], ["verify"]],
+                         ids=lambda command: command[0])
+def test_cli_bad_out_path_is_an_input_error(tmp_path, monkeypatch, capsys, command):
+    if command == ["verify"]:
+        spec_file = tmp_path / "catalog.json"
+        spec_file.write_text(json.dumps(["Q8"]))
+        command = ["verify", "--catalog", str(spec_file)]
+
+        def no_entry(label, spec):
+            raise AssertionError(f"entry {label} ran before --out was opened")
+
+        monkeypatch.setattr(pcl.catalog, "build_entry", no_entry)
+    code = main([*command, "--out", str(tmp_path / "no" / "such" / "x.json")])
+    _assert_input_error(code, capsys.readouterr().err)
+
+
 def test_cli_verify_missing_catalog_file(tmp_path):
     code, _, err = run_cli("verify", "--catalog", str(tmp_path / "nope.json"))
     _assert_input_error(code, err)
@@ -304,6 +368,17 @@ def test_cli_verify_rejects_bad_worker_counts(tmp_path, flag, env):
     spec_file.write_text(json.dumps(["Q8"]))
     code, _, err = run_cli("verify", "--catalog", str(spec_file), *flag, env=env)
     _assert_input_error(code, err)
+
+
+def test_cli_verify_bad_methods_leave_out_file_alone(tmp_path, capsys):
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["Q8"]))
+    out_file = tmp_path / "r.jsonl"
+    out_file.write_text("kept\n")
+    code = main(["verify", "--catalog", str(spec_file), "--methods", "bogus",
+                 "--out", str(out_file)])
+    _assert_input_error(code, capsys.readouterr().err)
+    assert out_file.read_text() == "kept\n"
 
 
 GOLDEN_CATALOG = ["D(8)", "Q8", "M2(2,2,1)", "C(4)xC(2)",

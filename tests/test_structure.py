@@ -284,8 +284,10 @@ def test_frattini_is_generated_by_squares_in_2groups():
 
 def test_frattini_matches_derived_times_power_subgroup():
     # p-group identity: Phi(G) equals the set product of G' and <x^p>
+    # SD(EA(3,2);C(3);1->1,3->4) is the Heisenberg group of order 27: exponent
+    # 3 and |Phi| = 3, so Phi is not generated by p-th powers alone
     for spec in ["Q8", "D(8)", "D(16)", "M2(2,2)", "M2(1,2,1)", "C(8)xC(2)",
-                 "EA(3,2)", "C(9)"]:
+                 "EA(3,2)", "C(9)", "SD(EA(3,2);C(3);1->1,3->4)"]:
         g = build_family(spec)
         p = 2 if g.order % 2 == 0 else 3
         derived = st.derived_subgroup(g)
