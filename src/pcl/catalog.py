@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import GroupSpecError
-from .groups import Group, prime_power
+from .groups import Group
 from .specs import build_family
 from .structure import (FamilyRecognition, recognize_a1_family,
                         recognize_dihedral, sylow, _is_2group)
@@ -15,13 +15,11 @@ TAG_ABELIAN_2 = "abelian-2"
 TAG_A1_2GROUP = "a1-2group"
 TAG_DIHEDRAL = "dihedral"
 TAG_ABELIAN_SYLOW2 = "abelian-sylow2"
-TAG_MIXED_ORDER = "mixed-order"
 
 
 @dataclass
 class CatalogEntry:
     label: str
-    spec_text: str
     group: Group
     tags: frozenset[str]
     recognition: FamilyRecognition | None = None
@@ -46,10 +44,7 @@ def build_entry(label: str, spec_text: str) -> CatalogEntry:
     syl2 = sylow(group, 2)
     if syl2.order > 1 and syl2.is_abelian:
         tags.add(TAG_ABELIAN_SYLOW2)
-    if group.order > 1 and prime_power(group.order) is None:
-        tags.add(TAG_MIXED_ORDER)
-    return CatalogEntry(label, spec_text, group, frozenset(tags),
-                        recognition, rotation)
+    return CatalogEntry(label, group, frozenset(tags), recognition, rotation)
 
 
 def _partitions(total: int):

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success (and agreement), 1 a disagreement was found,
-2 input error (a bad catalog spec included), 3 size limit exceeded.
+Exit codes: 0 success (and agreement), 1 a route disagreement was found,
+2 input error (a bad catalog spec and an output closed early included),
+3 size limit exceeded.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _cmd_classify(args) -> int:
     disagreement = False
     for H in targets:
         record = report.record_for(entry, H, methods)
-        disagreement = disagreement or not record["agreement"]
+        disagreement = disagreement or report._split_disagreement(record)[0]
         lines.append(json.dumps(record, sort_keys=True))
     _write("\n".join(lines), args.out)
     return EXIT_DISAGREEMENT if disagreement else EXIT_OK
@@ -204,6 +205,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except PclError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output closed by its reader before the run ended", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -112,9 +112,12 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
     """Exact backtracking search for an inverse-closed right transversal.
 
     Choosing representative t for a coset forces t^-1 as the representative
-    of the coset containing t^-1; which coset that is depends on the
-    candidate, not just on the coset, so the forcing is per candidate.  A
-    candidate whose inverse lands in its own coset must satisfy t^2 = 1.
+    of the coset of t^-1, its partner; which coset that is depends on the
+    candidate, so the forcing is per candidate.  One table holds each coset's
+    admissible (t, partner) pairs, t ascending: a t whose inverse is another
+    element of its own coset never is one.  Cosets linked by t -> partner
+    form components, and no choice in one changes another's candidates, so
+    each component is searched alone.
 
     Cosets are extended fewest-viable-candidates first (ties broken by least
     element), so a coset with no admissible representative fails the branch
@@ -127,57 +130,48 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
 
 
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
-    members = H.members
-    # coset_key[g] = least element of Hg
-    coset_key = G.mult[members, :].min(axis=0)
-    keys = [int(k) for k in np.unique(coset_key).tolist()]
-    coset_members = {k: np.flatnonzero(coset_key == k).tolist() for k in keys}
-    inv = G.inv
+    coset = G.mult[H.members, :].min(axis=0)  # least element of Hg
+    partner = coset[G.inv]
+    inv = G.inv.tolist()
+    table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
+    for t, (key, p) in enumerate(zip(coset.tolist(), partner.tolist())):
+        table.setdefault(key, [])
+        if p != key or inv[t] == t:
+            table[key].append((t, p))
     assignment: dict[int, int] = {}
 
-    def viable(key: int) -> list[int]:
-        # once a pair of cosets is decided both ends are written, so an
-        # unassigned coset never holds the inverse of an assigned rep
-        out = []
-        for t in coset_members[key]:
-            t_inv = int(inv[t])
-            partner = int(coset_key[t_inv])
-            if partner == key:
-                if t_inv == t:
-                    out.append(t)
-            elif partner not in assignment:
-                out.append(t)
-        return out
-
-    def backtrack() -> bool:
+    def backtrack(component: list[int]) -> bool:
+        # both ends of a pair are written at once, so a partner not yet
+        # assigned is free
         best_key, best = None, None
-        for key in keys:
-            if key in assignment:
-                continue
-            cands = viable(key)
+        for key in (k for k in component if k not in assignment):
+            cands = [(t, p) for t, p in table[key] if p == key or p not in assignment]
             if best is None or len(cands) < len(best):
                 best_key, best = key, cands
                 if not cands:
                     return False
         if best_key is None:
             return True
-        for t in best:
-            t_inv = int(inv[t])
-            partner = int(coset_key[t_inv])
-            assignment[best_key] = t
-            if partner != best_key:
-                assignment[partner] = t_inv
-            if backtrack():
+        for t, p in best:
+            assignment[best_key], assignment[p] = t, inv[t]
+            if backtrack(component):
                 return True
             del assignment[best_key]
-            if partner != best_key:
-                del assignment[partner]
+            assignment.pop(p, None)
         return False
 
-    if not backtrack():
-        return None
-    reps = tuple(assignment[k] for k in keys)
-    return Transversal(G, H, reps)
+    seen: set[int] = set()
+    for root in table:
+        component, stack = [], [root]
+        while stack:
+            key = stack.pop()
+            if key not in seen:
+                seen.add(key)
+                component.append(key)
+                stack.extend(p for _, p in table[key])
+        if not backtrack(sorted(component)):
+            return None
+    return Transversal(G, H, tuple(assignment[k] for k in table))
 
 
 def validate_transversal(T: Transversal) -> None:

@@ -84,17 +84,8 @@ class Group:
     def __repr__(self) -> str:
         return f"<Group {self.label} of order {self.order}>"
 
-    def __len__(self) -> int:
-        return self.order
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
 
     def conjugate(self, h: int, x: int) -> int:
         """x^-1 h x."""

@@ -132,15 +132,6 @@ class PermSpec:
 
 
 @dataclass(frozen=True)
-class RawTableSpec:
-    table: tuple[tuple[int, ...], ...]
-    label: str = "table"
-
-    def render(self) -> str:
-        return self.label
-
-
-@dataclass(frozen=True)
 class ProductSpec:
     factors: tuple["GroupSpec", ...]
 
@@ -150,7 +141,7 @@ class ProductSpec:
 
 GroupSpec = Union[CyclicSpec, ElementaryAbelianSpec, DihedralSpec, QuaternionSpec,
                   MetacyclicSpec, NonmetacyclicSpec, SemidirectSpec, PermSpec,
-                  RawTableSpec, ProductSpec]
+                  ProductSpec]
 
 
 class _Parser:
@@ -340,9 +331,6 @@ def build_family(spec: GroupSpec | str, label: str | None = None) -> Group:
                                          label=label or spec.render())
     if isinstance(spec, PermSpec):
         return groups.from_permutations(_perm_images(spec), label=label or spec.render())
-    if isinstance(spec, RawTableSpec):
-        table_text = "\n".join(" ".join(map(str, row)) for row in spec.table)
-        return groups.from_raw_table_text(table_text, label=label or spec.label)
     if isinstance(spec, ProductSpec):
         built = build_family(spec.factors[0])
         for factor in spec.factors[1:]:

@@ -63,9 +63,6 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"<Subgroup of {self.parent.label}, order {self.order}>"
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.issubset(other)
-
     def issubset(self, other: "Subgroup") -> bool:
         return (self.mask_int & ~other.mask_int) == 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcl.catalog import default_catalog
-from pcl.codes import Verdict
+from pcl.codes import Transversal, Verdict
 from pcl.groups import prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
@@ -137,6 +137,62 @@ def _odd_and_no_involution(G, H, x) -> bool:
     if (H.order // intersection) % 2 == 0:
         return False
     return not (G.squares[G.mult[H.members, x]] == 0).any()
+
+
+def reference_transversal_search(G, H) -> Transversal | None:
+    """The transversal oracle as the library searched before the candidate
+    table: one backtracking search over all cosets at once, rebuilding every
+    unassigned coset's candidates at each node, fewest first."""
+    members = H.members
+    # coset_key[g] = least element of Hg
+    coset_key = G.mult[members, :].min(axis=0)
+    keys = [int(k) for k in np.unique(coset_key).tolist()]
+    coset_members = {k: np.flatnonzero(coset_key == k).tolist() for k in keys}
+    inv = G.inv
+    assignment: dict[int, int] = {}
+
+    def viable(key: int) -> list[int]:
+        # once a pair of cosets is decided both ends are written, so an
+        # unassigned coset never holds the inverse of an assigned rep
+        out = []
+        for t in coset_members[key]:
+            t_inv = int(inv[t])
+            partner = int(coset_key[t_inv])
+            if partner == key:
+                if t_inv == t:
+                    out.append(t)
+            elif partner not in assignment:
+                out.append(t)
+        return out
+
+    def backtrack() -> bool:
+        best_key, best = None, None
+        for key in keys:
+            if key in assignment:
+                continue
+            cands = viable(key)
+            if best is None or len(cands) < len(best):
+                best_key, best = key, cands
+                if not cands:
+                    return False
+        if best_key is None:
+            return True
+        for t in best:
+            t_inv = int(inv[t])
+            partner = int(coset_key[t_inv])
+            assignment[best_key] = t
+            if partner != best_key:
+                assignment[partner] = t_inv
+            if backtrack():
+                return True
+            del assignment[best_key]
+            if partner != best_key:
+                del assignment[partner]
+        return False
+
+    if not backtrack():
+        return None
+    return Transversal(G, H, tuple(assignment[k] for k in keys))
 
 
 def reference_maximal_subgroups(H: Subgroup) -> list[Subgroup]:

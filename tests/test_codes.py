@@ -7,7 +7,8 @@ from pcl import codes, structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import reference_criterion3, reference_criterion4
+from conftest import (reference_criterion3, reference_criterion4,
+                      reference_transversal_search)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,21 @@ def test_coset_criteria_match_the_reference_loops_on_the_catalog(catalog):
         for H in st.all_subgroups(G):
             assert codes.criterion3(G, H) == reference_criterion3(G, H), (entry.label, H)
             assert codes.criterion4(G, H) == reference_criterion4(G, H), (entry.label, H)
+
+
+def reps(transversal):
+    return None if transversal is None else transversal.reps
+
+
+def test_transversal_search_matches_the_reference_on_the_catalog(catalog):
+    # the whole transversal, not only whether one exists
+    for entry in catalog:
+        G = entry.group
+        if G.order > 64:
+            continue
+        for H in st.all_subgroups(G):
+            assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+                reps(reference_transversal_search(G, H)), (entry.label, H)
 
 
 def test_criterion4_examples(c4):

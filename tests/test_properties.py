@@ -12,7 +12,7 @@ from pcl.specs import build_family, parse_group_spec
 
 from conftest import (assert_structure_matches_references,
                       join_closure_subgroups, reference_criterion3,
-                      reference_criterion4)
+                      reference_criterion4, reference_transversal_search)
 
 SMALL_SPECS = [
     "C(2)", "C(4)", "C(8)", "C(12)", "EA(2,2)", "EA(2,3)", "C(4)xC(2)",
@@ -160,6 +160,17 @@ def test_coset_criteria_agree_outside_the_catalog(spec):
         assert c4 == reference_criterion4(g, S)
         oracle = codes.find_inverse_closed_transversal(g, S) is not None
         assert c3.is_code == c4.is_code == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
+def test_transversal_search_matches_the_reference_outside_the_catalog(spec):
+    g = build_family(spec)
+    for S in st.all_subgroups(g):
+        found = codes.find_inverse_closed_transversal(g, S)
+        expected = reference_transversal_search(g, S)
+        assert (None if found is None else found.reps) == \
+            (None if expected is None else expected.reps), (spec, S.members.tolist())
 
 
 @settings(max_examples=25, deadline=None)

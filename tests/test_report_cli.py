@@ -189,6 +189,42 @@ def test_cli_verify_findings_do_not_fail_the_run(tmp_path):
     assert "findings" in out
 
 
+def test_cli_classify_findings_do_not_fail_the_run(tmp_path):
+    # exit 1 is for a split among the equivalence routes, as in verify; a
+    # theorem clause against their answer stays a finding on the record
+    out_file = tmp_path / "r.jsonl"
+    assert main(["classify", "M2(2,2,1)", "--methods", "criterion3,theorem",
+                 "--out", str(out_file)]) == 0
+    records = [json.loads(l) for l in out_file.read_text().splitlines()]
+    assert [r["subgroup"]["elements"] for r in records
+            if not r["agreement"]] == [[0, 5, 17, 20]]
+
+
+def test_cli_classify_route_split_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(codes, "criterion4",
+                        lambda G, H: codes.Verdict(True, "criterion4"))
+    assert main(["classify", "C(4)", "--methods", "criterion3,criterion4",
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+
+
+def test_cli_verify_reader_closing_the_pipe_is_an_input_error(tmp_path):
+    # D(128)'s records outgrow the pipe buffer, so the writer sees the pipe
+    # closed after the reader took the first line
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["D(64)", "D(128)"]))
+    proc = subprocess.Popen([sys.executable, "-m", "pcl.cli", "verify",
+                             "--catalog", str(spec_file)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert json.loads(proc.stdout.readline())["group"] == "D(64)"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_conjugacy_class_summary():
     rows = report.run_verification_matrix(
         [("D(8)", "D(8)"), ("A4", "perm:(1 2 3),(1 2)(3 4)")])["rows"]
@@ -402,6 +438,22 @@ def test_verify_record_content_matches_golden_digest(tmp_path):
             del verdict["time_ms"]
         digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+CATALOG_DIGEST = "f9fab2613ca5cd460109fbfcedd2c410579d729ac9e75ef72474fa7e1ac43140"
+
+
+def test_catalog_record_content_matches_its_digest(catalog):
+    # the records of a serial `pcl verify` on the default catalog, without
+    # time_ms, in the order it writes them
+    digest = hashlib.sha256()
+    for entry in catalog:
+        for H in structure.all_subgroups(entry.group):
+            record = report.record_for(entry, H)
+            for verdict in record["verdicts"].values():
+                del verdict["time_ms"]
+            digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CATALOG_DIGEST
 
 
 def test_main_callable_directly(capsys):
