@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from .errors import GroupSpecError
 from .groups import Group
 from .specs import build_family
-from .structure import (FamilyRecognition, recognize_a1_family,
-                        recognize_dihedral, sylow, _is_2group)
+from .structure import recognize_a1_family, recognize_dihedral, sylow, _is_2group
 
 TAG_ABELIAN_2 = "abelian-2"
 TAG_A1_2GROUP = "a1-2group"
@@ -22,29 +21,23 @@ class CatalogEntry:
     label: str
     group: Group
     tags: frozenset[str]
-    recognition: FamilyRecognition | None = None
-    dihedral_rotation: int | None = None
 
 
 def build_entry(label: str, spec_text: str) -> CatalogEntry:
     group = build_family(spec_text, label=label)
     tags = set()
-    recognition = None
-    rotation = None
     if _is_2group(group):
-        recognition = recognize_a1_family(group)
-        if recognition.tag == "abelian":
+        family = recognize_a1_family(group).tag
+        if family == "abelian":
             tags.add(TAG_ABELIAN_2)
-        elif recognition.tag in ("q8", "metacyclic", "nonmetacyclic"):
+        elif family in ("q8", "metacyclic", "nonmetacyclic"):
             tags.add(TAG_A1_2GROUP)
-    witness = recognize_dihedral(group)
-    if witness is not None:
+    if recognize_dihedral(group) is not None:
         tags.add(TAG_DIHEDRAL)
-        rotation = witness[0]
     syl2 = sylow(group, 2)
     if syl2.order > 1 and syl2.is_abelian:
         tags.add(TAG_ABELIAN_SYLOW2)
-    return CatalogEntry(label, group, frozenset(tags), recognition, rotation)
+    return CatalogEntry(label, group, frozenset(tags))
 
 
 def _partitions(total: int):
@@ -119,8 +112,8 @@ def load_catalog_pairs(path: str) -> list[tuple[str, str]]:
         raise GroupSpecError(f"cannot read catalog file: {exc}")
     except ValueError as exc:
         raise GroupSpecError(f"catalog file {path!r} is not valid JSON: {exc}")
-    if not isinstance(data, list):
-        raise GroupSpecError("catalog file must hold a JSON list")
+    if not isinstance(data, list) or not data:
+        raise GroupSpecError("catalog file must hold a nonempty JSON list")
     pairs = []
     for item in data:
         if isinstance(item, str):

@@ -289,9 +289,10 @@ def criterion3_on_pair(P: Subgroup, Q: Subgroup) -> Verdict:
 def is_code_perfect(G: Group) -> bool:
     """True when every subgroup is a perfect code; equivalently, no element
     has order 4."""
-    return not bool((G.element_orders() == 4).any())
+    return order4_witness(G) is None
 
 
 def order4_witness(G: Group) -> int | None:
+    """The least element of order 4, if any."""
     hits = np.flatnonzero(G.element_orders() == 4)
     return int(hits[0]) if hits.size else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 
 import numpy as np
 
@@ -30,8 +31,8 @@ EXHAUSTIVE_CAYLEY_LIMIT = 16
 # first of its tags listed here.
 CLASSIFIERS = {
     TAG_ABELIAN_2: lambda e, H: theorems.classify_abelian_2group(e.group, H),
-    TAG_A1_2GROUP: lambda e, H: theorems.classify_a1_2group(e.group, H, e.recognition),
-    TAG_DIHEDRAL: lambda e, H: theorems.dihedral_classify(e.group, H, e.dihedral_rotation),
+    TAG_A1_2GROUP: lambda e, H: theorems.classify_a1_2group(e.group, H),
+    TAG_DIHEDRAL: lambda e, H: theorems.dihedral_classify(e.group, H),
     TAG_ABELIAN_SYLOW2: lambda e, H: theorems.classify_abelian_sylow2(e.group, H),
 }
 
@@ -180,10 +181,14 @@ def _run_entry(job: tuple[str, str, tuple[str, ...]]) -> tuple[dict, list[dict]]
 
 
 def _entry_results(jobs: list, workers: int):
-    """Each job's result of ``_run_entry``, in job order, as each arrives."""
+    """Each job's result of ``_run_entry``, in job order, as each arrives.
+    Closing the generator early cancels the jobs no worker has taken up."""
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             yield from pool.map(_run_entry, jobs)
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         yield from map(_run_entry, jobs)
 
@@ -206,22 +211,24 @@ def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
     jobs = [(label, spec, methods) for label, spec in entries]
     summary = {"rows": [], "disagreements": 0, "findings": 0,
                "size_limited": 0, "spec_errors": 0}
-    for (label, _, _), result in zip(jobs, _entry_results(jobs, workers)):
-        if isinstance(result, PclError):
-            summary["size_limited"] += isinstance(result, SizeLimitError)
-            summary["spec_errors"] += isinstance(result, GroupSpecError)
-            summary["rows"].append(
-                {"group": label, "order": "", "subgroups": 0, "codes": 0,
-                 "classes": 0, "code_classes": 0, "disagreements": 0,
-                 "findings": 0, "error": str(result)})
-            continue
-        row, records = result
-        if out is not None:
-            out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
-            out.flush()
-        summary["disagreements"] += row["disagreements"]
-        summary["findings"] += row["findings"]
-        summary["rows"].append(row)
+    # closed on the way out, so a failing write cancels the jobs not started
+    with closing(_entry_results(jobs, workers)) as results:
+        for (label, _, _), result in zip(jobs, results):
+            if isinstance(result, PclError):
+                summary["size_limited"] += isinstance(result, SizeLimitError)
+                summary["spec_errors"] += isinstance(result, GroupSpecError)
+                summary["rows"].append(
+                    {"group": label, "order": "", "subgroups": 0, "codes": 0,
+                     "classes": 0, "code_classes": 0, "disagreements": 0,
+                     "findings": 0, "error": str(result)})
+                continue
+            row, records = result
+            if out is not None:
+                out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+                out.flush()
+            summary["disagreements"] += row["disagreements"]
+            summary["findings"] += row["findings"]
+            summary["rows"].append(row)
     return summary
 
 

@@ -475,8 +475,9 @@ def recognize_a1_family(G: Group) -> FamilyRecognition:
 
     Parameter recovery starts from the order and the abelianization type;
     where two metacyclic parameter pairs share both invariants, the witness
-    search decides.  The recovered witness always satisfies the presentation
-    relations exactly and generates the group.
+    search decides.  The witness is the least generating pair satisfying the
+    family's relations (``_least_generating_pair``).  The recognition is
+    kept in the group memo, so every caller reads the same one.
     """
     if not _is_2group(G):
         raise PreconditionError(f"recognize_a1_family requires a 2-group, got order {G.order}")
@@ -490,10 +491,8 @@ def _recognize_a1(G: Group) -> FamilyRecognition:
         return FamilyRecognition("not_a1_or_a0")
     if G.order == 8:
         if involutions(G).size == 2:  # unique involution
-            witness = _find_quaternion_witness(G)
-            return FamilyRecognition("q8", None, witness)
-        witness = _find_metacyclic_witness(G, 2, 1)
-        return FamilyRecognition("metacyclic", (2, 1), witness)
+            return FamilyRecognition("q8", None, _quaternion_pair(G))
+        return FamilyRecognition("metacyclic", (2, 1), _metacyclic_pair(G, 2, 1))
     om = omega1(G).order
     log_order = G.order.bit_length() - 1
     derived = derived_subgroup(G)
@@ -503,84 +502,66 @@ def _recognize_a1(G: Group) -> FamilyRecognition:
         alpha, beta = sorted(ab_type)
         for n1, m1 in sorted({(alpha + 1, beta), (beta + 1, alpha)}):
             if n1 >= 2 and m1 >= 1 and n1 + m1 == log_order:
-                witness = _find_metacyclic_witness(G, n1, m1)
+                witness = _metacyclic_pair(G, n1, m1)
                 if witness is not None:
                     return FamilyRecognition("metacyclic", (n1, m1), witness)
     elif om == 8:
         n2, m2 = sorted(ab_type)
         if n2 >= 1 and n2 + m2 + 1 == log_order:
-            witness = _find_nonmetacyclic_witness(G, n2, m2)
+            witness = _nonmetacyclic_triple(G, n2, m2)
             if witness is not None:
                 return FamilyRecognition("nonmetacyclic", (n2, m2), witness)
     raise RuntimeError(f"minimal nonabelian 2-group {G.label} matched no family")
 
 
-def _find_quaternion_witness(G: Group) -> tuple[int, int] | None:
+def _least_generating_pair(G: Group, order_a: int, order_b: int,
+                           relation) -> tuple[int, int] | None:
+    """The least (a, b), by a and then by b, with o(a) = ``order_a``,
+    o(b) = ``order_b``, ``relation(a, b)`` and <a, b> = G; None if there is
+    none.  ``relation`` takes one a and the array of every candidate b and
+    returns a mask over that array."""
     orders = G.element_orders()
-    four = np.flatnonzero(orders == 4)
-    for a in four.tolist():
-        a2 = G.mul(a, a)
-        a3 = G.power(a, 3)
-        for b in four.tolist():
-            if G.mul(b, b) != a2:
-                continue
-            if G.mult[G.mult[G.inv[b], a], b] != a3:
-                continue
+    bs = np.flatnonzero(orders == order_b)
+    for a in np.flatnonzero(orders == order_a).tolist():
+        for b in bs[relation(a, bs)].tolist():
             if G.closure([a, b]).size == G.order:
-                return (a, b)
+                return a, b
     return None
 
 
-def _find_metacyclic_witness(G: Group, n1: int, m1: int) -> tuple[int, int] | None:
-    orders = G.element_orders()
-    r = (1 + 2 ** (n1 - 1)) % 2 ** n1
-    for a in np.flatnonzero(orders == 2 ** n1).tolist():
-        target = G.power(a, r)
-        for b in np.flatnonzero(orders == 2 ** m1).tolist():
-            if G.mult[G.mult[G.inv[b], a], b] != target:
-                continue
-            if G.closure([a, b]).size == G.order:
-                return (a, b)
-    return None
+def _quaternion_pair(G: Group) -> tuple[int, int] | None:
+    """a, b of order 4 with b^2 = a^2 and a^b = a^-1."""
+    return _least_generating_pair(G, 4, 4, lambda a, b: (
+        (G.squares[b] == G.squares[a]) & (G.conj_table[b, a] == G.inv[a])))
 
 
-def _find_nonmetacyclic_witness(G: Group, n2: int, m2: int) -> tuple[int, int, int] | None:
-    orders = G.element_orders()
-    for a in np.flatnonzero(orders == 2 ** n2).tolist():
-        for b in np.flatnonzero(orders == 2 ** m2).tolist():
-            c = G.commutator(a, b)
-            if c == 0 or G.mul(c, c) != 0:
-                continue
-            if G.commutator(a, c) != 0 or G.commutator(b, c) != 0:
-                continue
-            if G.closure([a, b]).size == G.order:
-                return (a, b, c)
-    return None
+def _metacyclic_pair(G: Group, n1: int, m1: int) -> tuple[int, int] | None:
+    """a of order 2^n1, b of order 2^m1 with a^b = a^(1 + 2^(n1-1))."""
+    return _least_generating_pair(G, 2 ** n1, 2 ** m1, lambda a, b: (
+        G.conj_table[b, a] == G.power(a, 1 + 2 ** (n1 - 1))))
+
+
+def _nonmetacyclic_triple(G: Group, n2: int, m2: int) -> tuple[int, int, int] | None:
+    """a of order 2^n2, b of order 2^m2 whose commutator c = [a, b] is an
+    involution commuting with a and b; the triple (a, b, c)."""
+    mult = G.mult
+
+    def relation(a, b):
+        c = mult[G.inv[a], G.conj_table[b, a]]
+        return ((c != 0) & (G.squares[c] == 0) & (mult[a, c] == mult[c, a])
+                & (mult[b, c] == mult[c, b]))
+
+    pair = _least_generating_pair(G, 2 ** n2, 2 ** m2, relation)
+    return None if pair is None else pair + (G.commutator(*pair),)
 
 
 def recognize_dihedral(G: Group) -> tuple[int, int] | None:
-    """Find (a, b) with o(a) = |G|/2, b an involution inverting a, if any."""
+    """The least (a, b) with o(a) = |G|/2, b an involution inverting a and
+    <a, b> = G, if any."""
     if G.order % 2 != 0:
         return None
-    return G.memo("dihedral_witness", lambda: _dihedral_witness(G))
-
-
-def _dihedral_witness(G: Group) -> tuple[int, int] | None:
-    n = G.order // 2
-    orders = G.element_orders()
-    for a in np.flatnonzero(orders == n).tolist() if n > 1 else [0]:
-        rotations = G.closure([a])
-        if rotations.size != n:
-            continue
-        in_rot = np.zeros(G.order, dtype=bool)
-        in_rot[rotations] = True
-        a_inv = G.inv[a]
-        for b in range(G.order):
-            if in_rot[b] or G.mul(b, b) != 0:
-                continue
-            if G.mult[G.mult[G.inv[b], a], b] == a_inv:
-                return (a, int(b))
-    return None
+    return G.memo("dihedral_witness", lambda: _least_generating_pair(
+        G, G.order // 2, 2, lambda a, b: G.conj_table[b, a] == G.inv[a]))
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:

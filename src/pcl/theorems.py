@@ -60,8 +60,7 @@ def classify_abelian_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     return ClassificationOutcome(ok, CLAUSE_FRATTINI)
 
 
-def classify_a1_2group(G: Group, H: Subgroup,
-                       rec: FamilyRecognition | None = None) -> ClassificationOutcome:
+def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     """Minimal nonabelian 2-group rule.
 
     Cyclic subgroups are codes exactly when some generator is a nonsquare
@@ -70,8 +69,7 @@ def classify_a1_2group(G: Group, H: Subgroup,
     nonmetacyclic family, where membership in an explicit list of
     two-generator shapes decides.
     """
-    if rec is None:
-        rec = recognize_a1_family(G)
+    rec = recognize_a1_family(G)
     if rec.tag not in ("q8", "metacyclic", "nonmetacyclic"):
         raise WrongClassifierError(
             f"classify_a1_2group requires a minimal nonabelian 2-group, got {G.label}")
@@ -222,20 +220,14 @@ def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | N
     return None
 
 
-def dihedral_classify(G: Group, H: Subgroup,
-                      rotation: int | None = None) -> ClassificationOutcome:
+def dihedral_classify(G: Group, H: Subgroup) -> ClassificationOutcome:
     """Dihedral rule: subgroups of the rotation subgroup <a> are codes iff
     |H| or n/|H| is odd; everything else is a code."""
-    if rotation is None:
-        witness = recognize_dihedral(G)
-        if witness is None:
-            raise WrongClassifierError(f"{G.label} is not dihedral")
-        rotation = witness[0]
+    witness = recognize_dihedral(G)
+    if witness is None:
+        raise WrongClassifierError(f"{G.label} is not dihedral")
     n = G.order // 2
-    rotations = G.memo(("rotations", rotation),
-                       lambda: subgroup_generated(G, [rotation]))
-    if rotations.order != n:
-        raise WrongClassifierError("rotation witness has the wrong order")
+    rotations = G.memo("rotations", lambda: subgroup_generated(G, [witness[0]]))
     if H.issubset(rotations):
         ok = (H.order % 2 == 1) or ((n // H.order) % 2 == 1)
         return ClassificationOutcome(ok, CLAUSE_DIHEDRAL)

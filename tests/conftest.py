@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pcl import structure as st
 from pcl.catalog import default_catalog
 from pcl.codes import Transversal, Verdict
 from pcl.groups import prime_power
@@ -280,3 +282,104 @@ def assert_structure_matches_references(G) -> None:
         assert (S.order, S.is_abelian) == (R.order, R.is_abelian)
     if prime_power(G.order) is not None:
         assert is_minimal_nonabelian(G) == reference_is_minimal_nonabelian(G)
+
+
+def reference_quaternion_witness(G) -> tuple[int, int] | None:
+    """The quaternion witness search before the one generating-pair search:
+    a, b of order 4 with b^2 = a^2 and b^-1 a b = a^3, generating G."""
+    orders = G.element_orders()
+    four = np.flatnonzero(orders == 4)
+    for a in four.tolist():
+        a2 = G.mul(a, a)
+        a3 = G.power(a, 3)
+        for b in four.tolist():
+            if G.mul(b, b) != a2:
+                continue
+            if G.mult[G.mult[G.inv[b], a], b] != a3:
+                continue
+            if G.closure([a, b]).size == G.order:
+                return (a, b)
+    return None
+
+
+def reference_metacyclic_witness(G, n1: int, m1: int) -> tuple[int, int] | None:
+    """a of order 2^n1, b of order 2^m1, b^-1 a b = a^(1 + 2^(n1-1)),
+    generating G, by a scalar loop."""
+    orders = G.element_orders()
+    r = (1 + 2 ** (n1 - 1)) % 2 ** n1
+    for a in np.flatnonzero(orders == 2 ** n1).tolist():
+        target = G.power(a, r)
+        for b in np.flatnonzero(orders == 2 ** m1).tolist():
+            if G.mult[G.mult[G.inv[b], a], b] != target:
+                continue
+            if G.closure([a, b]).size == G.order:
+                return (a, b)
+    return None
+
+
+def reference_nonmetacyclic_witness(G, n2: int, m2: int) -> tuple[int, int, int] | None:
+    """a of order 2^n2, b of order 2^m2 generating G whose commutator c is a
+    central involution of G, by a scalar loop; the triple (a, b, c)."""
+    orders = G.element_orders()
+    for a in np.flatnonzero(orders == 2 ** n2).tolist():
+        for b in np.flatnonzero(orders == 2 ** m2).tolist():
+            c = G.commutator(a, b)
+            if c == 0 or G.mul(c, c) != 0:
+                continue
+            if G.commutator(a, c) != 0 or G.commutator(b, c) != 0:
+                continue
+            if G.closure([a, b]).size == G.order:
+                return (a, b, c)
+    return None
+
+
+def reference_dihedral_witness(G) -> tuple[int, int] | None:
+    """a of order |G|/2 and an involution b outside <a> inverting it, with
+    the rotation closure and mask the search used to build."""
+    if G.order % 2 != 0:
+        return None
+    n = G.order // 2
+    orders = G.element_orders()
+    for a in np.flatnonzero(orders == n).tolist() if n > 1 else [0]:
+        rotations = G.closure([a])
+        if rotations.size != n:
+            continue
+        in_rot = np.zeros(G.order, dtype=bool)
+        in_rot[rotations] = True
+        a_inv = G.inv[a]
+        for b in range(G.order):
+            if in_rot[b] or G.mul(b, b) != 0:
+                continue
+            if G.mult[G.mult[G.inv[b], a], b] == a_inv:
+                return (a, int(b))
+    return None
+
+
+# parameter pairs each finder is tried on, whether or not G has that shape
+METACYCLIC_PARAMS = ((2, 1), (3, 1), (2, 2), (3, 2))
+NONMETACYCLIC_PARAMS = ((1, 2), (1, 3), (2, 2), (1, 4))
+
+
+def reference_recognition(G):
+    """The family recognition of the 2-group G recomputed, past the memo,
+    with the reference finders in place of the generating-pair search."""
+    with mock.patch.multiple(st, _quaternion_pair=reference_quaternion_witness,
+                             _metacyclic_pair=reference_metacyclic_witness,
+                             _nonmetacyclic_triple=reference_nonmetacyclic_witness):
+        return st._recognize_a1(G)
+
+
+def assert_witnesses_match_references(G) -> None:
+    """The dihedral witness of G, the family recognition (tag, params and
+    witness) of a 2-group G, and every finder on the fixed parameter pairs
+    agree with the references; ``None`` must match ``None``."""
+    assert st.recognize_dihedral(G) == reference_dihedral_witness(G), G.label
+    if st._is_2group(G):
+        assert st.recognize_a1_family(G) == reference_recognition(G), G.label
+    assert st._quaternion_pair(G) == reference_quaternion_witness(G), G.label
+    for n1, m1 in METACYCLIC_PARAMS:
+        assert st._metacyclic_pair(G, n1, m1) == \
+            reference_metacyclic_witness(G, n1, m1), (G.label, n1, m1)
+    for n2, m2 in NONMETACYCLIC_PARAMS:
+        assert st._nonmetacyclic_triple(G, n2, m2) == \
+            reference_nonmetacyclic_witness(G, n2, m2), (G.label, n2, m2)

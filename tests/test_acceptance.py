@@ -101,8 +101,7 @@ def test_criterion_3_classification_theorem(catalog):
             if TAG_ABELIAN_2 in entry.tags and G.order <= 64:
                 decide = lambda H: th.classify_abelian_2group(G, H)
             elif TAG_A1_2GROUP in entry.tags:
-                rec = entry.recognition
-                decide = lambda H: th.classify_a1_2group(G, H, rec)
+                decide = lambda H: th.classify_a1_2group(G, H)
             else:
                 continue
             for H in all_subgroups(G):
@@ -111,9 +110,8 @@ def test_criterion_3_classification_theorem(catalog):
                 truth = codes.criterion3(G, H).is_code
                 if out.is_code == truth:
                     continue
-                rec = entry.recognition
-                in_family_scope = (rec is not None
-                                   and rec.tag == "nonmetacyclic"
+                rec = st.recognize_a1_family(G)
+                in_family_scope = (rec.tag == "nonmetacyclic"
                                    and not H.is_cyclic
                                    and not H.is_trivial and not H.is_full)
                 if in_family_scope:
@@ -223,9 +221,9 @@ def test_criterion_7_structural_invariants(catalog):
                 assert powers == phi, entry.label  # squares alone generate it
 
         for entry in catalog:
-            rec = entry.recognition
-            if rec is None:
+            if not st._is_2group(entry.group):
                 continue
+            rec = st.recognize_a1_family(entry.group)
             if rec.tag == "metacyclic" and sum(rec.params) >= 4:
                 assert st.omega1(entry.group).order == 4, entry.label
             elif rec.tag == "nonmetacyclic":

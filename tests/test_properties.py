@@ -11,8 +11,9 @@ from pcl import codes, structure as st, theorems as th
 from pcl.specs import build_family, parse_group_spec
 
 from conftest import (assert_structure_matches_references,
-                      join_closure_subgroups, reference_criterion3,
-                      reference_criterion4, reference_transversal_search)
+                      assert_witnesses_match_references, join_closure_subgroups,
+                      reference_criterion3, reference_criterion4,
+                      reference_transversal_search)
 
 SMALL_SPECS = [
     "C(2)", "C(4)", "C(8)", "C(12)", "EA(2,2)", "EA(2,3)", "C(4)xC(2)",
@@ -177,3 +178,9 @@ def test_transversal_search_matches_the_reference_outside_the_catalog(spec):
 @given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
 def test_structural_subgroups_match_the_lattice_references_outside_the_catalog(spec):
     assert_structure_matches_references(build_family(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
+def test_witnesses_match_the_reference_finders_outside_the_catalog(spec):
+    assert_witnesses_match_references(build_family(spec))

@@ -225,6 +225,31 @@ def test_cli_verify_reader_closing_the_pipe_is_an_input_error(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_matrix_stops_queued_entries_when_its_output_breaks(tmp_path, monkeypatch):
+    # the forked workers inherit the spy, which leaves a file per entry built
+    build = pcl.catalog.build_entry
+
+    def spy(label, spec):
+        (tmp_path / label).touch()
+        return build(label, spec)
+
+    class ClosedPipe:
+        def writelines(self, lines):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(pcl.catalog, "build_entry", spy)
+    entries = [(f"entry{i}", "D(256)") for i in range(30)]
+    with pytest.raises(BrokenPipeError):
+        report.run_verification_matrix(entries, "criterion3", out=ClosedPipe(),
+                                       workers=2)
+    # past the first entry only the jobs the executor had already handed to
+    # its workers run: two running and three queued, give or take one
+    assert 1 <= len(list(tmp_path.iterdir())) <= len(entries) // 3
+
+
 def test_conjugacy_class_summary():
     rows = report.run_verification_matrix(
         [("D(8)", "D(8)"), ("A4", "perm:(1 2 3),(1 2)(3 4)")])["rows"]
@@ -380,6 +405,15 @@ def test_cli_verify_malformed_catalog_file(tmp_path):
     bad.write_text('["Q8", ')
     code, _, err = run_cli("verify", "--catalog", str(bad))
     _assert_input_error(code, err)
+
+
+def test_cli_verify_empty_catalog_file(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    code = main(["verify", "--catalog", str(empty), "--summary", "table"])
+    out, err = capsys.readouterr()
+    _assert_input_error(code, err)
+    assert out == ""
 
 
 @pytest.mark.parametrize("item", [{"spec": "C(4)", "label": ["x"]},

@@ -8,6 +8,7 @@ from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
 from conftest import (abelian_rank, assert_structure_matches_references,
+                      assert_witnesses_match_references,
                       brute_force_min_generators, brute_force_subgroups,
                       join_closure_subgroups)
 
@@ -255,6 +256,20 @@ def test_recognize_a1_family_order_eight_and_outsiders():
     assert st.recognize_a1_family(build_family("D(16)")).tag == "not_a1_or_a0"
     with pytest.raises(PreconditionError):
         st.recognize_a1_family(build_family("perm:(1 2 3),(1 2)"))
+
+
+def test_witnesses_match_the_reference_finders_on_the_catalog(catalog):
+    groups = [entry.group for entry in catalog
+              if entry.group.order % 2 == 0 or st._is_2group(entry.group)]
+    assert sum(st._is_2group(G) for G in groups) > 50
+    for G in groups:
+        assert_witnesses_match_references(G)
+
+
+@pytest.mark.parametrize("spec", ["D(2)", "D(4)", "D(256)", "D(512)", "C(2)",
+                                  "EA(2,2)", "EA(2,7)", "C(8)xC(2)"])
+def test_witnesses_match_the_reference_finders_beyond_the_catalog(spec):
+    assert_witnesses_match_references(build_family(spec))
 
 
 def test_burnside_basis_against_independent_rank():
