@@ -32,7 +32,7 @@ from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
                         recognize_a1_family, recognize_dihedral, squares_set,
                         subgroup_as_group, subgroup_generated, sylow,
                         sylow_containing, trivial_subgroup)
-from .theorems import (ClassificationOutcome, FamilyMatch,
+from .theorems import (ClassificationOutcome, FamilyMatch, classify,
                        classify_a1_2group, classify_abelian_2group,
                        classify_abelian_sylow2, dihedral_classify,
                        match_theorem_family)

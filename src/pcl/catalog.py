@@ -1,4 +1,4 @@
-"""The default verification catalog and structural tagging of entries."""
+"""The default verification catalog."""
 
 from __future__ import annotations
 
@@ -8,36 +8,16 @@ from dataclasses import dataclass
 from .errors import GroupSpecError
 from .groups import Group
 from .specs import build_family
-from .structure import recognize_a1_family, recognize_dihedral, sylow, _is_2group
-
-TAG_ABELIAN_2 = "abelian-2"
-TAG_A1_2GROUP = "a1-2group"
-TAG_DIHEDRAL = "dihedral"
-TAG_ABELIAN_SYLOW2 = "abelian-sylow2"
 
 
 @dataclass
 class CatalogEntry:
     label: str
     group: Group
-    tags: frozenset[str]
 
 
 def build_entry(label: str, spec_text: str) -> CatalogEntry:
-    group = build_family(spec_text, label=label)
-    tags = set()
-    if _is_2group(group):
-        family = recognize_a1_family(group).tag
-        if family == "abelian":
-            tags.add(TAG_ABELIAN_2)
-        elif family in ("q8", "metacyclic", "nonmetacyclic"):
-            tags.add(TAG_A1_2GROUP)
-    if recognize_dihedral(group) is not None:
-        tags.add(TAG_DIHEDRAL)
-    syl2 = sylow(group, 2)
-    if syl2.order > 1 and syl2.is_abelian:
-        tags.add(TAG_ABELIAN_SYLOW2)
-    return CatalogEntry(label, group, frozenset(tags))
+    return CatalogEntry(label, build_family(spec_text, label=label))
 
 
 def _partitions(total: int):

@@ -74,7 +74,7 @@ def _cmd_subgroups(args) -> int:
 def _cmd_classify(args) -> int:
     entry = catalog.build_entry(args.spec, args.spec)
     methods = report.parse_methods(args.methods)
-    if args.subgroup:
+    if args.subgroup is not None:
         try:
             gens = [int(x) for x in args.subgroup.split(",") if x.strip() != ""]
         except ValueError:

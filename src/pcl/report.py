@@ -17,24 +17,14 @@ from contextlib import closing
 import numpy as np
 
 from . import catalog, codes, theorems
-from .catalog import (CatalogEntry, TAG_A1_2GROUP, TAG_ABELIAN_2,
-                      TAG_ABELIAN_SYLOW2, TAG_DIHEDRAL)
+from .catalog import CatalogEntry
 from .errors import GroupSpecError, PclError, SizeLimitError
 from .structure import Subgroup, all_subgroups
 
 EXHAUSTIVE_CAYLEY_LIMIT = 16
 
-# The tables below look every function up on its module at call time, so a
+# The routes look every function up on its module at call time, so a
 # wrapper installed there (a tracer, a test double) sees every call.
-
-# Theorem classifiers by structural tag, in priority order: an entry uses the
-# first of its tags listed here.
-CLASSIFIERS = {
-    TAG_ABELIAN_2: lambda e, H: theorems.classify_abelian_2group(e.group, H),
-    TAG_A1_2GROUP: lambda e, H: theorems.classify_a1_2group(e.group, H),
-    TAG_DIHEDRAL: lambda e, H: theorems.dihedral_classify(e.group, H),
-    TAG_ABELIAN_SYLOW2: lambda e, H: theorems.classify_abelian_sylow2(e.group, H),
-}
 
 
 def _verdict(v: codes.Verdict) -> dict:
@@ -67,10 +57,9 @@ def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
 
 
 def _theorem(entry: CatalogEntry, H: Subgroup) -> dict | None:
-    tag = next((t for t in CLASSIFIERS if t in entry.tags), None)
-    if tag is None:
+    outcome = theorems.classify(entry.group, H)
+    if outcome is None:
         return None
-    outcome = CLASSIFIERS[tag](entry, H)
     payload = {"is_code": outcome.is_code, "clause": outcome.clause}
     if outcome.match is not None:
         payload["match"] = {"family": outcome.match.family,

@@ -23,16 +23,14 @@ from .groups import Group, max_order, prime_power, _is_prime, _readonly
 class Subgroup:
     """A subgroup of a fixed parent group, as a membership mask.
 
-    Members and generators are element indices of the parent; ``closure`` of
-    the generators equals the member set.  Instances are immutable, hashable
-    and compare equal exactly when they have the same parent object and the
-    same member set.
+    Members are element indices of the parent.  Instances are immutable,
+    hashable and compare equal exactly when they have the same parent object
+    and the same member set.
     """
 
-    __slots__ = ("parent", "mask", "members", "order", "generators", "mask_int", "_key")
+    __slots__ = ("parent", "mask", "members", "order", "mask_int", "_key", "_generators")
 
-    def __init__(self, parent: Group, mask: np.ndarray,
-                 generators: tuple[int, ...] | None = None):
+    def __init__(self, parent: Group, mask: np.ndarray):
         mask = np.array(mask, dtype=bool, copy=True)
         if mask.shape != (parent.order,):
             raise ValueError("mask length must equal the parent order")
@@ -45,11 +43,18 @@ class Subgroup:
         self.mask = mask
         self.members = members
         self.order = int(members.size)
-        if generators is None:
-            generators = _reduced_generators(parent, members)
-        self.generators = tuple(int(g) for g in generators)
         self.mask_int = int.from_bytes(np.packbits(mask).tobytes(), "big")
         self._key = (id(parent), self.mask_int)
+        self._generators: tuple[int, ...] | None = None
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The canonical generators: each member, ascending, that lies
+        outside the subgroup generated by the members before it.  One greedy
+        pass of ``Group.generate``, made on first read."""
+        if self._generators is None:
+            self._generators = self.parent.generate(self.members)[1]
+        return self._generators
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self._key == other._key
@@ -87,22 +92,10 @@ class Subgroup:
         return (self.order, tuple(self.members.tolist()))
 
 
-def _reduced_generators(G: Group, members: np.ndarray) -> tuple[int, ...]:
-    gens: list[int] = []
-    closed = np.zeros(G.order, dtype=bool)
-    closed[0] = True
-    for m in members.tolist():
-        if not closed[m]:
-            gens.append(int(m))
-            closed[:] = False
-            closed[G.closure(gens)] = True
-    return tuple(gens)
-
-
 def trivial_subgroup(G: Group) -> Subgroup:
     mask = np.zeros(G.order, dtype=bool)
     mask[0] = True
-    return Subgroup(G, mask, generators=())
+    return Subgroup(G, mask)
 
 
 def full_subgroup(G: Group) -> Subgroup:
@@ -110,13 +103,8 @@ def full_subgroup(G: Group) -> Subgroup:
 
 
 def subgroup_generated(G: Group, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (closure by repeated squaring of
-    the product set)."""
-    gens = sorted({int(g) for g in gens} - {0})
-    members = G.closure(gens)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[members] = True
-    return Subgroup(G, mask, generators=tuple(gens))
+    """Smallest subgroup containing ``gens``."""
+    return Subgroup(G, G.generate(gens)[0])
 
 
 def all_subgroups(G: Group) -> list[Subgroup]:
@@ -125,13 +113,14 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     Cyclic extension (Neubüser 1960): starting from the trivial subgroup,
     each layer extends every subgroup V of the last layer by each element z
     of prime-power order that normalizes V, lies outside V and has z^p in V
-    (p the prime of o(z)); then V<z> is the union of the p cosets V z^i.
+    (p the prime of o(z)); then V<z> is the union of the p cosets V z^i,
+    one ``Group.extend`` step.
     Every nontrivial solvable subgroup has a normal subgroup of prime index,
     so this reaches every subgroup of a solvable group.  For a group that is
     not solvable (the derived series decides), one join pass against the
     cyclic subgroups, seeded with what the extension found, completes the
-    lattice.  Generators are the canonical ones of ``Subgroup(G, mask)``, so
-    they do not depend on how the lattice was found.
+    lattice.  Generators are the canonical ones of ``Subgroup``, so they do
+    not depend on how the lattice was found.
     """
     return G.memo("lattice", lambda: _lattice(G))
 
@@ -167,11 +156,8 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
             for z in candidates[extends].tolist():
                 if covered[z]:
                     continue
-                U = np.zeros(n, dtype=bool)
-                coset = members
-                for _ in range(int(prime[z])):
-                    U[coset] = True
-                    coset = G.mult[coset, z]
+                U = V.copy()
+                G.extend(members, U, (z,))
                 covered |= U
                 key = U.tobytes()
                 if key not in found:
@@ -206,14 +192,12 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _is_solvable(G: Group) -> bool:
-    """Whether the derived series of G reaches the trivial subgroup."""
-    members = np.arange(G.order, dtype=np.int32)
-    while members.size > 1:
-        derived = G.closure(_commutators(G, members))
-        if derived.size == members.size:
-            return False
-        members = derived
-    return True
+    """Whether the derived series of G, from the memoised G', reaches the
+    trivial subgroup."""
+    previous, members = G.order, derived_subgroup(G).members
+    while 1 < members.size < previous:
+        previous, members = members.size, G.closure(_commutators(G, members))
+    return members.size == 1
 
 
 def _commutators(G: Group, members: np.ndarray) -> np.ndarray:
@@ -340,10 +324,11 @@ def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
 def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
-    ``containing`` (default trivial): P becomes the union of the cosets P z^i
-    for the least p-element z of ``within`` that normalizes P, lies outside P
-    and has z^p in P.  Such a z exists until P is Sylow, since P lies in a
-    Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
+    ``containing`` (default trivial): P becomes P<z>, the union of the cosets
+    P z^i found by one ``Group.extend`` step, for the least p-element z of
+    ``within`` that normalizes P, lies outside P and has z^p in P.  Such a z
+    exists until P is Sylow, since P lies in a Sylow subgroup S and N_S(P)/P
+    is a nontrivial p-group."""
     q = _p_part(within.order, p)
     if q == within.order:
         return within
@@ -354,12 +339,9 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
         extends = (P.mask[G.conj_table[np.ix_(candidates, P.members)]].all(axis=1)
                    & ~P.mask[candidates] & P.mask[pth_power[candidates]])
         z = int(candidates[np.argmax(extends)])
-        mask = np.zeros(G.order, dtype=bool)
-        coset = P.members
-        for _ in range(p):
-            mask[coset] = True
-            coset = G.mult[coset, z]
-        P = Subgroup(G, mask, generators=P.generators + (z,))
+        mask = P.mask.copy()
+        G.extend(P.members, mask, (z,))
+        P = Subgroup(G, mask)
     return P
 
 
@@ -424,8 +406,7 @@ def abelian_quotient_exponents(G: Group, N: Subgroup, p: int) -> tuple[int, ...]
     Counts solutions of x^(p^k) in N instead of building the quotient table;
     the counts determine the factor type.
     """
-    comms = _commutators(G, np.arange(G.order))
-    if not N.mask[comms].all():
+    if not derived_subgroup(G).issubset(N):
         raise PreconditionError("quotient is not abelian: commutators leave N")
     n = G.order
     logs = [0]

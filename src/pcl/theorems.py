@@ -4,7 +4,8 @@ Each classifier implements a closed-form rule for one class of groups and is
 differentially tested against the coset criterion.  All rules are evaluated
 against a recognition witness (explicit generators inside the concrete
 group), never against an abstract presentation; family membership is decided
-by element-set equality of generated subgroups.
+by element-set equality of generated subgroups.  ``classify`` chooses the rule
+that applies to a group.
 """
 
 from __future__ import annotations
@@ -45,6 +46,25 @@ class ClassificationOutcome:
     is_code: bool
     clause: str
     match: FamilyMatch | None = None
+
+
+def classify(G: Group, H: Subgroup) -> ClassificationOutcome | None:
+    """The verdict on H of the first rule whose class holds G, in priority
+    order: abelian 2-groups, minimal nonabelian 2-groups, dihedral groups,
+    groups with a nontrivial abelian Sylow 2-subgroup; None when none does.
+    The recognitions that decide are memoised on G at their first use."""
+    if _is_2group(G):
+        family = recognize_a1_family(G).tag
+        if family == "abelian":
+            return classify_abelian_2group(G, H)
+        if family in ("q8", "metacyclic", "nonmetacyclic"):
+            return classify_a1_2group(G, H)
+    if recognize_dihedral(G) is not None:
+        return dihedral_classify(G, H)
+    P = sylow(G, 2)
+    if P.order > 1 and P.is_abelian:
+        return classify_abelian_sylow2(G, H)
+    return None
 
 
 def classify_abelian_2group(G: Group, H: Subgroup) -> ClassificationOutcome:

@@ -81,6 +81,42 @@ def abelian_rank(H: Subgroup) -> int:
     return count.bit_length() - 1
 
 
+def reference_closure(G, elems) -> np.ndarray:
+    """Sorted members of the subgroup generated by ``elems``, as
+    ``Group.closure`` found them before Dimino's step: the product set of
+    the members squared until it stops growing."""
+    seed = np.fromiter((int(e) for e in elems), dtype=np.int32)
+    members = np.unique(np.concatenate((np.zeros(1, dtype=np.int32), seed)))
+    while True:
+        grown = np.unique(G.mult[np.ix_(members, members)])
+        if grown.size == members.size:
+            return grown
+        members = grown
+
+
+def reference_greedy_generators(G, elems) -> tuple[int, ...]:
+    """Each element of ``elems``, in order, outside the subgroup generated by
+    those before it, with one ``reference_closure`` per generator, as
+    canonical generators were found before the one-pass ``Group.generate``."""
+    gens: list[int] = []
+    closed = np.zeros(G.order, dtype=bool)
+    closed[0] = True
+    for e in elems:
+        if not closed[int(e)]:
+            gens.append(int(e))
+            closed[reference_closure(G, gens)] = True
+    return tuple(gens)
+
+
+def assert_generators_match_references(G) -> None:
+    """Every lattice subgroup's canonical generators are the reference greedy
+    set of its members, and their reference closure is the subgroup."""
+    for S in all_subgroups(G):
+        assert S.generators == reference_greedy_generators(G, S.members), \
+            (G.label, S.members.tolist())
+        assert np.array_equal(reference_closure(G, S.generators), S.members)
+
+
 def join_closure_subgroups(G) -> set[tuple[int, ...]]:
     """Member tuples of every subgroup of G by a layered join closure.
 

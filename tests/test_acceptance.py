@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from pcl import codes, structure as st, theorems as th
-from pcl.catalog import TAG_A1_2GROUP, TAG_ABELIAN_2
 from pcl.groups import prime_power
 from pcl.structure import all_subgroups, _sylow_within
 
@@ -98,9 +97,10 @@ def test_criterion_3_classification_theorem(catalog):
         findings = []
         for entry in catalog:
             G = entry.group
-            if TAG_ABELIAN_2 in entry.tags and G.order <= 64:
+            family = st.recognize_a1_family(G).tag if st._is_2group(G) else None
+            if family == "abelian" and G.order <= 64:
                 decide = lambda H: th.classify_abelian_2group(G, H)
-            elif TAG_A1_2GROUP in entry.tags:
+            elif family in ("q8", "metacyclic", "nonmetacyclic"):
                 decide = lambda H: th.classify_a1_2group(G, H)
             else:
                 continue

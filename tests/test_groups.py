@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,47 @@ def test_group_axioms(spec):
 def test_associativity_check_accepts_large_groups():
     build_family("C(100)").check_axioms()
     build_family("EA(2,7)").check_axioms()
+
+
+def _random_loop_table(rng: random.Random, n: int) -> np.ndarray:
+    """A random Latin square on 0..n-1 whose row 0 and column 0 are in
+    order, filled cell by cell by randomized backtracking."""
+    table = [[j if i == 0 else i if j == 0 else -1 for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i]) | {row[j] for row in table}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = -1
+        return False
+
+    assert fill(0)
+    return np.array(table)
+
+
+def test_associativity_check_is_exact_on_random_latin_squares():
+    rng = random.Random(20261018)
+    associative = 0
+    for _ in range(1500):
+        n = rng.randint(4, 8)
+        t = _random_loop_table(rng, n)
+        brute = np.array_equal(t[t], t[np.arange(n)[:, None, None], t[None, :, :]])
+        try:
+            groups.Group(t).check_axioms()
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == brute, t.tolist()
+        associative += brute
+    assert 0 < associative < 1500
 
 
 def test_catalog_entries_satisfy_group_axioms(catalog):

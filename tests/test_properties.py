@@ -12,7 +12,8 @@ from pcl.specs import build_family, parse_group_spec
 
 from conftest import (assert_structure_matches_references,
                       assert_witnesses_match_references, join_closure_subgroups,
-                      reference_criterion3, reference_criterion4,
+                      reference_closure, reference_criterion3,
+                      reference_criterion4, reference_greedy_generators,
                       reference_transversal_search)
 
 SMALL_SPECS = [
@@ -148,7 +149,20 @@ def test_lattice_matches_join_closure_outside_the_catalog(spec):
     lattice = st.all_subgroups(g)
     assert {tuple(S.members.tolist()) for S in lattice} == join_closure_subgroups(g)
     for S in lattice:
-        assert S.generators == st._reduced_generators(g, S.members)
+        assert S.generators == reference_greedy_generators(g, S.members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()),
+       stst.data())
+def test_generate_matches_the_references_outside_the_catalog(spec, data):
+    g = build_family(spec)
+    elems = data.draw(stst.lists(stst.integers(0, g.order - 1), max_size=6))
+    mask, gens = g.generate(elems)
+    members = reference_closure(g, elems)
+    assert np.array_equal(np.flatnonzero(mask), members)
+    assert np.array_equal(g.closure(elems), members)
+    assert gens == reference_greedy_generators(g, elems)
 
 
 @settings(max_examples=25, deadline=None)

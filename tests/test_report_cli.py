@@ -10,10 +10,10 @@ import sys
 import pytest
 
 import pcl.catalog
-from pcl import codes, report, structure
+from pcl import codes, report, structure, theorems
 from pcl.catalog import build_entry, default_catalog_specs, load_catalog_pairs
 from pcl.cli import main
-from pcl.errors import PclError
+from pcl.errors import PclError, PreconditionError, WrongClassifierError
 
 from conftest import reference_class_counts
 
@@ -328,6 +328,25 @@ def test_cli_classify_single_subgroup():
     assert code == 2
 
 
+@pytest.mark.parametrize("spelling", ["", ","], ids=["empty", "comma"])
+def test_cli_classify_empty_subgroup_list_is_the_trivial_subgroup(capsys, spelling):
+    assert main(["classify", "D(8)", "--subgroup", spelling]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["subgroup"] == {"elements": [0], "order": 1,
+                                                "generators": []}
+
+
+def test_cli_classify_subgroup_record_matches_the_lattice_record(capsys):
+    # <4, 2> is the rotation subgroup of D(8); its record names the canonical
+    # generators, as the record of the same subgroup from the lattice does
+    assert main(["classify", "D(8)", "--subgroup", "4,2"]) == 0
+    single = canonical([json.loads(capsys.readouterr().out)])
+    assert main(["classify", "D(8)"]) == 0
+    records = canonical(json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert single == [r for r in records if r["subgroup"]["elements"] == [0, 2, 4, 6]]
+
+
 def test_cli_verify_custom_catalog(tmp_path):
     spec_file = tmp_path / "catalog.json"
     spec_file.write_text(json.dumps(["Q8", {"spec": "D(8)", "label": "dih8"}]))
@@ -501,7 +520,7 @@ LATTICE_FREE_SPECS = ["EA(2,5)", "D(64)", "D(20)", "M2(2,2,1)", "M2(3,2)", "Q8",
                       "SD(C(5);C(4);1->2)"]
 
 
-def test_tagging_and_routes_never_build_the_lattice(monkeypatch):
+def test_classifier_choice_and_routes_never_build_the_lattice(monkeypatch):
     def no_lattice(G):
         raise AssertionError(f"the subgroup lattice of {G.label} was built")
 
@@ -515,5 +534,9 @@ def test_tagging_and_routes_never_build_the_lattice(monkeypatch):
         assert sorted(verdicts) == sorted(report.METHODS)
         assert "is_code" in verdicts["theorem"], spec
         assert verdicts["criterion3"]["is_code"] == verdicts["oracle"]["is_code"]
-        for tag in entry.tags & set(report.CLASSIFIERS):
-            report.CLASSIFIERS[tag](entry, H)
+        for rule in (theorems.classify_abelian_2group, theorems.classify_a1_2group,
+                     theorems.dihedral_classify, theorems.classify_abelian_sylow2):
+            try:
+                rule(G, H)
+            except (WrongClassifierError, PreconditionError):
+                pass

@@ -7,10 +7,11 @@ from pcl import structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import (abelian_rank, assert_structure_matches_references,
+from conftest import (abelian_rank, assert_generators_match_references,
+                      assert_structure_matches_references,
                       assert_witnesses_match_references,
                       brute_force_min_generators, brute_force_subgroups,
-                      join_closure_subgroups)
+                      join_closure_subgroups, reference_greedy_generators)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,7 @@ def test_lattice_matches_join_closure_on_catalog(catalog):
 
 
 @pytest.mark.parametrize("spec,count,solvable", [
+    ("C(1)", 1, True),
     ("perm:(1 2 3 4),(1 2)", 30, True),        # S4
     ("perm:(1 2 3 4 5),(1 2 3)", 59, False),   # A5, through the join pass
     ("perm:(1 2 3 4 5),(1 2)", 156, False),    # S5, through the join pass
@@ -83,8 +85,18 @@ def test_lattice_generators_are_canonical():
                  "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)"]:
         G = build_family(spec)
         for S in st.all_subgroups(G):
-            assert S.generators == st._reduced_generators(G, S.members), spec
+            assert S.generators == reference_greedy_generators(G, S.members), spec
             assert st.subgroup_generated(G, S.generators) == S
+
+
+def test_generators_match_the_references_on_catalog(catalog):
+    for entry in catalog:
+        assert_generators_match_references(entry.group)
+
+
+@pytest.mark.parametrize("spec", ["D(512)", "M2(3,4,1)"])
+def test_generators_match_the_references_on_larger_groups(spec):
+    assert_generators_match_references(build_family(spec))
 
 
 def test_all_subgroups_sorted_and_deduplicated(q8):
@@ -330,3 +342,6 @@ def test_abelian_quotient_exponents():
     c12 = build_family("C(12)")
     assert st.abelian_quotient_exponents(
         c12, st.trivial_subgroup(c12), 2) == (2,)
+    with pytest.raises(PreconditionError,
+                       match="^quotient is not abelian: commutators leave N$"):
+        st.abelian_quotient_exponents(g, st.trivial_subgroup(g), 2)
