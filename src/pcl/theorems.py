@@ -52,18 +52,13 @@ def classify(G: Group, H: Subgroup) -> ClassificationOutcome | None:
     """The verdict on H of the first rule whose class holds G, in priority
     order: abelian 2-groups, minimal nonabelian 2-groups, dihedral groups,
     groups with a nontrivial abelian Sylow 2-subgroup; None when none does.
-    The recognitions that decide are memoised on G at their first use."""
-    if _is_2group(G):
-        family = recognize_a1_family(G).tag
-        if family == "abelian":
-            return classify_abelian_2group(G, H)
-        if family in ("q8", "metacyclic", "nonmetacyclic"):
-            return classify_a1_2group(G, H)
-    if recognize_dihedral(G) is not None:
-        return dihedral_classify(G, H)
-    P = sylow(G, 2)
-    if P.order > 1 and P.is_abelian:
-        return classify_abelian_sylow2(G, H)
+    Each class is decided by its classifier's guard alone."""
+    for rule in (classify_abelian_2group, classify_a1_2group, dihedral_classify,
+                 classify_abelian_sylow2):
+        try:
+            return rule(G, H)
+        except WrongClassifierError:
+            pass
     return None
 
 
@@ -89,10 +84,11 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     nonmetacyclic family, where membership in an explicit list of
     two-generator shapes decides.
     """
-    rec = recognize_a1_family(G)
-    if rec.tag not in ("q8", "metacyclic", "nonmetacyclic"):
+    if not _is_2group(G) or recognize_a1_family(G).tag not in (
+            "q8", "metacyclic", "nonmetacyclic"):
         raise WrongClassifierError(
             f"classify_a1_2group requires a minimal nonabelian 2-group, got {G.label}")
+    rec = recognize_a1_family(G)
     if H.is_trivial or H.is_full:
         return ClassificationOutcome(True, CLAUSE_TRIVIAL)
     if rec.tag == "q8":

@@ -13,7 +13,7 @@ import pcl.catalog
 from pcl import codes, report, structure, theorems
 from pcl.catalog import build_entry, default_catalog_specs, load_catalog_pairs
 from pcl.cli import main
-from pcl.errors import PclError, PreconditionError, WrongClassifierError
+from pcl.errors import PclError, WrongClassifierError
 
 from conftest import reference_class_counts
 
@@ -534,9 +534,21 @@ def test_classifier_choice_and_routes_never_build_the_lattice(monkeypatch):
         assert sorted(verdicts) == sorted(report.METHODS)
         assert "is_code" in verdicts["theorem"], spec
         assert verdicts["criterion3"]["is_code"] == verdicts["oracle"]["is_code"]
-        for rule in (theorems.classify_abelian_2group, theorems.classify_a1_2group,
-                     theorems.dihedral_classify, theorems.classify_abelian_sylow2):
-            try:
-                rule(G, H)
-            except (WrongClassifierError, PreconditionError):
-                pass
+        # each class decided here, independently of the classifiers' guards
+        is_2group = structure._is_2group(G)
+        family = structure.recognize_a1_family(G).tag if is_2group else None
+        P = structure.sylow(G, 2)
+        holds = {
+            theorems.classify_abelian_2group: family == "abelian",
+            theorems.classify_a1_2group: family in ("q8", "metacyclic", "nonmetacyclic"),
+            theorems.dihedral_classify: structure.recognize_dihedral(G) is not None,
+            theorems.classify_abelian_sylow2: P.order > 1 and P.is_abelian,
+        }
+        outcomes = []
+        for rule, applies in holds.items():
+            if applies:
+                outcomes.append(rule(G, H))
+            else:
+                with pytest.raises(WrongClassifierError):
+                    rule(G, H)
+        assert theorems.classify(G, H) == outcomes[0], spec

@@ -59,6 +59,14 @@ def test_d8_klein_four_is_a_code():
     assert not th.classify_a1_2group(d8, center).is_code
 
 
+def test_a1_classifier_rejects_wrong_groups():
+    # groups that are not 2-groups are turned away before any recognition runs
+    for spec in ["D(20)", "perm:(1 2 3),(1 2)(3 4)", "C(8)xC(2)", "D(16)"]:
+        g = build_family(spec)
+        with pytest.raises(WrongClassifierError):
+            th.classify_a1_2group(g, st.trivial_subgroup(g))
+
+
 def test_nonsquare_generator_rule():
     # cyclic subgroups of minimal nonabelian 2-groups are codes exactly when
     # a generator avoids the squares
