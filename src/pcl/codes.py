@@ -12,6 +12,11 @@ Four independent routes are implemented and cross-checked elsewhere:
   source of definitional truth; positive verdicts from the other routes are
   turned into a connection set and re-verified here, and for small groups an
   exhaustive sweep over all inverse-closed connection sets refutes negatives.
+  The sweep checks every set, in a fixed order, against the definition, many
+  sets per array operation: a set's domination counts are the sum of its
+  blocks' rows in one table of per-block counts (``hits``), plus one for the
+  vertices in the subgroup.  It uses neither the transversal lemma nor the
+  criteria, and the set it finds is re-verified like any other positive.
 """
 
 from __future__ import annotations
@@ -212,54 +217,61 @@ def connection_set_from_transversal(G: Group, H: Subgroup,
 
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:
     """Definition check: every vertex is at distance at most 1 from exactly
-    one element of C in the Cayley graph with connection set S."""
-    return _dominates_once(S.mask(), G.mult[:, G.inv[C.members]], C.members)
-
-
-def _dominates_once(smask: np.ndarray, neighbours: np.ndarray,
-                    code: np.ndarray) -> bool:
-    """Whether every vertex g is at distance at most 1 from exactly one code
-    element: g is adjacent to c_i when ``neighbours[g, i] = g c_i^-1`` lies
-    in the connection set ``smask``, and at distance 0 from c_i when g = c_i."""
-    counts = smask[neighbours].sum(axis=1)
-    counts[code] += 1
+    one element of C in the Cayley graph with connection set S.  Vertex g is
+    adjacent to c when g c^-1 lies in S, and at distance 0 from c when g = c."""
+    counts = S.mask()[G.mult[:, G.inv[C.members]]].sum(axis=1)
+    counts[C.members] += 1
     return bool((counts == 1).all())
 
 
-def inverse_closed_subsets(G: Group):
-    """Yield the masks of all inverse-closed subsets of G minus the identity.
-
-    Subsets are unions of basis blocks: singleton involutions and pairs
-    {x, x^-1}; enumeration is by ascending bitmask over the block list.
-    """
-    blocks: list[np.ndarray] = []
-    for x in range(1, G.order):
-        ix = int(G.inv[x])
-        if ix == x:
-            blocks.append(np.array([x], dtype=np.int64))
-        elif x < ix:
-            blocks.append(np.array([x, ix], dtype=np.int64))
-    for bits in range(1 << len(blocks)):
-        mask = np.zeros(G.order, dtype=bool)
-        b = bits
-        i = 0
-        while b:
-            if b & 1:
-                mask[blocks[i]] = True
-            b >>= 1
-            i += 1
-        yield mask
+SWEEP_CHUNK_BITS = 12  # 4,096 connection sets per chunk
 
 
 def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | None:
     """Brute force over every inverse-closed S: first S realizing H as a
-    perfect code, or None after exhausting all of them."""
+    perfect code, or None after exhausting all of them.
+
+    The sets are the unions of blocks, the involutions {x} and the pairs
+    {x, x^-1} in ascending order of their least element, taken by ascending
+    bitmask over that block list.  With ``hits[b, g]`` the number of c in H
+    for which g c^-1 lies in block b, the domination counts of the set with
+    bit vector ``bits`` are ``bits @ hits + [g in H]``, and H is a perfect
+    code with that set exactly when every count is 1.  The sets go in chunks
+    of 2^SWEEP_CHUNK_BITS that share their higher bits: the counts of the
+    low bits are tabulated once, and each chunk adds its higher bits' row.
+    """
     _require_subgroup_of(G, H)
-    neighbours = G.mult[:, G.inv[H.members]]
-    for mask in inverse_closed_subsets(G):
-        if _dominates_once(mask, neighbours, H.members):
-            return ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
+    elements = np.arange(1, G.order)
+    least = elements[G.inv[elements] >= elements]  # of each block, ascending
+    k = least.size
+    block = np.full(G.order, -1)  # the identity is in no block
+    block[least] = block[G.inv[least]] = np.arange(k)
+    # the smallest dtype for counts, which never exceed |H| + 1
+    hits = (block[G.mult[:, G.inv[H.members]]] == np.arange(k)[:, None, None]
+            ).sum(axis=2, dtype=np.min_scalar_type(H.order + 1))
+    low = min(k, SWEEP_CHUNK_BITS)
+    low_counts = _subset_sums(hits[:low]) + H.mask
+    for high in range(1 << (k - low)):
+        counts = low_counts + _bits(high, k - low).astype(hits.dtype) @ hits[low:]
+        found = np.flatnonzero((counts == 1).all(axis=1))
+        if found.size:
+            chosen = np.flatnonzero(_bits((high << low) | int(found[0]), k))
+            return ConnectionSet(G, tuple(np.flatnonzero(np.isin(block, chosen)).tolist()))
     return None
+
+
+def _bits(mask: int, width: int) -> np.ndarray:
+    """Bits 0 to width - 1 of ``mask``, lowest first."""
+    return mask >> np.arange(width) & 1
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row m is ``_bits(m) @ rows`` for every m below 2^len(rows), built by
+    doubling: the rows for one more bit are the ones so far plus that row."""
+    sums = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
 def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:

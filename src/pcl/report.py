@@ -39,9 +39,10 @@ def _oracle(entry: CatalogEntry, H: Subgroup) -> dict:
 
 
 def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
-    """Definition-level verdict: re-check a constructed connection set, or
-    exhaust all inverse-closed sets on small groups.  None when neither
-    route applies (no witness and the group is too large to sweep)."""
+    """Definition-level verdict: re-check a connection set built from the
+    transversal, or exhaust all inverse-closed sets on small groups and
+    re-check the one found.  None when neither route applies (no witness
+    and the group is too large to sweep)."""
     G = entry.group
     transversal = codes.find_inverse_closed_transversal(G, H)
     if transversal is not None:
@@ -53,7 +54,8 @@ def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
     found = codes.exhaustive_connection_set_search(G, H)
     if found is None:
         return {"is_code": False, "evidence": {"exhausted_all_sets": True}}
-    return {"is_code": True, "evidence": {"connection_set": list(found.members)}}
+    return {"is_code": codes.verify_perfect_code_in_cayley(G, found, H),
+            "evidence": {"connection_set": list(found.members)}}
 
 
 def _theorem(entry: CatalogEntry, H: Subgroup) -> dict | None:

@@ -8,7 +8,7 @@ import pytest
 
 from pcl import structure as st
 from pcl.catalog import default_catalog
-from pcl.codes import Transversal, Verdict
+from pcl.codes import ConnectionSet, Transversal, Verdict
 from pcl.groups import prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
@@ -231,6 +231,43 @@ def reference_transversal_search(G, H) -> Transversal | None:
     if not backtrack():
         return None
     return Transversal(G, H, tuple(assignment[k] for k in keys))
+
+
+def inverse_closed_subsets(G):
+    """Yield the masks of all inverse-closed subsets of G minus the identity.
+
+    Subsets are unions of basis blocks: singleton involutions and pairs
+    {x, x^-1}; enumeration is by ascending bitmask over the block list.
+    """
+    blocks: list[np.ndarray] = []
+    for x in range(1, G.order):
+        ix = int(G.inv[x])
+        if ix == x:
+            blocks.append(np.array([x], dtype=np.int64))
+        elif x < ix:
+            blocks.append(np.array([x, ix], dtype=np.int64))
+    for bits in range(1 << len(blocks)):
+        mask = np.zeros(G.order, dtype=bool)
+        b = bits
+        i = 0
+        while b:
+            if b & 1:
+                mask[blocks[i]] = True
+            b >>= 1
+            i += 1
+        yield mask
+
+
+def reference_exhaustive_search(G, H) -> ConnectionSet | None:
+    """The exhaustive sweep as the library ran it before the block-count
+    table: one mask at a time, each checked by the graph definition."""
+    neighbours = G.mult[:, G.inv[H.members]]
+    for mask in inverse_closed_subsets(G):
+        counts = mask[neighbours].sum(axis=1)
+        counts[H.members] += 1
+        if (counts == 1).all():
+            return ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
+    return None
 
 
 def reference_maximal_subgroups(H: Subgroup) -> list[Subgroup]:

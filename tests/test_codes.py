@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from pcl import codes, structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import (reference_criterion3, reference_criterion4,
+from conftest import (inverse_closed_subsets, reference_criterion3,
+                      reference_criterion4, reference_exhaustive_search,
                       reference_transversal_search)
 
 
@@ -128,7 +131,7 @@ def test_connection_set_invariants(d8):
 def test_exhaustive_refutation_on_c4_center(c4):
     center = st.subgroup_generated(c4, [2])
     # inverse-closed identity-free subsets of C4: {}, {g^2}, {g,g^3}, {g,g^3,g^2}
-    masks = list(codes.inverse_closed_subsets(c4))
+    masks = list(inverse_closed_subsets(c4))
     assert len(masks) == 4
     for mask in masks:
         members = tuple(np.flatnonzero(mask).tolist())
@@ -136,7 +139,50 @@ def test_exhaustive_refutation_on_c4_center(c4):
             continue
         s = codes.ConnectionSet(c4, members)
         assert not codes.verify_perfect_code_in_cayley(c4, s, center)
+    assert reference_exhaustive_search(c4, center) is None
     assert codes.exhaustive_connection_set_search(c4, center) is None
+
+
+def assert_same_exhaustive_result(G, H):
+    """Both sweeps refute, or both return the same first connection set."""
+    found = codes.exhaustive_connection_set_search(G, H)
+    expected = reference_exhaustive_search(G, H)
+    assert (None if found is None else found.members) == \
+        (None if expected is None else expected.members), H.members.tolist()
+
+
+@pytest.mark.parametrize("spec, subgroups", [
+    ("C(1)", 1), ("Q8xC(2)", 19), ("D(8)xC(2)", 35), ("SD(C(3);C(4);1->2)", 8)])
+def test_exhaustive_search_matches_reference_off_catalog(spec, subgroups):
+    G = build_family(spec)
+    assert len(st.all_subgroups(G)) == subgroups
+    for H in st.all_subgroups(G):
+        assert_same_exhaustive_result(G, H)
+
+
+def test_exhaustive_search_matches_reference_on_small_catalog_groups(catalog):
+    pairs = 0
+    for entry in catalog:
+        if entry.group.order <= 16:
+            for H in st.all_subgroups(entry.group):
+                assert_same_exhaustive_result(entry.group, H)
+                pairs += 1
+    assert pairs == 308
+
+
+def test_exhaustive_search_memory_stays_flat():
+    # EA(2,4) has 15 blocks, so 2^15 sets; D(8)xC(2) (13 blocks) refutes
+    # some subgroups, which runs every chunk
+    for spec in ["EA(2,4)", "D(8)xC(2)"]:
+        G = build_family(spec)
+        for H in st.all_subgroups(G):
+            tracemalloc.start()
+            try:
+                codes.exhaustive_connection_set_search(G, H)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (spec, H.members.tolist(), peak)
 
 
 def test_exhaustive_search_agrees_with_criterion_small():

@@ -78,6 +78,20 @@ def test_cayley_method_exhausts_small_negatives():
     assert center["verdicts"]["cayley"]["evidence"] == {"exhausted_all_sets": True}
 
 
+def test_cayley_method_reverifies_an_exhaustive_positive(monkeypatch):
+    # with the oracle stubbed out, the sweep decides the trivial subgroup of
+    # C(4); its set is a verdict only as the graph definition judges it
+    entry = build_entry("C(4)", "C(4)")
+    trivial = next(H for H in structure.all_subgroups(entry.group) if H.order == 1)
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: None)
+    checked = []
+    monkeypatch.setattr(codes, "verify_perfect_code_in_cayley",
+                        lambda G, S, C: checked.append((S.members, C)) or False)
+    assert report.ROUTES["cayley"](entry, trivial) == {
+        "is_code": False, "evidence": {"connection_set": [1, 2, 3]}}
+    assert checked == [((1, 2, 3), trivial)]
+
+
 def test_cayley_method_not_applicable_above_limit():
     entry = build_entry("C(32)", "C(32)")
     records = report.entry_records(entry)
