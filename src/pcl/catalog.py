@@ -67,15 +67,8 @@ def default_catalog_specs() -> list[tuple[str, str]]:
         ("A5", "perm:(1 2 3 4 5),(1 2 3)"),
         ("F20", "SD(C(5);C(4);1->2)"),
         ("C7:C3", "SD(C(7);C(3);1->2)"),
-        ("D12", "D(12)"),
     ])
-    seen = set()
-    unique: list[tuple[str, str]] = []
-    for label, spec in pairs:
-        if spec not in seen:
-            seen.add(spec)
-            unique.append((label, spec))
-    return unique
+    return pairs
 
 
 def default_catalog() -> list[CatalogEntry]:

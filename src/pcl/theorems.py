@@ -3,9 +3,9 @@
 Each classifier implements a closed-form rule for one class of groups and is
 differentially tested against the coset criterion.  All rules are evaluated
 against a recognition witness (explicit generators inside the concrete
-group), never against an abstract presentation; family membership is decided
-by element-set equality of generated subgroups.  ``classify`` chooses the rule
-that applies to a group.
+group), never against an abstract presentation; membership in the classified
+two-generator shapes is decided by Burnside's basis theorem against the
+Frattini subgroup.  ``classify`` chooses the rule that applies to a group.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ def _family_shapes(n2: int, m2: int):
     """Shape table for the nonmetacyclic group with parameters (n2, m2).
 
     Each entry is (label, parameter names, range lists, generator builder);
-    exponent parameters range over residues modulo the relevant element
-    orders, so every subgroup the unbounded shapes describe is produced.
+    a builder returns the exponent triples (x, y, z) of the two generators
+    a^x b^y c^z.  Exponent parameters range over residues modulo the
+    relevant element orders, so every subgroup the unbounded shapes describe
+    is produced.
     The constraint on k is 2^k divides 2^n2 * j (always met when j = 0).
     """
     qa, qb = 2 ** n2, 2 ** m2
@@ -130,28 +132,21 @@ def _family_shapes(n2: int, m2: int):
 
     shapes = []
     if n2 == 1:
-        shapes.append(("<a c^s, b^2>", ("s",), lambda s: ((("a", 1), ("c", s)), (("b", 2),))))
+        shapes.append(("<a c^s, b^2>", ("s",), lambda s: ((1, 0, s), (0, 2, 0))))
         shapes.append(("<a b^2j c^s, b^(2^k r) c>", ("j", "s", "k", "r"),
-                       lambda j, s, k, r: ((("a", 1), ("b", 2 * j), ("c", s)),
-                                           (("b", (2 ** k) * r), ("c", 1)))))
-        shapes.append(("<a b^t, c>", ("t",), lambda t: ((("a", 1), ("b", t)), (("c", 1),))))
-        shapes.append(("<a^t b^d, c>", ("t", "d"),
-                       lambda t, d: ((("a", t), ("b", d)), (("c", 1),))))
+                       lambda j, s, k, r: ((1, 2 * j, s), (0, (2 ** k) * r, 1))))
+        shapes.append(("<a b^t, c>", ("t",), lambda t: ((1, t, 0), (0, 0, 1))))
+        shapes.append(("<a^t b^d, c>", ("t", "d"), lambda t, d: ((t, d, 0), (0, 0, 1))))
     else:
-        shapes.append(("<a^d c^s, b^2>", ("d", "s"),
-                       lambda d, s: ((("a", d), ("c", s)), (("b", 2),))))
+        shapes.append(("<a^d c^s, b^2>", ("d", "s"), lambda d, s: ((d, 0, s), (0, 2, 0))))
         shapes.append(("<a^d b^2j c^s, b^(2^k r) c>", ("d", "j", "s", "k", "r"),
-                       lambda d, j, s, k, r: ((("a", d), ("b", 2 * j), ("c", s)),
-                                              (("b", (2 ** k) * r), ("c", 1)))))
+                       lambda d, j, s, k, r: ((d, 2 * j, s), (0, (2 ** k) * r, 1))))
         shapes.append(("<a^t b^d c^s, a^2>", ("t", "d", "s"),
-                       lambda t, d, s: ((("a", t), ("b", d), ("c", s)), (("a", 2),))))
+                       lambda t, d, s: ((t, d, s), (2, 0, 0))))
         shapes.append(("<a^t b^d c^s, a^(2^l r) c>", ("t", "d", "s", "l", "r"),
-                       lambda t, d, s, l, r: ((("a", t), ("b", d), ("c", s)),
-                                              (("a", (2 ** l) * r), ("c", 1)))))
-        shapes.append(("<a^d b^t, c>", ("d", "t"),
-                       lambda d, t: ((("a", d), ("b", t)), (("c", 1),))))
-        shapes.append(("<a^t b^d, c>", ("t", "d"),
-                       lambda t, d: ((("a", t), ("b", d)), (("c", 1),))))
+                       lambda t, d, s, l, r: ((t, d, s), ((2 ** l) * r, 0, 1))))
+        shapes.append(("<a^d b^t, c>", ("d", "t"), lambda d, t: ((d, t, 0), (0, 0, 1))))
+        shapes.append(("<a^t b^d, c>", ("t", "d"), lambda t, d: ((t, d, 0), (0, 0, 1))))
 
     def ranges(label: str, names: tuple[str, ...],
                partial: dict[str, int]) -> list[int]:
@@ -188,52 +183,52 @@ def _family_shapes(n2: int, m2: int):
 
 
 def _family_candidates(G: Group, rec: FamilyRecognition):
-    """All candidate (shape, params, generators, member-mask) tuples, cached."""
+    """((label, params) of each candidate, g1 array, g2 array), cached."""
     return G.memo("family_candidates", lambda: _build_family_candidates(G, rec))
 
 
 def _build_family_candidates(G: Group, rec: FamilyRecognition):
-    n2, m2 = rec.params
-    a, b, c = rec.witness
-    powers = {"a": a, "b": b, "c": c}
-
-    def element(word) -> int:
-        out = 0
-        for sym, exp in word:
-            out = G.mul(out, G.power(powers[sym], exp))
-        return out
-
-    candidates = []
-    seen_pair: dict[tuple[int, int], np.ndarray] = {}
-    for label, names, combos, builder in _family_shapes(n2, m2):
+    entries, words = [], []
+    for label, _, combos, builder in _family_shapes(*rec.params):
         for params in combos:
-            words = builder(**params)
-            g1, g2 = element(words[0]), element(words[1])
-            pair = (g1, g2)
-            members = seen_pair.get(pair)
-            if members is None:
-                members = G.closure([g1, g2])
-                seen_pair[pair] = members
-            candidates.append((label, params, pair, members.tobytes()))
-    return candidates
+            entries.append((label, params))
+            words.append(builder(**params))
+    exps = np.array(words)  # axes: candidate, generator, witness a/b/c
+    factors = []
+    for i, g in enumerate(rec.witness):
+        powers = np.array([G.power(g, k) for k in range(G.element_order(g))])
+        factors.append(powers[exps[..., i]])
+    mult = G.mult
+    gens = mult[mult[factors[0], factors[1]], factors[2]]
+    return entries, gens[:, 0], gens[:, 1]
 
 
 def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:
-    """First classified shape whose generated subgroup equals H, if any.
+    """First classified shape, in enumeration order, whose two generators
+    generate H, if any.
 
-    Only noncyclic proper nontrivial subgroups can match; other inputs
-    return None.
+    By Burnside's basis theorem, g1 and g2 generate a noncyclic 2-group H
+    exactly when |H : Phi(H)| = 4, both lie in H, and none of g1, g2 and
+    g1 g2 lies in Phi(H).  The test runs over every candidate pair at once
+    and builds no subgroup.  Only noncyclic proper nontrivial subgroups can
+    match; other inputs return None.
     """
     if rec.tag != "nonmetacyclic":
         raise WrongClassifierError("match_theorem_family needs a nonmetacyclic recognition")
     G = H.parent
     if H.is_trivial or H.is_full or H.is_cyclic:
         return None
-    target = H.members.tobytes()
-    for label, params, pair, members in _family_candidates(G, rec):
-        if members == target:
-            return FamilyMatch(label, dict(params), pair)
-    return None
+    phi = frattini(H)
+    if H.order != 4 * phi.order:
+        return None
+    entries, g1, g2 = _family_candidates(G, rec)
+    outside_phi = H.mask & ~phi.mask
+    hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    label, params = entries[i]
+    return FamilyMatch(label, dict(params), (int(g1[i]), int(g2[i])))
 
 
 def dihedral_classify(G: Group, H: Subgroup) -> ClassificationOutcome:

@@ -14,6 +14,7 @@ from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
                            _sylow_within)
+from pcl.theorems import FamilyMatch, _family_shapes
 
 
 @pytest.fixture(scope="session")
@@ -268,6 +269,40 @@ def reference_exhaustive_search(G, H) -> ConnectionSet | None:
         if (counts == 1).all():
             return ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
     return None
+
+
+def reference_family_match(rec, H: Subgroup) -> FamilyMatch | None:
+    """The first classified shape whose generated subgroup equals H, as
+    ``match_theorem_family`` found it before Burnside's test: each word
+    evaluated by ``G.power``, the closure of each distinct generator pair,
+    and member sets compared."""
+    G = H.parent
+    if H.is_trivial or H.is_full or H.is_cyclic:
+        return None
+    target = H.members.tobytes()
+    for label, params, pair, members in G.memo(
+            "reference_family_candidates", lambda: _reference_family_candidates(G, rec)):
+        if members == target:
+            return FamilyMatch(label, dict(params), pair)
+    return None
+
+
+def _reference_family_candidates(G, rec):
+    def element(word) -> int:
+        out = 0
+        for g, exp in zip(rec.witness, word):
+            out = G.mul(out, G.power(g, exp))
+        return out
+
+    candidates = []
+    seen_pair: dict[tuple[int, int], bytes] = {}
+    for label, _, combos, builder in _family_shapes(*rec.params):
+        for params in combos:
+            pair = tuple(element(word) for word in builder(**params))
+            if pair not in seen_pair:
+                seen_pair[pair] = G.closure(pair).tobytes()
+            candidates.append((label, params, pair, seen_pair[pair]))
+    return candidates
 
 
 def reference_maximal_subgroups(H: Subgroup) -> list[Subgroup]:

@@ -507,6 +507,13 @@ def test_verify_record_content_matches_golden_digest(tmp_path):
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def test_default_catalog_specs_and_labels_are_unique():
+    pairs = default_catalog_specs()
+    assert len(pairs) == 131
+    assert len({spec for _, spec in pairs}) == 131
+    assert len({label for label, _ in pairs}) == 131
+
+
 CATALOG_DIGEST = "f9fab2613ca5cd460109fbfcedd2c410579d729ac9e75ef72474fa7e1ac43140"
 
 

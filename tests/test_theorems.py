@@ -5,7 +5,10 @@ import pytest
 
 from pcl import codes, structure as st, theorems as th
 from pcl.errors import WrongClassifierError
+from pcl.groups import Group
 from pcl.specs import build_family
+
+from conftest import reference_family_match
 
 
 def test_abelian_classifier_examples():
@@ -115,6 +118,35 @@ def test_match_theorem_family_examples():
     m2 = th.match_theorem_family(rec, H2)
     assert m2 is not None and m2.family == "<a^t b^d c^s, a^2>"
     assert (m2.params["t"], m2.params["d"], m2.params["s"]) == (1, 1, 1)
+
+
+def test_family_match_equals_the_closure_reference(catalog):
+    groups = [e.group for e in catalog
+              if e.label.startswith("M2(") and e.label.count(",") == 2]
+    assert len(groups) == 8
+    for spec, count in [("M2(1,6,1)", 67), ("M2(2,5,1)", 131), ("M2(3,4,1)", 195)]:
+        g = build_family(spec)
+        assert len(st.all_subgroups(g)) == count
+        groups.append(g)
+    for g in groups:
+        rec = st.recognize_a1_family(g)
+        for S in st.all_subgroups(g):
+            assert th.match_theorem_family(rec, S) == reference_family_match(rec, S), \
+                (g.label, S.members.tolist())
+
+
+def test_family_match_builds_no_closure(monkeypatch):
+    g = build_family("M2(2,3,1)")
+    rec = st.recognize_a1_family(g)
+    subs = st.all_subgroups(g)
+    expected = [reference_family_match(rec, S) for S in subs]
+    assert sum(m is not None for m in expected) == 24
+
+    def no_closure(self, elems):
+        raise AssertionError(f"Group.closure was called on {self.label}")
+
+    monkeypatch.setattr(Group, "closure", no_closure)
+    assert [th.match_theorem_family(rec, S) for S in subs] == expected
 
 
 def test_family_match_implies_code():
