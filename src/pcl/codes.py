@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Group
+from .groups import Group, sorted_distinct
 from .structure import (Subgroup, full_subgroup, normalizer, subgroup_as_group,
                         _sylow_within)
 
@@ -255,8 +255,9 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
         counts = low_counts + _bits(high, k - low).astype(hits.dtype) @ hits[low:]
         found = np.flatnonzero((counts == 1).all(axis=1))
         if found.size:
-            chosen = np.flatnonzero(_bits((high << low) | int(found[0]), k))
-            return ConnectionSet(G, tuple(np.flatnonzero(np.isin(block, chosen)).tolist()))
+            chosen = least[np.flatnonzero(_bits((high << low) | int(found[0]), k))]
+            members = sorted_distinct(np.concatenate((chosen, G.inv[chosen])), G.order)
+            return ConnectionSet(G, tuple(members.tolist()))
     return None
 
 

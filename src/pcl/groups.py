@@ -40,6 +40,17 @@ def _check_order(n: int) -> None:
         raise SizeLimitError(f"group order {n} exceeds the cap PCL_MAX_ORDER={cap}")
 
 
+def _check_power_order(p: int, k: int) -> None:
+    """``_check_order(p ** k)`` for p >= 2, decided without building p ** k:
+    for a large k that integer is slow to build and too long to print."""
+    cap = max_order()
+    n = 1
+    for _ in range(k):
+        n *= p
+        if n > cap:
+            raise SizeLimitError(f"group order {p}^{k} exceeds the cap PCL_MAX_ORDER={cap}")
+
+
 class Group:
     """Immutable finite group over element indices, identity at index 0.
 
@@ -124,6 +135,12 @@ class Group:
     def squares(self) -> np.ndarray:
         """Vector of g*g for every g."""
         return self.memo("squares", lambda: _readonly(self.mult.diagonal().copy()))
+
+    @property
+    def square_mask(self) -> np.ndarray:
+        """Mask of the elements of the form y*y."""
+        return self.memo("square_mask",
+                         lambda: _readonly(index_mask(self.squares, self.order)))
 
     @property
     def conj_table(self) -> np.ndarray:
@@ -221,6 +238,21 @@ class Group:
                 raise ValueError(f"associativity fails in {self.label}")
 
 
+def index_mask(values, n: int) -> np.ndarray:
+    """Boolean mask over range(n) of the integer array ``values``, whose
+    entries lie in range(n)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[values] = True
+    return mask
+
+
+def sorted_distinct(values, n: int) -> np.ndarray:
+    """``np.unique(values)`` for integers in range(n), read off
+    ``index_mask``.  It sorts nothing, and it keeps numpy.ma unloaded,
+    which np.unique, np.union1d and np.isin import on first call."""
+    return np.flatnonzero(index_mask(values, n)).astype(np.int32)
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -245,7 +277,7 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"EA(p,k) requires p prime, got p={p}")
     if k < 0:
         raise GroupSpecError(f"EA(p,k) requires k >= 0, got k={k}")
-    _check_order(p ** k)
+    _check_power_order(p, k)
     group = cyclic(1)
     for _ in range(k):
         group = direct_product(group, cyclic(p))
@@ -292,8 +324,8 @@ def metacyclic_m2(n1: int, m1: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"M2(n1,m1) requires n1 >= 2, got n1={n1}")
     if m1 < 1:
         raise GroupSpecError(f"M2(n1,m1) requires m1 >= 1, got m1={m1}")
+    _check_power_order(2, n1 + m1)
     na, nb = 2 ** n1, 2 ** m1
-    _check_order(na * nb)
     r = 1 + 2 ** (n1 - 1)  # r*r = 1 mod 2^n1, so conjugation by any odd b-power is x -> x^r
     idx = np.arange(na * nb)
     i1, j1 = (idx // nb)[:, None], (idx % nb)[:, None]
@@ -316,8 +348,8 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
             f"M2(n2,m2,1) requires 1 <= n2 <= m2 after normalization, got ({n2},{m2})")
     if n2 + m2 < 3:
         raise GroupSpecError(f"M2(n2,m2,1) requires n2 + m2 >= 3, got ({n2},{m2})")
+    _check_power_order(2, n2 + m2 + 1)
     na, nb = 2 ** n2, 2 ** m2
-    _check_order(na * nb * 2)
     idx = np.arange(na * nb * 2)
     i1, j1, k1 = (idx // (2 * nb))[:, None], ((idx // 2) % nb)[:, None], (idx % 2)[:, None]
     i2, j2, k2 = (idx // (2 * nb))[None, :], ((idx // 2) % nb)[None, :], (idx % 2)[None, :]
@@ -403,7 +435,7 @@ def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarr
         frontier = nxt
     if (phi == -1).any():
         raise GroupSpecError("SD action generators do not generate the normal factor")
-    if len(np.unique(phi)) != n:
+    if not index_mask(phi, n).all():
         raise GroupSpecError("SD action is not a bijection")
     if not np.array_equal(phi[normal.mult], normal.mult[np.ix_(phi, phi)]):
         raise GroupSpecError("SD action is not an automorphism")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 
 import numpy as np
@@ -173,8 +172,10 @@ def _run_entry(job: tuple[str, str, tuple[str, ...]]) -> tuple[dict, list[dict]]
 
 def _entry_results(jobs: list, workers: int):
     """Each job's result of ``_run_entry``, in job order, as each arrives.
-    Closing the generator early cancels the jobs no worker has taken up."""
+    Closing the generator early cancels the jobs no worker has taken up.
+    The pool machinery is imported only here, so a serial run never loads it."""
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             yield from pool.map(_run_entry, jobs)

@@ -180,7 +180,10 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter's digit limit
+            raise self.error("integer too long") from None
 
     def parse_spec(self) -> GroupSpec:
         factors = [self.parse_atom()]

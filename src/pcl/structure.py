@@ -17,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, max_order, prime_power, _is_prime, _readonly
+from .groups import (Group, max_order, prime_power, sorted_distinct, _is_prime,
+                     _readonly)
 
 
 class Subgroup:
@@ -179,11 +180,12 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
     orders = G.element_orders()
     prime = np.zeros(n, dtype=np.int64)
     pth_power = np.zeros(n, dtype=np.int32)
-    for k in np.unique(orders).tolist():
+    # element orders and their primes lie in range(n + 1)
+    for k in sorted_distinct(orders, n + 1).tolist():
         pk = prime_power(k)
         if pk is not None:
             prime[orders == k] = pk[0]
-    for p in np.unique(prime[prime > 0]).tolist():
+    for p in sorted_distinct(prime[prime > 0], n + 1).tolist():
         power = idx
         for _ in range(p - 1):
             power = G.mult[power, idx]
@@ -203,7 +205,7 @@ def _is_solvable(G: Group) -> bool:
 def _commutators(G: Group, members: np.ndarray) -> np.ndarray:
     """Sorted distinct commutators a^-1 b^-1 a b over members a, b."""
     a, b = members[:, None], members[None, :]
-    return np.unique(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+    return sorted_distinct(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]], G.order)
 
 
 def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
@@ -275,7 +277,8 @@ def _frattini(H: Subgroup) -> Subgroup:
     gens = pth_power[H.members]
     # for p = 2 the squares suffice: [a, b] = a^-2 (ab^-1)^2 b^2
     if H.order % 2:
-        gens = np.union1d(gens, _commutators(G, H.members))
+        gens = sorted_distinct(np.concatenate((gens, _commutators(G, H.members))),
+                               G.order)
     return subgroup_generated(G, gens.tolist())
 
 
@@ -357,7 +360,7 @@ def omega1(G: Group) -> Subgroup:
 
 def squares_set(G: Group) -> np.ndarray:
     """Sorted indices of elements of the form y*y."""
-    return np.unique(G.squares)
+    return sorted_distinct(G.squares, G.order)
 
 
 def min_generators(H: Subgroup) -> int:

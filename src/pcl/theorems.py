@@ -17,7 +17,7 @@ import numpy as np
 from .errors import WrongClassifierError
 from .groups import Group
 from .structure import (FamilyRecognition, Subgroup, frattini, full_subgroup,
-                        recognize_a1_family, recognize_dihedral, squares_set,
+                        recognize_a1_family, recognize_dihedral,
                         subgroup_generated, sylow, sylow_containing,
                         _sylow_within, _is_2group)
 
@@ -94,10 +94,9 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     if rec.tag == "q8":
         return ClassificationOutcome(False, CLAUSE_Q8)
     if H.is_cyclic:
-        sq = squares_set(G)
         orders = G.element_orders()
         gens = H.members[orders[H.members] == H.order]
-        nonsquare = bool((~np.isin(gens, sq)).any())
+        nonsquare = bool((~G.square_mask[gens]).any())
         return ClassificationOutcome(nonsquare, CLAUSE_NONSQUARE)
     if rec.tag == "metacyclic":
         if rec.params == (2, 1):

@@ -328,6 +328,37 @@ def reference_frattini(H: Subgroup) -> np.ndarray:
     return mask
 
 
+def reference_squares_set(G) -> np.ndarray:
+    """``structure.squares_set`` as the library computed it with np.unique."""
+    return np.unique(G.squares)
+
+
+def reference_commutators(G, members: np.ndarray) -> np.ndarray:
+    """``structure._commutators`` as the library computed it with np.unique."""
+    a, b = members[:, None], members[None, :]
+    return np.unique(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+
+
+def reference_prime_power_table(G) -> tuple[np.ndarray, np.ndarray]:
+    """``structure._prime_power_table`` as the library computed it with
+    np.unique."""
+    n = G.order
+    idx = np.arange(n, dtype=np.int32)
+    orders = G.element_orders()
+    prime = np.zeros(n, dtype=np.int64)
+    pth_power = np.zeros(n, dtype=np.int32)
+    for k in np.unique(orders).tolist():
+        pk = prime_power(k)
+        if pk is not None:
+            prime[orders == k] = pk[0]
+    for p in np.unique(prime[prime > 0]).tolist():
+        power = idx
+        for _ in range(p - 1):
+            power = G.mult[power, idx]
+        pth_power[prime == p] = power[prime == p]
+    return prime, pth_power
+
+
 def reference_class_counts(G, is_code) -> tuple[int, int]:
     """(classes, code classes) of the subgroups of G, as the library counted
     them before orbit counting: list every conjugate of each new subgroup

@@ -181,6 +181,17 @@ def test_size_limit_on_construction(monkeypatch):
     assert groups.cyclic(16).order == 16
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("EA(2,99999)", "2^99999"), ("M2(99999,1)", "2^100000"),
+    ("M2(1,99999,1)", "2^100001"), ("M2(2,8)", "2^10")])
+def test_size_limit_names_a_power_order_briefly(spec, order, monkeypatch):
+    # 2^99999 has more decimal digits than str() formats by default
+    monkeypatch.setenv("PCL_MAX_ORDER", "512")
+    with pytest.raises(SizeLimitError) as caught:
+        build_family(spec)
+    assert str(caught.value) == f"group order {order} exceeds the cap PCL_MAX_ORDER=512"
+
+
 def test_raw_table_roundtrip():
     g = build_family("D(8)")
     text = "\n".join(" ".join(str(int(x)) for x in row) for row in g.mult)

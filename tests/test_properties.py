@@ -5,9 +5,10 @@ from __future__ import annotations
 from math import gcd, prod
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as stst
+from hypothesis import assume, example, given, settings, strategies as stst
 
 from pcl import codes, structure as st, theorems as th
+from pcl.groups import index_mask, sorted_distinct
 from pcl.specs import build_family, parse_group_spec
 
 from conftest import (assert_structure_matches_references,
@@ -41,6 +42,29 @@ def test_generated_subgroup_properties(spec, data):
     assert all(int(x) in H for x in gens)
     sub = g.mult[np.ix_(H.members, H.members)]
     assert set(np.unique(sub).tolist()) == set(H.members.tolist())
+
+
+@stst.composite
+def index_arrays(draw):
+    """(n, a, b): two int32 arrays of values in range(n), empty ones too."""
+    n = draw(stst.integers(1, 70))
+    values = stst.lists(stst.integers(0, n - 1), max_size=2 * n)
+    return n, np.array(draw(values), dtype=np.int32), np.array(draw(values), dtype=np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_arrays())
+@example((1, np.array([], dtype=np.int32), np.array([], dtype=np.int32)))
+@example((5, np.array([4], dtype=np.int32), np.array([], dtype=np.int32)))
+@example((3, np.array([2, 0, 2], dtype=np.int32), np.array([1, 2], dtype=np.int32)))
+def test_sorted_distinct_equals_np_unique(case):
+    n, a, b = case
+    assert np.array_equal(sorted_distinct(a, n), np.unique(a))
+    assert sorted_distinct(a, n).tolist() == np.unique(a).tolist()
+    assert np.array_equal(sorted_distinct(np.concatenate((a, b)), n), np.union1d(a, b))
+    assert np.array_equal(index_mask(a, n)[b], np.isin(b, a))
+    if a.size % 2 == 0:  # the commutator site passes a 2-D array
+        assert np.array_equal(sorted_distinct(a.reshape(2, -1), n), np.unique(a))
 
 
 @settings(max_examples=60, deadline=None)

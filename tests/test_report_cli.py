@@ -177,6 +177,67 @@ def test_cli_verify_size_limit_exit_code(tmp_path, monkeypatch):
     assert len(out_file.read_text().splitlines()) == 6
 
 
+HUGE_SPECS = ["EA(2,99999)", "M2(99999,1)", "M2(1,99999,1)"]
+
+
+@pytest.mark.parametrize("spec", HUGE_SPECS)
+def test_cli_build_huge_parameters_exit_at_the_size_limit(spec):
+    code, _, err = run_cli("build", spec, env={"PCL_MAX_ORDER": "512"})
+    assert code == 3 and err.startswith("size limit: group order 2^")
+    assert "Traceback" not in err
+
+
+def test_cli_verify_counts_huge_parameters_as_size_limited(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PCL_MAX_ORDER", "512")
+    entries = [("Q8", "Q8")] + [(spec, spec) for spec in HUGE_SPECS]
+    summary, records = run_matrix(entries)
+    assert (summary["size_limited"], summary["spec_errors"]) == (3, 0)
+    assert [row["error"] for row in summary["rows"][1:]] == [
+        f"group order 2^{k} exceeds the cap PCL_MAX_ORDER=512"
+        for k in (99999, 100000, 100001)]
+    assert len(records) == 6
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["Q8", "M2(1,99999,1)"]))
+    assert main(["verify", "--catalog", str(spec_file),
+                 "--out", str(tmp_path / "r.jsonl")]) == 3
+    assert "M2(1,99999,1): group order 2^100001 exceeds" in capsys.readouterr().err
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+from pcl import cli, codes, structure
+from pcl.specs import build_family
+catalog, out = sys.argv[1:]
+code = cli.main(["verify", "--catalog", catalog, "--out", out, "--workers", "1"])
+# the index-set sites a verify run does not reach: the odd-p Frattini union,
+# squares_set and a sweep that finds a connection set
+c9 = build_family("C(9)")
+structure.frattini(structure.full_subgroup(c9))
+structure.squares_set(c9)
+c4 = build_family("C(4)")
+assert codes.exhaustive_connection_set_search(c4, structure.trivial_subgroup(c4))
+unused = ("numpy.ma", "multiprocessing", "concurrent.futures")
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if any(m == u or m.startswith(u + ".") for u in unused))]))
+"""
+
+
+def test_serial_verify_loads_no_pool_or_masked_array_modules(tmp_path):
+    # D(8) reaches the exhaustive sweep, A5 and C7:C3 the commutators, M2(2,1)
+    # the square mask, F20 and C7:C3 the SD bijection check; every lattice
+    # reaches the prime-power table
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(
+        ["D(8)", {"spec": "perm:(1 2 3 4 5),(1 2 3)", "label": "A5"},
+         {"spec": "SD(C(7);C(3);1->2)", "label": "C7:C3"}, "M2(2,1)",
+         "SD(C(5);C(4);1->2)"]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(spec_file),
+                           str(tmp_path / "r.jsonl")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 10 + 59 + 10 + 10 + 14
+
+
 def test_theorem_clause_mismatch_counts_as_finding_not_disagreement():
     # one noncyclic central subgroup of this group is a code by every
     # equivalence route but matches no classified shape; the matrix reports

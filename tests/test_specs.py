@@ -86,3 +86,8 @@ def test_build_family_examples():
     assert int((q8.squares == 0).sum()) == 2  # unique involution plus identity
     assert build_family("C(1)").order == 1
     assert build_family("M2(2,2,1)").order == 32
+
+
+def test_integer_past_the_digit_limit_is_a_spec_error():
+    with pytest.raises(GroupSpecError, match="integer too long"):
+        parse_group_spec("C(" + "9" * 5000 + ")")

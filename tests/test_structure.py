@@ -11,7 +11,9 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       assert_structure_matches_references,
                       assert_witnesses_match_references,
                       brute_force_min_generators, brute_force_subgroups,
-                      join_closure_subgroups, reference_greedy_generators)
+                      join_closure_subgroups, reference_commutators,
+                      reference_greedy_generators, reference_prime_power_table,
+                      reference_squares_set)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,21 @@ def test_squares_and_is_square():
     assert g.witness["c"] not in st.squares_set(g) and 0 in st.squares_set(g)
     c4 = build_family("C(4)")
     assert st.squares_set(c4).tolist() == [0, 2]
+
+
+def test_index_sets_match_the_np_unique_references_on_catalog(catalog):
+    small = [e.group for e in catalog if e.group.order <= 64]
+    assert len(small) > 60
+    for G in small:
+        squares = reference_squares_set(G)
+        assert np.array_equal(st.squares_set(G), squares), G.label
+        assert np.flatnonzero(G.square_mask).tolist() == squares.tolist(), G.label
+        for got, want in zip(st._prime_power_table(G), reference_prime_power_table(G)):
+            assert np.array_equal(got, want), G.label
+        subgroups = st.all_subgroups(G) if G.order <= 16 else [st.full_subgroup(G)]
+        for H in subgroups:
+            assert np.array_equal(st._commutators(G, H.members),
+                                  reference_commutators(G, H.members)), G.label
 
 
 def test_min_generators_against_bruteforce():
