@@ -24,12 +24,12 @@ from .groups import (Group, cyclic, dihedral, direct_product,
                      max_order, metacyclic_m2, nonmetacyclic_m2, quaternion,
                      semidirect_product)
 from .report import METHODS, render_summary_table, run_verification_matrix
-from .specs import build_family, parse_group_spec
+from .specs import build_family
 from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
                         derived_subgroup, frattini, full_subgroup, involutions,
                         is_minimal_nonabelian, maximal_subgroups,
                         min_generators, normalizer, omega1,
-                        recognize_a1_family, recognize_dihedral, squares_set,
+                        recognize_a1_family, recognize_dihedral,
                         subgroup_as_group, subgroup_generated, sylow,
                         sylow_containing, trivial_subgroup)
 from .theorems import (ClassificationOutcome, FamilyMatch, classify,

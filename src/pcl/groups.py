@@ -11,6 +11,7 @@ addressable by index; they are exposed on ``Group.witness``.
 from __future__ import annotations
 
 import os
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ def max_order() -> int:
 def _check_order(n: int) -> None:
     cap = max_order()
     if n > cap:
-        raise SizeLimitError(f"group order {n} exceeds the cap PCL_MAX_ORDER={cap}")
+        raise SizeLimitError(f"group order {_named(n)} exceeds the cap PCL_MAX_ORDER={cap}")
 
 
 def _check_power_order(p: int, k: int) -> None:
@@ -48,7 +49,14 @@ def _check_power_order(p: int, k: int) -> None:
     for _ in range(k):
         n *= p
         if n > cap:
-            raise SizeLimitError(f"group order {p}^{k} exceeds the cap PCL_MAX_ORDER={cap}")
+            raise SizeLimitError(f"group order {_named(p)}^{_named(k)} exceeds the cap "
+                                 f"PCL_MAX_ORDER={cap}")
+
+
+def _named(n: int) -> str:
+    """n in decimal, or by its digit count past 30 digits."""
+    digits = str(n)
+    return digits if len(digits) <= 30 else f"<{len(digits)}-digit number>"
 
 
 class Group:
@@ -273,7 +281,10 @@ def cyclic(n: int, label: str | None = None) -> Group:
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
-    if not _is_prime(p):
+    # for k >= 1 the order is at least p, so a p past the cap with no factor
+    # up to the cap is refused by the size limit, not trial divided for good
+    bound = max_order() if k >= 1 else p
+    if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), bound) + 1)):
         raise GroupSpecError(f"EA(p,k) requires p prime, got p={p}")
     if k < 0:
         raise GroupSpecError(f"EA(p,k) requires k >= 0, got k={k}")
@@ -340,12 +351,13 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
     """The minimal nonabelian group <a, b> with a^(2^n2) = b^(2^m2) = c^2 = 1,
     where c = [a, b] is central; order 2^(n2+m2+1).
 
-    Normal form a^i b^j c^k, index = (i * 2^m2 + j) * 2 + k.
-    Requires 1 <= n2 <= m2 and n2 + m2 >= 3.
+    Normal form a^i b^j c^k, index = (i * 2^m2 + j) * 2 + k.  The parameters
+    are put in the order n2 <= m2 (swapping the two generators); then
+    n2 >= 1 and n2 + m2 >= 3 are required.
     """
-    if n2 < 1 or n2 > m2:
-        raise GroupSpecError(
-            f"M2(n2,m2,1) requires 1 <= n2 <= m2 after normalization, got ({n2},{m2})")
+    n2, m2 = sorted((n2, m2))
+    if n2 < 1:
+        raise GroupSpecError(f"M2(n2,m2,1) requires n2 >= 1, got n2={n2}")
     if n2 + m2 < 3:
         raise GroupSpecError(f"M2(n2,m2,1) requires n2 + m2 >= 3, got ({n2},{m2})")
     _check_power_order(2, n2 + m2 + 1)

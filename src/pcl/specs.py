@@ -1,4 +1,4 @@
-"""The group description mini-language and its abstract syntax.
+"""The group description mini-language.
 
 Grammar (whitespace insignificant, except that points inside a permutation
 cycle are whitespace separated)::
@@ -14,134 +14,33 @@ cycle are whitespace separated)::
 D(2n) is the dihedral group of order 2n.  The SD action lists the images of
 enough elements to generate the normal factor under conjugation by the
 canonical generator of the (cyclic) acting factor.
+
+The parser turns each spec into its canonical label and a function that
+builds the group with the ``groups`` constructors, which check the
+parameters.  ``build_family`` parses the whole spec before it builds any of
+it, so a syntax error is reported first and parameter errors after it, from
+left to right.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from functools import reduce
+from typing import Callable
 
 from . import groups
 from .errors import GroupSpecError
 from .groups import Group
 
+# a spec's canonical label and the function that builds its group
+Parsed = tuple[str, Callable[[], Group]]
 
-@dataclass(frozen=True)
-class CyclicSpec:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise GroupSpecError(f"C(n) requires n >= 1, got n={self.n}")
-
-    def render(self) -> str:
-        return f"C({self.n})"
+# atom prefix -> (constructor, parameter count); M2 takes an optional ",1"
+_FAMILIES = {"C(": (groups.cyclic, 1), "EA(": (groups.elementary_abelian, 2),
+             "D(": (groups.dihedral, 1), "M2(": (groups.metacyclic_m2, 2)}
 
 
-@dataclass(frozen=True)
-class ElementaryAbelianSpec:
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if not groups._is_prime(self.p):
-            raise GroupSpecError(f"EA(p,k) requires p prime, got p={self.p}")
-        if self.k < 0:
-            raise GroupSpecError(f"EA(p,k) requires k >= 0, got k={self.k}")
-
-    def render(self) -> str:
-        return f"EA({self.p},{self.k})"
-
-
-@dataclass(frozen=True)
-class DihedralSpec:
-    order: int
-
-    def __post_init__(self):
-        if self.order < 2 or self.order % 2 != 0:
-            raise GroupSpecError(f"D(2n) requires an even order >= 2, got {self.order}")
-
-    def render(self) -> str:
-        return f"D({self.order})"
-
-
-@dataclass(frozen=True)
-class QuaternionSpec:
-    def render(self) -> str:
-        return "Q8"
-
-
-@dataclass(frozen=True)
-class MetacyclicSpec:
-    n1: int
-    m1: int
-
-    def __post_init__(self):
-        if self.n1 < 2:
-            raise GroupSpecError(f"M2(n1,m1) requires n1 >= 2, got n1={self.n1}")
-        if self.m1 < 1:
-            raise GroupSpecError(f"M2(n1,m1) requires m1 >= 1, got m1={self.m1}")
-
-    def render(self) -> str:
-        return f"M2({self.n1},{self.m1})"
-
-
-@dataclass(frozen=True)
-class NonmetacyclicSpec:
-    """Parameters are normalized so that n2 <= m2 (swap the two generators)."""
-
-    n2: int
-    m2: int
-
-    def __post_init__(self):
-        lo, hi = sorted((self.n2, self.m2))
-        object.__setattr__(self, "n2", lo)
-        object.__setattr__(self, "m2", hi)
-        if lo < 1:
-            raise GroupSpecError(f"M2(n2,m2,1) requires n2 >= 1, got n2={lo}")
-        if lo + hi < 3:
-            raise GroupSpecError(
-                f"M2(n2,m2,1) requires n2 + m2 >= 3, got ({lo},{hi})")
-
-    def render(self) -> str:
-        return f"M2({self.n2},{self.m2},1)"
-
-
-@dataclass(frozen=True)
-class SemidirectSpec:
-    normal: "GroupSpec"
-    acting: "GroupSpec"
-    action: tuple[tuple[int, int], ...]
-
-    def render(self) -> str:
-        pairs = ",".join(f"{g}->{h}" for g, h in self.action)
-        return f"SD({self.normal.render()};{self.acting.render()};{pairs})"
-
-
-@dataclass(frozen=True)
-class PermSpec:
-    """Generators as tuples of cycles; cycles as tuples of point labels."""
-
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def render(self) -> str:
-        gens = []
-        for cycles in self.generators:
-            gens.append("".join("(" + " ".join(map(str, c)) + ")" for c in cycles))
-        return "perm:" + ",".join(gens)
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    factors: tuple["GroupSpec", ...]
-
-    def render(self) -> str:
-        return "x".join(f.render() for f in self.factors)
-
-
-GroupSpec = Union[CyclicSpec, ElementaryAbelianSpec, DihedralSpec, QuaternionSpec,
-                  MetacyclicSpec, NonmetacyclicSpec, SemidirectSpec, PermSpec,
-                  ProductSpec]
+def _call(label: str, constructor, *params) -> Parsed:
+    return label, lambda: constructor(*params, label=label)
 
 
 class _Parser:
@@ -185,49 +84,42 @@ class _Parser:
         except ValueError:  # longer than the interpreter's digit limit
             raise self.error("integer too long") from None
 
-    def parse_spec(self) -> GroupSpec:
+    def parse_spec(self) -> Parsed:
         factors = [self.parse_atom()]
         while self.accept("x"):
             factors.append(self.parse_atom())
         if len(factors) == 1:
             return factors[0]
-        return ProductSpec(tuple(factors))
+        label = "x".join(factor_label for factor_label, _ in factors)
 
-    def parse_atom(self) -> GroupSpec:
+        def build() -> Group:
+            product = reduce(groups.direct_product, (make() for _, make in factors))
+            return Group(product.mult, label=label)
+        return label, build
+
+    def parse_atom(self) -> Parsed:
         self.skip_ws()
         if self.accept("Q8"):
-            return QuaternionSpec()
-        if self.accept("C("):
-            n = self.parse_int()
-            self.expect(")")
-            return CyclicSpec(n)
-        if self.accept("EA("):
-            p = self.parse_int()
-            self.expect(",")
-            k = self.parse_int()
-            self.expect(")")
-            return ElementaryAbelianSpec(p, k)
-        if self.accept("D("):
-            order = self.parse_int()
-            self.expect(")")
-            return DihedralSpec(order)
-        if self.accept("M2("):
-            first = self.parse_int()
-            self.expect(",")
-            second = self.parse_int()
-            if self.accept(","):
-                flag = self.parse_int()
-                if flag != 1:
-                    raise self.error("the third M2 parameter must be 1")
+            return "Q8", groups.quaternion
+        for prefix, (constructor, count) in _FAMILIES.items():
+            if self.accept(prefix):
+                params = [self.parse_int()]
+                for _ in range(count - 1):
+                    self.expect(",")
+                    params.append(self.parse_int())
+                if prefix == "M2(" and self.accept(","):
+                    if self.parse_int() != 1:
+                        raise self.error("the third M2 parameter must be 1")
+                    self.expect(")")
+                    # the label names the family as groups.nonmetacyclic_m2 does
+                    label = "M2({},{},1)".format(*sorted(params))
+                    return _call(label, groups.nonmetacyclic_m2, *params)
                 self.expect(")")
-                lo, hi = sorted((first, second))
-                return NonmetacyclicSpec(lo, hi)
-            self.expect(")")
-            return MetacyclicSpec(first, second)
+                return _call(prefix + ",".join(map(str, params)) + ")", constructor, *params)
         if self.accept("SD("):
-            normal = self.parse_spec()
+            normal_label, normal = self.parse_spec()
             self.expect(";")
-            acting = self.parse_spec()
+            acting_label, acting = self.parse_spec()
             self.expect(";")
             action = [self.parse_action_pair()]
             while True:
@@ -241,7 +133,10 @@ class _Parser:
                     self.pos = save
                     break
             self.expect(")")
-            return SemidirectSpec(normal, acting, tuple(action))
+            pairs = ",".join(f"{g}->{h}" for g, h in action)
+            label = f"SD({normal_label};{acting_label};{pairs})"
+            return label, lambda: groups.semidirect_product(normal(), acting(), action,
+                                                            label=label)
         if self.accept("perm:"):
             return self.parse_perm()
         raise self.error("expected a group atom (C, EA, D, Q8, M2, SD or perm:)")
@@ -252,7 +147,7 @@ class _Parser:
         h = self.parse_int()
         return (g, h)
 
-    def parse_perm(self) -> PermSpec:
+    def parse_perm(self) -> Parsed:
         generators = [self.parse_cycles()]
         while True:
             save = self.pos
@@ -263,9 +158,12 @@ class _Parser:
             else:
                 self.pos = save
                 break
-        return PermSpec(tuple(generators))
+        label = "perm:" + ",".join(
+            "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+            for cycles in generators)
+        return _call(label, groups.from_permutations, _perm_images(generators))
 
-    def parse_cycles(self) -> tuple[tuple[int, ...], ...]:
+    def parse_cycles(self) -> list[tuple[int, ...]]:
         cycles = []
         if self.peek() != "(":
             raise self.error("expected a cycle '(...)'")
@@ -281,25 +179,15 @@ class _Parser:
                 cycles.append(tuple(points))
         if not cycles:
             raise self.error("a permutation generator needs at least one nonempty cycle")
-        return tuple(cycles)
+        return cycles
 
 
-def parse_group_spec(text: str) -> GroupSpec:
-    """Parse the mini-language; raises GroupSpecError with a position."""
-    parser = _Parser(text)
-    spec = parser.parse_spec()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after group spec")
-    return spec
-
-
-def _perm_images(spec: PermSpec) -> list[tuple[int, ...]]:
-    points = sorted({p for cycles in spec.generators for c in cycles for p in c})
+def _perm_images(generators: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    points = sorted({p for cycles in generators for c in cycles for p in c})
     where = {p: i for i, p in enumerate(points)}
     n = len(points)
     images = []
-    for cycles in spec.generators:
+    for cycles in generators:
         gen = list(range(n))
         for cycle in cycles:
             # cycles of one generator compose left to right
@@ -311,32 +199,16 @@ def _perm_images(spec: PermSpec) -> list[tuple[int, ...]]:
     return images
 
 
-def build_family(spec: GroupSpec | str, label: str | None = None) -> Group:
-    """Build the group described by a GroupSpec or a spec string."""
-    if isinstance(spec, str):
-        spec = parse_group_spec(spec)
-    if isinstance(spec, CyclicSpec):
-        return groups.cyclic(spec.n, label=label)
-    if isinstance(spec, ElementaryAbelianSpec):
-        return groups.elementary_abelian(spec.p, spec.k, label=label)
-    if isinstance(spec, DihedralSpec):
-        return groups.dihedral(spec.order, label=label)
-    if isinstance(spec, QuaternionSpec):
-        return groups.quaternion(label=label or "Q8")
-    if isinstance(spec, MetacyclicSpec):
-        return groups.metacyclic_m2(spec.n1, spec.m1, label=label)
-    if isinstance(spec, NonmetacyclicSpec):
-        return groups.nonmetacyclic_m2(spec.n2, spec.m2, label=label)
-    if isinstance(spec, SemidirectSpec):
-        normal = build_family(spec.normal)
-        acting = build_family(spec.acting)
-        return groups.semidirect_product(normal, acting, spec.action,
-                                         label=label or spec.render())
-    if isinstance(spec, PermSpec):
-        return groups.from_permutations(_perm_images(spec), label=label or spec.render())
-    if isinstance(spec, ProductSpec):
-        built = build_family(spec.factors[0])
-        for factor in spec.factors[1:]:
-            built = groups.direct_product(built, build_family(factor))
-        return Group(built.mult, label=label or spec.render())
-    raise GroupSpecError(f"unknown spec node {spec!r}")
+def build_family(text: str, label: str | None = None) -> Group:
+    """Build the group a spec string describes, labelled ``label`` or else
+    by the spec's canonical form.  Raises GroupSpecError, with a position
+    for a syntax error, or SizeLimitError."""
+    parser = _Parser(text)
+    _, build = parser.parse_spec()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise parser.error("trailing input after group spec")
+    group = build()
+    if label:
+        group.label = label
+    return group

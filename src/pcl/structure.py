@@ -358,11 +358,6 @@ def omega1(G: Group) -> Subgroup:
     return subgroup_generated(G, involutions(G).tolist())
 
 
-def squares_set(G: Group) -> np.ndarray:
-    """Sorted indices of elements of the form y*y."""
-    return sorted_distinct(G.squares, G.order)
-
-
 def min_generators(H: Subgroup) -> int:
     """Minimal number of generators d(H).
 

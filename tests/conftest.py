@@ -329,7 +329,8 @@ def reference_frattini(H: Subgroup) -> np.ndarray:
 
 
 def reference_squares_set(G) -> np.ndarray:
-    """``structure.squares_set`` as the library computed it with np.unique."""
+    """The indices of ``G.square_mask``, as the library computed them with
+    np.unique."""
     return np.unique(G.squares)
 
 

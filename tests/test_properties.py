@@ -7,9 +7,9 @@ from math import gcd, prod
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as stst
 
-from pcl import codes, structure as st, theorems as th
+from pcl import codes, groups, structure as st, theorems as th
 from pcl.groups import index_mask, sorted_distinct
-from pcl.specs import build_family, parse_group_spec
+from pcl.specs import build_family
 
 from conftest import (assert_structure_matches_references,
                       assert_witnesses_match_references, join_closure_subgroups,
@@ -106,8 +106,10 @@ def test_abelian_rule_matches_criterion(spec, data):
 @settings(max_examples=50, deadline=None)
 @given(stst.integers(1, 32))
 def test_cyclic_spec_roundtrip(n):
-    spec = parse_group_spec(f"C({n})")
-    assert build_family(spec).order == n
+    g = build_family(f"C({n})")
+    assert g.label == f"C({n})" and np.array_equal(g.mult, groups.cyclic(n).mult)
+    again = build_family(g.label)
+    assert again.label == g.label and np.array_equal(again.mult, g.mult)
 
 
 @settings(max_examples=30, deadline=None)

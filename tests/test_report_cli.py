@@ -18,9 +18,9 @@ from pcl.errors import PclError, WrongClassifierError
 from conftest import reference_class_counts
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "pcl.cli", *args],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -187,6 +187,21 @@ def test_cli_build_huge_parameters_exit_at_the_size_limit(spec):
     assert "Traceback" not in err
 
 
+def test_cli_build_huge_prime_is_refused_at_the_size_limit():
+    # EA(p,1) has order p, so trial division of p stops at the cap
+    code, _, err = run_cli("build", "EA(1000000000000000000000000000057,1)",
+                           env={"PCL_MAX_ORDER": "512"}, timeout=10)
+    assert code == 3
+    assert err == ("size limit: group order <31-digit number>^1 exceeds the cap "
+                   "PCL_MAX_ORDER=512\n")
+
+
+def test_cli_build_size_limit_message_is_short():
+    code, _, err = run_cli("build", "C(" + "9" * 4000 + ")", env={"PCL_MAX_ORDER": "512"})
+    assert code == 3 and err.startswith("size limit: group order <4000-digit number>")
+    assert len(err.encode()) < 200
+
+
 def test_cli_verify_counts_huge_parameters_as_size_limited(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PCL_MAX_ORDER", "512")
     entries = [("Q8", "Q8")] + [(spec, spec) for spec in HUGE_SPECS]
@@ -209,11 +224,10 @@ from pcl import cli, codes, structure
 from pcl.specs import build_family
 catalog, out = sys.argv[1:]
 code = cli.main(["verify", "--catalog", catalog, "--out", out, "--workers", "1"])
-# the index-set sites a verify run does not reach: the odd-p Frattini union,
-# squares_set and a sweep that finds a connection set
+# the index-set sites a verify run does not reach: the odd-p Frattini union
+# and a sweep that finds a connection set
 c9 = build_family("C(9)")
 structure.frattini(structure.full_subgroup(c9))
-structure.squares_set(c9)
 c4 = build_family("C(4)")
 assert codes.exhaustive_connection_set_search(c4, structure.trivial_subgroup(c4))
 unused = ("numpy.ma", "multiprocessing", "concurrent.futures")

@@ -75,7 +75,7 @@ def test_nonsquare_generator_rule():
     # a generator avoids the squares
     for spec in ["D(8)", "M2(2,2)", "M2(3,1)", "M2(1,2,1)", "M2(2,2,1)"]:
         g = build_family(spec)
-        sq = st.squares_set(g)
+        sq = np.flatnonzero(g.square_mask)
         orders = g.element_orders()
         for S in st.all_subgroups(g):
             if not S.is_cyclic or S.is_trivial or S.is_full:
@@ -88,7 +88,7 @@ def test_nonsquare_generator_rule():
 def test_squareness_constant_across_cyclic_generators():
     for spec in ["Q8", "D(8)", "M2(2,2)", "M2(1,2,1)", "M2(2,2,1)", "C(16)"]:
         g = build_family(spec)
-        sq = set(st.squares_set(g).tolist())
+        sq = set(np.flatnonzero(g.square_mask).tolist())
         orders = g.element_orders()
         for S in st.all_subgroups(g):
             gens = [int(x) for x in S.members if orders[x] == S.order]
