@@ -20,19 +20,15 @@ def build_entry(label: str, spec_text: str) -> CatalogEntry:
     return CatalogEntry(label, build_family(spec_text, label=label))
 
 
-def _partitions(total: int):
-    """Partitions of ``total`` into nonincreasing positive parts."""
+def _partitions(total: int, cap: int | None = None):
+    """Partitions of ``total`` into nonincreasing positive parts of at most
+    ``cap`` (default ``total``)."""
     if total == 0:
         yield ()
         return
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-    yield from rec(total, total)
+    for part in range(min(total, total if cap is None else cap), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
 
 
 def default_catalog_specs() -> list[tuple[str, str]]:

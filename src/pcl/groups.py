@@ -281,14 +281,17 @@ def cyclic(n: int, label: str | None = None) -> Group:
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
-    # for k >= 1 the order is at least p, so a p past the cap with no factor
-    # up to the cap is refused by the size limit, not trial divided for good
-    bound = max_order() if k >= 1 else p
-    if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), bound) + 1)):
+    # trial division stops at the cap: a p past the cap with no factor up to
+    # it is refused by the size limit, not trial divided for good
+    cap = max_order()
+    if p < 2 or any(p % d == 0 for d in range(2, min(isqrt(p), cap) + 1)):
         raise GroupSpecError(f"EA(p,k) requires p prime, got p={p}")
     if k < 0:
         raise GroupSpecError(f"EA(p,k) requires k >= 0, got k={k}")
     _check_power_order(p, k)
+    if p > cap:
+        raise SizeLimitError(
+            f"EA(p,k) parameter p={_named(p)} exceeds the cap PCL_MAX_ORDER={cap}")
     group = cyclic(1)
     for _ in range(k):
         group = direct_product(group, cyclic(p))
@@ -522,17 +525,6 @@ def from_raw_table_text(text: str, label: str = "table") -> Group:
     except ValueError as exc:
         raise GroupSpecError(f"raw table is not a group table: {exc}")
     return group
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -17,8 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import (Group, max_order, prime_power, sorted_distinct, _is_prime,
-                     _readonly)
+from .groups import Group, max_order, prime_power, sorted_distinct, _readonly
 
 
 class Subgroup:
@@ -307,14 +306,14 @@ def _p_part(n: int, p: int) -> int:
 
 def sylow(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup of G, grown as in ``_sylow_within``."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise PreconditionError(f"sylow requires a prime, got {p}")
     return G.memo(("sylow", p), lambda: _sylow_within(G, full_subgroup(G), p, None))
 
 
 def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
     """A Sylow p-subgroup of G containing the p-group Q, grown from Q."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise PreconditionError(f"sylow_containing requires a prime, got {p}")
     if Q.order != 1:
         pk = prime_power(Q.order)
@@ -398,38 +397,6 @@ def is_minimal_nonabelian(G: Group) -> bool:
             and min_generators(full_subgroup(G)) == 2)
 
 
-def abelian_quotient_exponents(G: Group, N: Subgroup, p: int) -> tuple[int, ...]:
-    """Cyclic factor exponents (descending) of the abelian p-group G/N.
-
-    Counts solutions of x^(p^k) in N instead of building the quotient table;
-    the counts determine the factor type.
-    """
-    if not derived_subgroup(G).issubset(N):
-        raise PreconditionError("quotient is not abelian: commutators leave N")
-    n = G.order
-    logs = [0]
-    v = np.arange(n, dtype=np.int32)
-    while True:
-        u = v.copy()
-        for _ in range(p - 1):
-            u = G.mult[u, v]
-        v = u
-        count = int(N.mask[v].sum()) // N.order
-        k = 0
-        while count > 1:
-            count //= p
-            k += 1
-        logs.append(k)
-        if logs[-1] == logs[-2]:
-            break
-    at_least = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-    exps: list[int] = []
-    for k, m in enumerate(at_least, start=1):
-        nxt = at_least[k] if k < len(at_least) else 0
-        exps.extend([k] * (m - nxt))
-    return tuple(sorted(exps, reverse=True))
-
-
 @dataclass(frozen=True)
 class FamilyRecognition:
     """Outcome of testing a 2-group against the minimal nonabelian families.
@@ -452,11 +419,13 @@ def _is_2group(G: Group) -> bool:
 def recognize_a1_family(G: Group) -> FamilyRecognition:
     """Identify an abelian or minimal nonabelian 2-group, with witnesses.
 
-    Parameter recovery starts from the order and the abelianization type;
-    where two metacyclic parameter pairs share both invariants, the witness
-    search decides.  The witness is the least generating pair satisfying the
-    family's relations (``_least_generating_pair``).  The recognition is
-    kept in the group memo, so every caller reads the same one.
+    Above order 8 the family follows from the number of solutions of
+    x^2 = 1 (4 metacyclic, 8 nonmetacyclic) and its parameters from the
+    order and the exponent; where two metacyclic parameter pairs fit, the
+    witness search decides.  The witness is the least generating pair
+    satisfying the family's relations (``_least_generating_pair``).  The
+    recognition is kept in the group memo, so every caller reads the same
+    one.
     """
     if not _is_2group(G):
         raise PreconditionError(f"recognize_a1_family requires a 2-group, got order {G.order}")
@@ -472,24 +441,21 @@ def _recognize_a1(G: Group) -> FamilyRecognition:
         if involutions(G).size == 2:  # unique involution
             return FamilyRecognition("q8", None, _quaternion_pair(G))
         return FamilyRecognition("metacyclic", (2, 1), _metacyclic_pair(G, 2, 1))
-    om = omega1(G).order
+    # above order 8 the solutions of x^2 = 1 form Omega_1, of order 4 in the
+    # metacyclic family and 8 in the nonmetacyclic one; the exponent 2^e is
+    # the larger generator order
+    solutions = involutions(G).size
     log_order = G.order.bit_length() - 1
-    derived = derived_subgroup(G)
-    ab_type = abelian_quotient_exponents(G, derived, 2)
-    if om == 4:
-        # abelianization of the metacyclic family is (2^(n1-1), 2^m1)
-        alpha, beta = sorted(ab_type)
-        for n1, m1 in sorted({(alpha + 1, beta), (beta + 1, alpha)}):
-            if n1 >= 2 and m1 >= 1 and n1 + m1 == log_order:
-                witness = _metacyclic_pair(G, n1, m1)
-                if witness is not None:
-                    return FamilyRecognition("metacyclic", (n1, m1), witness)
-    elif om == 8:
-        n2, m2 = sorted(ab_type)
-        if n2 >= 1 and n2 + m2 + 1 == log_order:
-            witness = _nonmetacyclic_triple(G, n2, m2)
+    e = int(G.element_orders().max()).bit_length() - 1
+    if solutions == 4:
+        for n1, m1 in sorted({(e, log_order - e), (log_order - e, e)}):
+            witness = _metacyclic_pair(G, n1, m1)
             if witness is not None:
-                return FamilyRecognition("nonmetacyclic", (n2, m2), witness)
+                return FamilyRecognition("metacyclic", (n1, m1), witness)
+    elif solutions == 8:
+        witness = _nonmetacyclic_triple(G, log_order - 1 - e, e)
+        if witness is not None:
+            return FamilyRecognition("nonmetacyclic", (log_order - 1 - e, e), witness)
     raise RuntimeError(f"minimal nonabelian 2-group {G.label} matched no family")
 
 

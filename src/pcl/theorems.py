@@ -5,12 +5,16 @@ differentially tested against the coset criterion.  All rules are evaluated
 against a recognition witness (explicit generators inside the concrete
 group), never against an abstract presentation; membership in the classified
 two-generator shapes is decided by Burnside's basis theorem against the
-Frattini subgroup.  ``classify`` chooses the rule that applies to a group.
+Frattini subgroup.  Those shapes form one flat table, ``_family_table``: one
+row per shape and parameter values, each with the exponent words of its two
+generators in the witness, in a fixed enumeration order.  ``classify``
+chooses the rule that applies to a group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -84,11 +88,10 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     nonmetacyclic family, where membership in an explicit list of
     two-generator shapes decides.
     """
-    if not _is_2group(G) or recognize_a1_family(G).tag not in (
-            "q8", "metacyclic", "nonmetacyclic"):
+    rec = recognize_a1_family(G) if _is_2group(G) else None
+    if rec is None or rec.tag not in ("q8", "metacyclic", "nonmetacyclic"):
         raise WrongClassifierError(
             f"classify_a1_2group requires a minimal nonabelian 2-group, got {G.label}")
-    rec = recognize_a1_family(G)
     if H.is_trivial or H.is_full:
         return ClassificationOutcome(True, CLAUSE_TRIVIAL)
     if rec.tag == "q8":
@@ -110,75 +113,56 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     return ClassificationOutcome(match is not None, CLAUSE_FAMILY, match)
 
 
-def _odd_residues(modulus: int) -> list[int]:
-    return [d for d in range(1, max(modulus, 2)) if d % 2 == 1]
+def _family_table(n2: int, m2: int):
+    """Shape table for the nonmetacyclic group with parameters (n2, m2):
+    (label, params, (word1, word2)) for every candidate, where a word is the
+    exponent triple (x, y, z) of a generator a^x b^y c^z.
 
-
-def _family_shapes(n2: int, m2: int):
-    """Shape table for the nonmetacyclic group with parameters (n2, m2).
-
-    Each entry is (label, parameter names, range lists, generator builder);
-    a builder returns the exponent triples (x, y, z) of the two generators
-    a^x b^y c^z.  Exponent parameters range over residues modulo the
-    relevant element orders, so every subgroup the unbounded shapes describe
-    is produced.
-    The constraint on k is 2^k divides 2^n2 * j (always met when j = 0).
-    """
+    Exponent parameters range over residues modulo the relevant element
+    orders, so every subgroup the unbounded shapes describe is produced:
+    t over all residues, d and r over odd ones, s over {0, 1}.  In
+    b^(2^k r), 2^k divides 2^n2 * j (always met when j = 0)."""
     qa, qb = 2 ** n2, 2 ** m2
+    S, odd_a, odd_b = (0, 1), range(1, qa, 2), range(1, qb, 2)
 
-    def v2(x: int) -> int:
-        return (x & -x).bit_length() - 1 if x else 10 ** 9
+    def k_r(j: int):
+        top = m2 - 1 if j == 0 else min(m2 - 1, n2 + (j & -j).bit_length() - 1)
+        return [(k, r) for k in range(1, top + 1) for r in range(1, 2 ** (m2 - k), 2)]
 
-    shapes = []
+    l_r = [(l, r) for l in range(1, n2) for r in range(1, 2 ** (n2 - l), 2)]
+    # (label, one letter per parameter, parameter values, generator words)
     if n2 == 1:
-        shapes.append(("<a c^s, b^2>", ("s",), lambda s: ((1, 0, s), (0, 2, 0))))
-        shapes.append(("<a b^2j c^s, b^(2^k r) c>", ("j", "s", "k", "r"),
-                       lambda j, s, k, r: ((1, 2 * j, s), (0, (2 ** k) * r, 1))))
-        shapes.append(("<a b^t, c>", ("t",), lambda t: ((1, t, 0), (0, 0, 1))))
-        shapes.append(("<a^t b^d, c>", ("t", "d"), lambda t, d: ((t, d, 0), (0, 0, 1))))
+        shapes = [
+            ("<a c^s, b^2>", "s", product(S),
+             lambda s: ((1, 0, s), (0, 2, 0))),
+            ("<a b^2j c^s, b^(2^k r) c>", "jskr",
+             [(j, s, k, r) for j, s in product(range(qb // 2), S) for k, r in k_r(j)],
+             lambda j, s, k, r: ((1, 2 * j, s), (0, 2 ** k * r, 1))),
+            ("<a b^t, c>", "t", product(range(qb)),
+             lambda t: ((1, t, 0), (0, 0, 1))),
+            ("<a^t b^d, c>", "td", product(range(qa), odd_b),
+             lambda t, d: ((t, d, 0), (0, 0, 1))),
+        ]
     else:
-        shapes.append(("<a^d c^s, b^2>", ("d", "s"), lambda d, s: ((d, 0, s), (0, 2, 0))))
-        shapes.append(("<a^d b^2j c^s, b^(2^k r) c>", ("d", "j", "s", "k", "r"),
-                       lambda d, j, s, k, r: ((d, 2 * j, s), (0, (2 ** k) * r, 1))))
-        shapes.append(("<a^t b^d c^s, a^2>", ("t", "d", "s"),
-                       lambda t, d, s: ((t, d, s), (2, 0, 0))))
-        shapes.append(("<a^t b^d c^s, a^(2^l r) c>", ("t", "d", "s", "l", "r"),
-                       lambda t, d, s, l, r: ((t, d, s), ((2 ** l) * r, 0, 1))))
-        shapes.append(("<a^d b^t, c>", ("d", "t"), lambda d, t: ((d, t, 0), (0, 0, 1))))
-        shapes.append(("<a^t b^d, c>", ("t", "d"), lambda t, d: ((t, d, 0), (0, 0, 1))))
-
-    def ranges(label: str, names: tuple[str, ...],
-               partial: dict[str, int]) -> list[int]:
-        name = names[len(partial)]
-        if name == "s":
-            return [0, 1]
-        if name == "t":
-            # position decides the modulus: t exponentiates a in a^t forms
-            return list(range(qa)) if "a^t" in label else list(range(qb))
-        if name == "d":
-            return _odd_residues(qb) if "b^d" in label else _odd_residues(qa)
-        if name == "j":
-            return list(range(max(qb // 2, 1)))
-        if name == "k":
-            j = partial["j"]
-            top = n2 + v2(j) if j else m2 - 1
-            return [k for k in range(1, m2) if k <= top]
-        if name == "l":
-            return list(range(1, n2))
-        if name == "r":
-            if "b^(2^k r)" in label:
-                return _odd_residues(2 ** (m2 - partial["k"]))
-            return _odd_residues(2 ** (n2 - partial["l"]))
-        raise AssertionError(name)
-
-    expanded = []
-    for label, names, builder in shapes:
-        combos: list[dict[str, int]] = [{}]
-        for _ in names:
-            combos = [dict(c, **{names[len(c)]: v}) for c in combos
-                      for v in ranges(label, names, c)]
-        expanded.append((label, names, combos, builder))
-    return expanded
+        shapes = [
+            ("<a^d c^s, b^2>", "ds", product(odd_a, S),
+             lambda d, s: ((d, 0, s), (0, 2, 0))),
+            ("<a^d b^2j c^s, b^(2^k r) c>", "djskr",
+             [(d, j, s, k, r) for d, j, s in product(odd_a, range(qb // 2), S)
+              for k, r in k_r(j)],
+             lambda d, j, s, k, r: ((d, 2 * j, s), (0, 2 ** k * r, 1))),
+            ("<a^t b^d c^s, a^2>", "tds", product(range(qa), odd_b, S),
+             lambda t, d, s: ((t, d, s), (2, 0, 0))),
+            ("<a^t b^d c^s, a^(2^l r) c>", "tdslr",
+             [(t, d, s, l, r) for t, d, s in product(range(qa), odd_b, S) for l, r in l_r],
+             lambda t, d, s, l, r: ((t, d, s), (2 ** l * r, 0, 1))),
+            ("<a^d b^t, c>", "dt", product(odd_a, range(qb)),
+             lambda d, t: ((d, t, 0), (0, 0, 1))),
+            ("<a^t b^d, c>", "td", product(range(qa), odd_b),
+             lambda t, d: ((t, d, 0), (0, 0, 1))),
+        ]
+    return [(label, dict(zip(names, values)), words(*values))
+            for label, names, table, words in shapes for values in table]
 
 
 def _family_candidates(G: Group, rec: FamilyRecognition):
@@ -187,19 +171,16 @@ def _family_candidates(G: Group, rec: FamilyRecognition):
 
 
 def _build_family_candidates(G: Group, rec: FamilyRecognition):
-    entries, words = [], []
-    for label, _, combos, builder in _family_shapes(*rec.params):
-        for params in combos:
-            entries.append((label, params))
-            words.append(builder(**params))
-    exps = np.array(words)  # axes: candidate, generator, witness a/b/c
+    table = _family_table(*rec.params)
+    # axes: candidate, generator, witness a/b/c
+    exps = np.array([words for _, _, words in table])
     factors = []
     for i, g in enumerate(rec.witness):
         powers = np.array([G.power(g, k) for k in range(G.element_order(g))])
         factors.append(powers[exps[..., i]])
     mult = G.mult
     gens = mult[mult[factors[0], factors[1]], factors[2]]
-    return entries, gens[:, 0], gens[:, 1]
+    return [(label, params) for label, params, _ in table], gens[:, 0], gens[:, 1]
 
 
 def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:

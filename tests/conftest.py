@@ -14,7 +14,7 @@ from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
                            _sylow_within)
-from pcl.theorems import FamilyMatch, _family_shapes
+from pcl.theorems import FamilyMatch, _family_table
 
 
 @pytest.fixture(scope="session")
@@ -296,12 +296,11 @@ def _reference_family_candidates(G, rec):
 
     candidates = []
     seen_pair: dict[tuple[int, int], bytes] = {}
-    for label, _, combos, builder in _family_shapes(*rec.params):
-        for params in combos:
-            pair = tuple(element(word) for word in builder(**params))
-            if pair not in seen_pair:
-                seen_pair[pair] = G.closure(pair).tobytes()
-            candidates.append((label, params, pair, seen_pair[pair]))
+    for label, params, words in _family_table(*rec.params):
+        pair = tuple(element(word) for word in words)
+        if pair not in seen_pair:
+            seen_pair[pair] = G.closure(pair).tobytes()
+        candidates.append((label, params, pair, seen_pair[pair]))
     return candidates
 
 

@@ -196,6 +196,14 @@ def test_cli_build_huge_prime_is_refused_at_the_size_limit():
                    "PCL_MAX_ORDER=512\n")
 
 
+def test_cli_build_huge_prime_with_k_zero_is_refused_at_the_size_limit():
+    # EA(p,0) has order 1, so p itself is held to the cap
+    code, _, err = run_cli("build", "EA(1000000000000000000000000000057,0)",
+                           env={"PCL_MAX_ORDER": "512"}, timeout=10)
+    assert code == 3 and err.startswith("size limit: ")
+    assert len(err.encode()) < 200
+
+
 def test_cli_build_size_limit_message_is_short():
     code, _, err = run_cli("build", "C(" + "9" * 4000 + ")", env={"PCL_MAX_ORDER": "512"})
     assert code == 3 and err.startswith("size limit: group order <4000-digit number>")

@@ -103,6 +103,8 @@ SPEC_ERRORS = [
     ("M2(1,1,1)", 2, "input error: M2(n2,m2,1) requires n2 + m2 >= 3, got (1,1)"),
     ("EA(4,2)", 2, "input error: EA(p,k) requires p prime, got p=4"),
     ("EA(1000,1)", 2, "input error: EA(p,k) requires p prime, got p=1000"),
+    ("EA(521,0)", 3,
+     "size limit: EA(p,k) parameter p=521 exceeds the cap PCL_MAX_ORDER=512"),
     ("D(7)", 2, "input error: D(2n) requires an even order >= 2, got 7"),
     ("C(0)", 2, "input error: C(n) requires n >= 1, got n=0"),
     ("D(7)xC(600)", 2, "input error: D(2n) requires an even order >= 2, got 7"),

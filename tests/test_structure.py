@@ -351,13 +351,32 @@ def test_subgroup_as_group_restriction():
         st.subgroup_as_group(two, v4)
 
 
-def test_abelian_quotient_exponents():
-    g = build_family("M2(2,3,1)")
-    der = st.derived_subgroup(g)
-    assert st.abelian_quotient_exponents(g, der, 2) == (3, 2)
-    c12 = build_family("C(12)")
-    assert st.abelian_quotient_exponents(
-        c12, st.trivial_subgroup(c12), 2) == (2,)
+# isomorphic copies of the minimal nonabelian families and two near misses;
+# the expected values come from the earlier abelianization-type recognition
+A1_COPIES = [
+    ("SD(C(8);C(2);1->5)", "metacyclic", (3, 1), (2, 1)),
+    ("SD(C(16);C(4);1->9)", "metacyclic", (4, 2), (4, 1)),
+    ("SD(C(8);C(4);1->5)", "metacyclic", (3, 2), (4, 1)),
+    ("SD(C(4)xC(2);C(2);2->3,1->1)", "nonmetacyclic", (1, 2), (1, 4, 2)),
+    ("SD(EA(2,2);C(4);1->2,2->1)", "nonmetacyclic", (1, 2), (4, 1, 12)),
+    ("SD(C(4)xC(2);C(4);2->3,1->1)", "nonmetacyclic", (2, 2), (1, 8, 4)),
+    ("SD(C(8)xC(2);C(4);2->3,1->1)", "nonmetacyclic", (2, 3), (1, 8, 4)),
+    ("perm:(1 2 3 4),(1 3)", "metacyclic", (2, 1), (1, 2)),
+    ("SD(C(8);C(2);1->3)", "not_a1_or_a0", None, ()),
+    ("Q8xC(2)", "not_a1_or_a0", None, ()),
+]
+
+
+@pytest.mark.parametrize("spec, tag, params, witness", A1_COPIES)
+def test_a1_recognition_of_isomorphic_copies(spec, tag, params, witness):
+    rec = st.recognize_a1_family(build_family(spec))
+    assert (rec.tag, rec.params, rec.witness) == (tag, params, witness)
+
+
+def test_sylow_requires_a_prime():
+    g = build_family("C(12)")
+    with pytest.raises(PreconditionError, match="^sylow requires a prime, got 4$"):
+        st.sylow(g, 4)
     with pytest.raises(PreconditionError,
-                       match="^quotient is not abelian: commutators leave N$"):
-        st.abelian_quotient_exponents(g, st.trivial_subgroup(g), 2)
+                       match="^sylow_containing requires a prime, got 1$"):
+        st.sylow_containing(g, 1, st.trivial_subgroup(g))

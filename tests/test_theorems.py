@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,23 @@ def test_match_theorem_family_examples():
     m2 = th.match_theorem_family(rec, H2)
     assert m2 is not None and m2.family == "<a^t b^d c^s, a^2>"
     assert (m2.params["t"], m2.params["d"], m2.params["s"]) == (1, 1, 1)
+
+
+def test_family_table_digest_is_pinned():
+    # every candidate of the catalog's nonmetacyclic (n2, m2) pairs and four
+    # larger ones, in enumeration order; the digest comes from the earlier
+    # label-driven table
+    pairs = [(n2, m2) for n2 in range(1, 4) for m2 in range(n2, 7 - n2) if n2 + m2 >= 3]
+    pairs += [(1, 7), (2, 6), (3, 5), (4, 4)]
+    digest, rows = hashlib.sha256(), 0
+    for n2, m2 in pairs:
+        for label, params, words in th._family_table(n2, m2):
+            row = repr((n2, m2, label, sorted(params.items()), words)) + "\n"
+            digest.update(row.encode())
+            rows += 1
+    assert rows == 17870
+    assert digest.hexdigest() == (
+        "a4241dce24194a0d899b8445456c1b3417bfd793ea48609b6075675aeb04a1ac")
 
 
 def test_family_match_equals_the_closure_reference(catalog):
