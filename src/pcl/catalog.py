@@ -73,7 +73,8 @@ def default_catalog() -> list[CatalogEntry]:
 
 def load_catalog_pairs(path: str) -> list[tuple[str, str]]:
     """(label, spec) pairs from a JSON file: a list of spec strings or of
-    objects with ``spec`` and optional ``label`` keys."""
+    objects with ``spec`` and optional ``label`` keys.  A label is never
+    empty."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -85,11 +86,9 @@ def load_catalog_pairs(path: str) -> list[tuple[str, str]]:
         raise GroupSpecError("catalog file must hold a nonempty JSON list")
     pairs = []
     for item in data:
-        if isinstance(item, str):
-            pairs.append((item, item))
-        elif (isinstance(item, dict) and isinstance(item.get("spec"), str)
-              and isinstance(item.get("label", ""), str)):
-            pairs.append((item.get("label", item["spec"]), item["spec"]))
-        else:
+        spec = item.get("spec") if isinstance(item, dict) else item
+        label = item.get("label", spec) if isinstance(item, dict) else spec
+        if not (isinstance(spec, str) and isinstance(label, str) and label):
             raise GroupSpecError(f"bad catalog item: {item!r}")
+        pairs.append((label, spec))
     return pairs

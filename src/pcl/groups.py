@@ -5,7 +5,10 @@ identity.  All arithmetic is table lookups, so multiplication, inversion and
 element orders are constant time.  Constructors for the standard families fix
 a canonical element enumeration (normal forms a^i b^j c^k in lexicographic
 order of the exponent tuple) so that the presentation generators are
-addressable by index; they are exposed on ``Group.witness``.
+addressable by index; they are exposed on ``Group.witness``.  One extension
+formula, ``_extension``, builds D, Q8, M2(n1,m1), SD and direct products from
+smaller tables; ``nonmetacyclic_m2`` keeps its own, as its normal form puts
+no normal subgroup in the high coordinates.
 """
 
 from __future__ import annotations
@@ -301,31 +304,25 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
 
 
 def dihedral(order: int, label: str | None = None) -> Group:
-    """Dihedral group of the given (even) order, rotations a, reflection b.
+    """Dihedral group of the given (even) order, rotations a, reflection b:
+    C(n) extended by C(2) acting by inversion.
 
     Normal form a^i b^j with 0 <= i < n, j in {0, 1}; index = 2*i + j.
     """
     if order < 2 or order % 2 != 0:
         raise GroupSpecError(f"D(2n) requires an even order >= 2, got {order}")
     _check_order(order)
-    n = order // 2
-    idx = np.arange(order)
-    i1, j1 = (idx // 2)[:, None], (idx % 2)[:, None]
-    i2, j2 = (idx // 2)[None, :], (idx % 2)[None, :]
-    ii = (i1 + np.where(j1 == 1, -i2, i2)) % n
-    jj = (j1 + j2) % 2
-    witness = {"a": 2 if n >= 2 else 0, "b": 1}
-    return Group(ii * 2 + jj, label=label or f"D({order})", witness=witness)
+    rotations = cyclic(order // 2)
+    return Group(_extension(rotations, cyclic(2), rotations.inv), label=label or f"D({order})",
+                 witness={"a": 2 if order >= 4 else 0, "b": 1})
 
 
 def quaternion(label: str = "Q8") -> Group:
-    """Quaternion group of order 8: a^4 = 1, b^2 = a^2, b^-1 a b = a^-1."""
-    idx = np.arange(8)
-    i1, j1 = (idx // 2)[:, None], (idx % 2)[:, None]
-    i2, j2 = (idx // 2)[None, :], (idx % 2)[None, :]
-    ii = (i1 + np.where(j1 == 1, -i2, i2) + 2 * (j1 & j2)) % 4
-    jj = (j1 + j2) % 2
-    return Group(ii * 2 + jj, label=label, witness={"a": 2, "b": 1})
+    """Quaternion group of order 8: a^4 = 1, b^2 = a^2, b^-1 a b = a^-1, as
+    C(4) extended by C(2) acting by inversion; index = 2*i + j for a^i b^j."""
+    c4 = cyclic(4)
+    return Group(_extension(c4, cyclic(2), c4.inv, wrap=2), label=label,
+                 witness={"a": 2, "b": 1})
 
 
 def metacyclic_m2(n1: int, m1: int, label: str | None = None) -> Group:
@@ -340,13 +337,8 @@ def metacyclic_m2(n1: int, m1: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"M2(n1,m1) requires m1 >= 1, got m1={m1}")
     _check_power_order(2, n1 + m1)
     na, nb = 2 ** n1, 2 ** m1
-    r = 1 + 2 ** (n1 - 1)  # r*r = 1 mod 2^n1, so conjugation by any odd b-power is x -> x^r
-    idx = np.arange(na * nb)
-    i1, j1 = (idx // nb)[:, None], (idx % nb)[:, None]
-    i2, j2 = (idx // nb)[None, :], (idx % nb)[None, :]
-    ii = (i1 + i2 * np.where(j1 % 2 == 1, r, 1)) % na
-    jj = (j1 + j2) % nb
-    return Group(ii * nb + jj, label=label or f"M2({n1},{m1})",
+    phi = np.arange(na) * (1 + 2 ** (n1 - 1)) % na
+    return Group(_extension(cyclic(na), cyclic(nb), phi), label=label or f"M2({n1},{m1})",
                  witness={"a": nb, "b": 1})
 
 
@@ -356,7 +348,9 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
 
     Normal form a^i b^j c^k, index = (i * 2^m2 + j) * 2 + k.  The parameters
     are put in the order n2 <= m2 (swapping the two generators); then
-    n2 >= 1 and n2 + m2 >= 3 are required.
+    n2 >= 1 and n2 + m2 >= 3 are required.  The table keeps its own formula:
+    ``_extension``'s layout needs a normal subgroup in the high coordinates,
+    but <a> is not normal and the a^i b^j are no subgroup.
     """
     n2, m2 = sorted((n2, m2))
     if n2 < 1:
@@ -376,14 +370,9 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
 
 
 def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
-    """Componentwise product; index (x, y) -> x * |B| + y."""
-    n = a.order * b.order
-    _check_order(n)
-    idx = np.arange(n)
-    xa, ya = (idx // b.order)[:, None], (idx % b.order)[:, None]
-    xb, yb = (idx // b.order)[None, :], (idx % b.order)[None, :]
-    table = a.mult[xa, xb] * b.order + b.mult[ya, yb]
-    return Group(table, label=label or f"{a.label} x {b.label}")
+    """Componentwise product, the extension with trivial action; index
+    (x, y) -> x * |B| + y."""
+    return Group(_extension(a, b, np.arange(a.order)), label=label or f"{a.label} x {b.label}")
 
 
 def semidirect_product(normal: Group, acting: Group,
@@ -405,25 +394,36 @@ def semidirect_product(normal: Group, acting: Group,
         raise GroupSpecError(
             "SD acting factor must be cyclic with its generator at index 1")
     phi = _extend_action(normal, action)
-    if m > 1:
-        power = phi.copy()
-        for _ in range(m - 1):
-            power = phi[power]
-        if not np.array_equal(power, np.arange(normal.order)):
-            raise GroupSpecError(
-                f"SD action order does not divide the acting order {m}")
-    n = normal.order * m
-    _check_order(n)
-    phi_pows = [np.arange(normal.order, dtype=np.int32)]
-    for _ in range(m - 1):
-        phi_pows.append(phi[phi_pows[-1]])
-    phi_stack = np.stack(phi_pows)
-    idx = np.arange(n)
-    x1, y1 = (idx // m)[:, None], (idx % m)[:, None]
-    x2, y2 = (idx // m)[None, :], (idx % m)[None, :]
-    # (x1, y1)(x2, y2) = (x1 * phi^y1(x2), y1 + y2)
-    table = normal.mult[x1, phi_stack[y1, x2]] * m + (y1 + y2) % m
-    return Group(table, label=label or f"SD({normal.label};{acting.label})")
+    return Group(_extension(normal, cyclic(m), phi),
+                 label=label or f"SD({normal.label};{acting.label})")
+
+
+def _extension(normal: Group, top: Group, phi: np.ndarray, wrap: int = 0) -> np.ndarray:
+    """Table of the extension of ``normal`` by ``top`` on pairs (x, y), at
+    index x * |top| + y, with
+
+        (x1, y1)(x2, y2) = (x1 * phi^y1(x2) * w, y1 * y2),
+
+    where w is ``wrap`` when y1 + y2 >= |top| and the identity otherwise.
+    ``phi`` is an automorphism of ``normal`` as an index map; unless it is
+    the identity, ``top`` is C(m), whose index y is the generator's exponent
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
+    In int32, with one temporary |top| times smaller than the table.
+    """
+    k, m = normal.order, top.order
+    _check_order(k * m)
+    powers = np.empty((m + 1, k), dtype=np.int32)  # row y is phi^y
+    powers[0] = np.arange(k)
+    for y in range(m):
+        powers[y + 1] = phi[powers[y]]
+    if not np.array_equal(powers[m], powers[0]):
+        raise GroupSpecError(f"SD action order does not divide the acting order {m}")
+    left = normal.mult[:, powers[:m], None]  # x1 * phi^y1(x2) at [x1, y1, x2, 0]
+    if wrap:  # carry[y1, 0, y2]: y1 + y2 >= m
+        carry = np.add.outer(np.arange(m), np.arange(m))[:, None, :] >= m
+        left = np.where(carry, normal.mult[left, wrap], left)
+    left *= m
+    return (left + top.mult[:, None, :]).reshape(k * m, k * m)
 
 
 def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from pcl import structure as st
 from pcl.catalog import default_catalog
 from pcl.codes import ConnectionSet, Transversal, Verdict
-from pcl.groups import prime_power
+from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
@@ -522,3 +522,63 @@ def assert_witnesses_match_references(G) -> None:
     for n2, m2 in NONMETACYCLIC_PARAMS:
         assert st._nonmetacyclic_triple(G, n2, m2) == \
             reference_nonmetacyclic_witness(G, n2, m2), (G.label, n2, m2)
+
+
+# The group constructors' multiplication formulas before the extension kernel
+# (``groups._extension``), copied as they were; parameter checks are left out.
+
+def reference_dihedral(order: int) -> Group:
+    n = order // 2
+    idx = np.arange(order)
+    i1, j1 = (idx // 2)[:, None], (idx % 2)[:, None]
+    i2, j2 = (idx // 2)[None, :], (idx % 2)[None, :]
+    ii = (i1 + np.where(j1 == 1, -i2, i2)) % n
+    jj = (j1 + j2) % 2
+    witness = {"a": 2 if n >= 2 else 0, "b": 1}
+    return Group(ii * 2 + jj, label=f"D({order})", witness=witness)
+
+
+def reference_quaternion() -> Group:
+    idx = np.arange(8)
+    i1, j1 = (idx // 2)[:, None], (idx % 2)[:, None]
+    i2, j2 = (idx // 2)[None, :], (idx % 2)[None, :]
+    ii = (i1 + np.where(j1 == 1, -i2, i2) + 2 * (j1 & j2)) % 4
+    jj = (j1 + j2) % 2
+    return Group(ii * 2 + jj, label="Q8", witness={"a": 2, "b": 1})
+
+
+def reference_metacyclic_m2(n1: int, m1: int) -> Group:
+    na, nb = 2 ** n1, 2 ** m1
+    r = 1 + 2 ** (n1 - 1)  # r*r = 1 mod 2^n1, so conjugation by any odd b-power is x -> x^r
+    idx = np.arange(na * nb)
+    i1, j1 = (idx // nb)[:, None], (idx % nb)[:, None]
+    i2, j2 = (idx // nb)[None, :], (idx % nb)[None, :]
+    ii = (i1 + i2 * np.where(j1 % 2 == 1, r, 1)) % na
+    jj = (j1 + j2) % nb
+    return Group(ii * nb + jj, label=f"M2({n1},{m1})",
+                 witness={"a": nb, "b": 1})
+
+
+def reference_direct_product(a: Group, b: Group) -> Group:
+    n = a.order * b.order
+    idx = np.arange(n)
+    xa, ya = (idx // b.order)[:, None], (idx % b.order)[:, None]
+    xb, yb = (idx // b.order)[None, :], (idx % b.order)[None, :]
+    table = a.mult[xa, xb] * b.order + b.mult[ya, yb]
+    return Group(table, label=f"{a.label} x {b.label}")
+
+
+def reference_semidirect_product(normal: Group, acting: Group, action) -> Group:
+    m = acting.order
+    phi = _extend_action(normal, action)
+    n = normal.order * m
+    phi_pows = [np.arange(normal.order, dtype=np.int32)]
+    for _ in range(m - 1):
+        phi_pows.append(phi[phi_pows[-1]])
+    phi_stack = np.stack(phi_pows)
+    idx = np.arange(n)
+    x1, y1 = (idx // m)[:, None], (idx % m)[:, None]
+    x2, y2 = (idx // m)[None, :], (idx % m)[None, :]
+    # (x1, y1)(x2, y2) = (x1 * phi^y1(x2), y1 + y2)
+    table = normal.mult[x1, phi_stack[y1, x2]] * m + (y1 + y2) % m
+    return Group(table, label=f"SD({normal.label};{acting.label})")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from pcl import groups
 from pcl.errors import GroupSpecError, SizeLimitError
 from pcl.specs import build_family
+
+from conftest import (reference_dihedral, reference_direct_product, reference_metacyclic_m2,
+                      reference_quaternion, reference_semidirect_product)
 
 
 FAMILY_SPECS = [
@@ -235,3 +239,55 @@ def test_power_and_inverse():
     assert g.power(1, 7) == 7
     assert g.power(1, -1) == 11
     assert g.power(5, 24) == 0
+
+
+def _assert_same_table(built, reference):
+    assert np.array_equal(built.mult, reference.mult), built.label
+    assert built.witness == reference.witness, built.label
+
+
+def test_extension_kernel_matches_the_dihedral_and_quaternion_formulas():
+    for order in range(2, 513, 2):
+        _assert_same_table(groups.dihedral(order), reference_dihedral(order))
+    _assert_same_table(groups.quaternion(), reference_quaternion())
+
+
+def test_extension_kernel_matches_the_metacyclic_formula():
+    for n1 in range(2, 9):
+        for m1 in range(1, 10 - n1):  # orders up to 512
+            _assert_same_table(groups.metacyclic_m2(n1, m1), reference_metacyclic_m2(n1, m1))
+
+
+# the last acting factor is cyclic of order 6 with its generator at index 1,
+# but its index 2 is the generator's inverse, not its square
+@pytest.mark.parametrize("normal, acting, action", [
+    ("C(5)", "C(4)", [(1, 2)]), ("C(7)", "C(3)", [(1, 2)]), ("C(5)", "C(1)", [(1, 1)]),
+    ("D(8)", "C(1)", [(2, 2), (1, 1)]), ("C(8)", "C(2)", [(1, 5)]),
+    ("C(2)xC(2)", "C(3)", [(1, 2), (2, 3)]), ("Q8", "C(3)", [(2, 1), (1, 3)]),
+    ("perm:(1 2 3)", "C(2)", [(1, 2)]),
+    ("C(7)", "perm:(1 2 3 4 5 6),(1 6 5 4 3 2)", [(1, 3)])])
+def test_extension_kernel_matches_the_semidirect_formula(normal, acting, action):
+    N, A = build_family(normal), build_family(acting)
+    _assert_same_table(groups.semidirect_product(N, A, action),
+                       reference_semidirect_product(N, A, action))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("C(4)", "D(6)"), ("D(8)", "Q8"), ("C(6)", "C(4)"), ("C(1)", "Q8"), ("Q8", "C(1)"),
+    ("perm:(1 2 3),(1 2)", "D(8)"), ("C(2)xC(2)", "M2(2,1,1)")])
+def test_extension_kernel_matches_the_direct_product_formula(left, right):
+    a, b = build_family(left), build_family(right)
+    _assert_same_table(groups.direct_product(a, b), reference_direct_product(a, b))
+
+
+@pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)"])
+def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
+    # the table itself is 4 MB
+    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    tracemalloc.start()
+    try:
+        build_family(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << 20, (spec, peak)

@@ -544,6 +544,15 @@ def test_cli_verify_rejects_non_string_catalog_fields(tmp_path, capsys, item):
     assert "bad catalog item" in err and not out_file.exists()
 
 
+def test_cli_verify_rejects_an_empty_catalog_label(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"spec": "C(2)", "label": ""}]))
+    code = main(["verify", "--catalog", str(bad), "--summary", "table"])
+    out, err = capsys.readouterr()
+    _assert_input_error(code, err)
+    assert "bad catalog item" in err and out == ""
+
+
 @pytest.mark.parametrize("flag,env", [
     ([], {"PCL_WORKERS": "abc"}),
     (["--workers", "0"], None),

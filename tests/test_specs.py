@@ -182,3 +182,10 @@ def test_labels_round_trip_on_random_specs(factors, data):
     g = build_family(noisy)
     assert g.label == canonical
     assert_same_group(build_family(g.label), g)
+
+
+def test_sd_checks_the_action_order_against_a_trivial_acting_factor(capsys):
+    assert main(["build", "SD(C(5);C(1);1->2)"]) == 2
+    assert "does not divide the acting order 1" in capsys.readouterr().err
+    assert main(["build", "SD(C(5);C(1);1->1)"]) == 0
+    assert build_family("SD(C(5);C(1);1->1)").order == 5

@@ -215,6 +215,32 @@ def test_family_matcher_gap_is_exactly_the_central_q8_quotient_shape():
     assert total_gaps == 2  # one in each family with n2 >= 2 at this size
 
 
+def test_nonmetacyclic_theorem_misses_are_exactly_an_index_2_subgroup_of_frattini():
+    """On every M2(n2,m2,1) up to order 256, the theorem route and the oracle
+    disagree on no noncyclic proper subgroup when n2 = 1, and exactly on
+    <b^2 c, a^2 c> when n2 >= 2.  That subgroup has index 2 in Phi(G), and
+    no shape can match a subgroup of Phi(G): every shape has a generator
+    outside it."""
+    for n2 in range(1, 4):
+        for m2 in range(max(n2, 3 - n2), 8 - n2):
+            G = build_family(f"M2({n2},{m2},1)")
+            disagree = set()
+            for H in st.all_subgroups(G):
+                if H.is_cyclic or H.is_full:
+                    continue
+                oracle = codes.find_inverse_closed_transversal(G, H) is not None
+                if th.classify(G, H).is_code != oracle:
+                    disagree.add(H)
+            a, b, c = (G.witness[x] for x in "abc")
+            words = [G.mul(G.power(b, 2), c), G.mul(G.power(a, 2), c)]
+            expected = {st.subgroup_generated(G, words)} if n2 >= 2 else set()
+            assert disagree == expected, (n2, m2)
+            if n2 >= 2:
+                (H,) = expected
+                phi = st.frattini(st.full_subgroup(G))
+                assert H.issubset(phi) and phi.order == 2 * H.order
+
+
 def test_dihedral_rule_examples():
     d12 = build_family("D(12)")
     a = d12.witness["a"]
