@@ -6,9 +6,10 @@ element orders are constant time.  Constructors for the standard families fix
 a canonical element enumeration (normal forms a^i b^j c^k in lexicographic
 order of the exponent tuple) so that the presentation generators are
 addressable by index; they are exposed on ``Group.witness``.  One extension
-formula, ``_extension``, builds D, Q8, M2(n1,m1), SD and direct products from
-smaller tables; ``nonmetacyclic_m2`` keeps its own, as its normal form puts
-no normal subgroup in the high coordinates.
+formula, ``_extension``, builds D, Q8, M2(n1,m1), EA, SD and direct products
+from int32 tables, so a constructor validates only the group it returns;
+``nonmetacyclic_m2`` keeps its own, as its normal form puts no normal subgroup
+in the high coordinates.
 """
 
 from __future__ import annotations
@@ -86,14 +87,11 @@ class Group:
         idx = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
             raise ValueError("element 0 is not a two-sided identity")
-        if not (np.array_equal(np.sort(table, axis=1), np.tile(idx, (n, 1)))
-                and np.array_equal(np.sort(table, axis=0), np.tile(idx, (n, 1)).T)):
+        if not ((np.sort(table, axis=1) == idx).all()
+                and (np.sort(table, axis=0) == idx[:, None]).all()):
             raise ValueError("multiplication table is not a Latin square")
-        rows, cols = np.nonzero(table == 0)
-        inv = np.empty(n, dtype=np.int32)
-        inv[rows] = cols
-        if not np.array_equal(table[idx, inv], np.zeros(n, dtype=np.int32)):
-            raise ValueError("inverse table inconsistent")
+        # each row of a Latin square holds exactly one 0, its least entry
+        inv = table.argmin(axis=1).astype(np.int32)
         table.setflags(write=False)
         inv.setflags(write=False)
         self.order = n
@@ -277,10 +275,14 @@ def cyclic(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise GroupSpecError(f"C(n) requires n >= 1, got n={n}")
     _check_order(n)
-    idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
     witness = {"a": 1} if n > 1 else {"a": 0}
-    return Group(table, label=label or f"C({n})", witness=witness)
+    return Group(_cyclic_table(n), label=label or f"C({n})", witness=witness)
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    """Table of C(n), index = exponent of the generator."""
+    idx = np.arange(n, dtype=np.int32)
+    return np.add.outer(idx, idx) % n
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
@@ -295,12 +297,12 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
     if p > cap:
         raise SizeLimitError(
             f"EA(p,k) parameter p={_named(p)} exceeds the cap PCL_MAX_ORDER={cap}")
-    group = cyclic(1)
+    table = _cyclic_table(1)
     for _ in range(k):
-        group = direct_product(group, cyclic(p))
+        table = _extension(table, _cyclic_table(p), np.arange(len(table)))
     # basis vectors sit at indices p^(k-1), ..., p, 1
     witness = {f"e{i + 1}": p ** (k - 1 - i) for i in range(k)}
-    return Group(group.mult, label=label or f"EA({p},{k})", witness=witness)
+    return Group(table, label=label or f"EA({p},{k})", witness=witness)
 
 
 def dihedral(order: int, label: str | None = None) -> Group:
@@ -312,17 +314,16 @@ def dihedral(order: int, label: str | None = None) -> Group:
     if order < 2 or order % 2 != 0:
         raise GroupSpecError(f"D(2n) requires an even order >= 2, got {order}")
     _check_order(order)
-    rotations = cyclic(order // 2)
-    return Group(_extension(rotations, cyclic(2), rotations.inv), label=label or f"D({order})",
-                 witness={"a": 2 if order >= 4 else 0, "b": 1})
+    n = order // 2
+    return Group(_extension(_cyclic_table(n), _cyclic_table(2), -np.arange(n) % n),
+                 label=label or f"D({order})", witness={"a": 2 if order >= 4 else 0, "b": 1})
 
 
 def quaternion(label: str = "Q8") -> Group:
     """Quaternion group of order 8: a^4 = 1, b^2 = a^2, b^-1 a b = a^-1, as
     C(4) extended by C(2) acting by inversion; index = 2*i + j for a^i b^j."""
-    c4 = cyclic(4)
-    return Group(_extension(c4, cyclic(2), c4.inv, wrap=2), label=label,
-                 witness={"a": 2, "b": 1})
+    return Group(_extension(_cyclic_table(4), _cyclic_table(2), np.array([0, 3, 2, 1]), wrap=2),
+                 label=label, witness={"a": 2, "b": 1})
 
 
 def metacyclic_m2(n1: int, m1: int, label: str | None = None) -> Group:
@@ -338,8 +339,8 @@ def metacyclic_m2(n1: int, m1: int, label: str | None = None) -> Group:
     _check_power_order(2, n1 + m1)
     na, nb = 2 ** n1, 2 ** m1
     phi = np.arange(na) * (1 + 2 ** (n1 - 1)) % na
-    return Group(_extension(cyclic(na), cyclic(nb), phi), label=label or f"M2({n1},{m1})",
-                 witness={"a": nb, "b": 1})
+    return Group(_extension(_cyclic_table(na), _cyclic_table(nb), phi),
+                 label=label or f"M2({n1},{m1})", witness={"a": nb, "b": 1})
 
 
 def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
@@ -359,20 +360,24 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"M2(n2,m2,1) requires n2 + m2 >= 3, got ({n2},{m2})")
     _check_power_order(2, n2 + m2 + 1)
     na, nb = 2 ** n2, 2 ** m2
-    idx = np.arange(na * nb * 2)
-    i1, j1, k1 = (idx // (2 * nb))[:, None], ((idx // 2) % nb)[:, None], (idx % 2)[:, None]
-    i2, j2, k2 = (idx // (2 * nb))[None, :], ((idx // 2) % nb)[None, :], (idx % 2)[None, :]
-    ii = (i1 + i2) % na
-    jj = (j1 + j2) % nb
-    kk = (k1 + k2 + j1 * i2) % 2  # b^j a^i = a^i b^j c^(ij)
-    return Group((ii * nb + jj) * 2 + kk, label=label or f"M2({n2},{m2},1)",
+    idx = np.arange(na * nb * 2, dtype=np.int32)
+    i, u, k = idx // (2 * nb), idx // 2, idx % 2  # u = i * nb + j, the index in C(na) x C(nb)
+    # a^i1 b^j1 c^k1 a^i2 b^j2 c^k2 = a^(i1+i2) b^(j1+j2) c^(k1+k2+j1*i2), as
+    # b^j a^i = a^i b^j c^(ij); the c exponent is the low bit, so its sum is an xor
+    table = _extension(_cyclic_table(na), _cyclic_table(nb), np.arange(na))[np.ix_(u, u)]
+    table *= 2
+    table ^= k[:, None]
+    table ^= k
+    table.reshape(-1, 4, len(idx))[:, 2:] ^= i % 2  # rows 4r+2 and 4r+3 have j1 odd
+    return Group(table, label=label or f"M2({n2},{m2},1)",
                  witness={"a": 2 * nb, "b": 2, "c": 1})
 
 
 def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
     """Componentwise product, the extension with trivial action; index
     (x, y) -> x * |B| + y."""
-    return Group(_extension(a, b, np.arange(a.order)), label=label or f"{a.label} x {b.label}")
+    return Group(_extension(a.mult, b.mult, np.arange(a.order)),
+                 label=label or f"{a.label} x {b.label}")
 
 
 def semidirect_product(normal: Group, acting: Group,
@@ -394,13 +399,13 @@ def semidirect_product(normal: Group, acting: Group,
         raise GroupSpecError(
             "SD acting factor must be cyclic with its generator at index 1")
     phi = _extend_action(normal, action)
-    return Group(_extension(normal, cyclic(m), phi),
+    return Group(_extension(normal.mult, _cyclic_table(m), phi),
                  label=label or f"SD({normal.label};{acting.label})")
 
 
-def _extension(normal: Group, top: Group, phi: np.ndarray, wrap: int = 0) -> np.ndarray:
-    """Table of the extension of ``normal`` by ``top`` on pairs (x, y), at
-    index x * |top| + y, with
+def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int = 0) -> np.ndarray:
+    """Table of the extension of the group with table ``normal`` by the one
+    with table ``top`` on pairs (x, y), at index x * |top| + y, with
 
         (x1, y1)(x2, y2) = (x1 * phi^y1(x2) * w, y1 * y2),
 
@@ -408,9 +413,10 @@ def _extension(normal: Group, top: Group, phi: np.ndarray, wrap: int = 0) -> np.
     ``phi`` is an automorphism of ``normal`` as an index map; unless it is
     the identity, ``top`` is C(m), whose index y is the generator's exponent
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
-    In int32, with one temporary |top| times smaller than the table.
+    In int32, with one temporary |top| times smaller than the table; ``take``
+    keeps that temporary, and so the sum, in C order: the table is a view.
     """
-    k, m = normal.order, top.order
+    k, m = len(normal), len(top)
     _check_order(k * m)
     powers = np.empty((m + 1, k), dtype=np.int32)  # row y is phi^y
     powers[0] = np.arange(k)
@@ -418,12 +424,12 @@ def _extension(normal: Group, top: Group, phi: np.ndarray, wrap: int = 0) -> np.
         powers[y + 1] = phi[powers[y]]
     if not np.array_equal(powers[m], powers[0]):
         raise GroupSpecError(f"SD action order does not divide the acting order {m}")
-    left = normal.mult[:, powers[:m], None]  # x1 * phi^y1(x2) at [x1, y1, x2, 0]
+    left = np.take(normal, powers[:m], axis=1)[..., None]  # x1 * phi^y1(x2) at [x1, y1, x2, 0]
     if wrap:  # carry[y1, 0, y2]: y1 + y2 >= m
         carry = np.add.outer(np.arange(m), np.arange(m))[:, None, :] >= m
-        left = np.where(carry, normal.mult[left, wrap], left)
+        left = np.where(carry, normal[left, wrap], left)
     left *= m
-    return (left + top.mult[:, None, :]).reshape(k * m, k * m)
+    return (left + top[:, None, :]).reshape(k * m, k * m)
 
 
 def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -477,26 +483,27 @@ def from_permutations(perms: Sequence[Sequence[int]], label: str | None = None) 
     identity = tuple(range(k))
     elems: list[tuple[int, ...]] = [identity]
     index = {identity: 0}
-    queue = [identity]
+    right: list[int] = []  # right[x * len(gens) + s]: the index of x * gens[s]
+    found: list[tuple[int, int]] = []  # (x, s) with y = x * gens[s], for y = 1, 2, ...
     cap = max_order()
-    while queue:
-        nxt: list[tuple[int, ...]] = []
-        for x in queue:
-            for g in gens:
-                y = tuple(g[p] for p in x)
-                if y not in index:
-                    if len(elems) + 1 > cap:
-                        raise SizeLimitError(
-                            f"permutation closure exceeds the cap PCL_MAX_ORDER={cap}")
-                    index[y] = len(elems)
-                    elems.append(y)
-                    nxt.append(y)
-        queue = nxt
+    for x, u in enumerate(elems):  # elems grows in breadth-first order
+        for s, g in enumerate(gens):
+            y = tuple(g[p] for p in u)
+            if y not in index:
+                if len(elems) + 1 > cap:
+                    raise SizeLimitError(
+                        f"permutation closure exceeds the cap PCL_MAX_ORDER={cap}")
+                index[y] = len(elems)
+                elems.append(y)
+                found.append((x, s))
+            right.append(index[y])
     n = len(elems)
+    right_mult = np.array(right, dtype=np.int32).reshape(n, len(gens))
     table = np.empty((n, n), dtype=np.int32)
-    for i, u in enumerate(elems):
-        for j, v in enumerate(elems):
-            table[i, j] = index[tuple(v[p] for p in u)]
+    table[:, 0] = np.arange(n)
+    # z * y = (z * x) * gens[s] for every z, and x was found, so filled, before y
+    for y, (x, s) in enumerate(found, start=1):
+        table[:, y] = right_mult[table[:, x], s]
     return Group(table, label=label or f"perm[{n}]")
 
 

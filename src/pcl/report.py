@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog, codes, theorems
 from .catalog import CatalogEntry
 from .errors import GroupSpecError, PclError, SizeLimitError
-from .structure import Subgroup, all_subgroups
+from .structure import Subgroup, all_subgroups, normalizer
 
 EXHAUSTIVE_CAYLEY_LIMIT = 16
 
@@ -159,8 +159,7 @@ def _run_entry(job: tuple[str, str, tuple[str, ...]]) -> tuple[dict, list[dict]]
     # Conjugation is an automorphism, so a class of conjugate subgroups is all
     # codes or none, and counting orbits gives the classes: each subgroup H
     # adds |N_G(H)| / |G| to the count of its class.
-    normalizer_orders = np.array([H.mask[G.conj_table[:, H.members]].all(axis=1).sum()
-                                  for H in all_subgroups(G)])
+    normalizer_orders = np.array([normalizer(G, H).order for H in all_subgroups(G)])
     splits = [_split_disagreement(r) for r in records]
     return {"group": label, "order": G.order, "subgroups": len(records),
             "codes": int(coded.sum()),

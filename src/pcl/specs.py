@@ -84,6 +84,18 @@ class _Parser:
         except ValueError:  # longer than the interpreter's digit limit
             raise self.error("integer too long") from None
 
+    def parse_list(self, parse_item, starts_item) -> list:
+        """One or more items separated by ",".  A "," that ``starts_item``
+        does not see followed by an item is left unread, for the caller."""
+        items = [parse_item()]
+        while True:
+            save = self.pos
+            if self.accept(",") and starts_item():
+                items.append(parse_item())
+            else:
+                self.pos = save
+                return items
+
     def parse_spec(self) -> Parsed:
         factors = [self.parse_atom()]
         while self.accept("x"):
@@ -94,7 +106,8 @@ class _Parser:
 
         def build() -> Group:
             product = reduce(groups.direct_product, (make() for _, make in factors))
-            return Group(product.mult, label=label)
+            product.label = label
+            return product
         return label, build
 
     def parse_atom(self) -> Parsed:
@@ -121,17 +134,7 @@ class _Parser:
             self.expect(";")
             acting_label, acting = self.parse_spec()
             self.expect(";")
-            action = [self.parse_action_pair()]
-            while True:
-                save = self.pos
-                if not self.accept(","):
-                    break
-                self.skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    action.append(self.parse_action_pair())
-                else:
-                    self.pos = save
-                    break
+            action = self.parse_list(self.parse_action_pair, lambda: self.peek().isdigit())
             self.expect(")")
             pairs = ",".join(f"{g}->{h}" for g, h in action)
             label = f"SD({normal_label};{acting_label};{pairs})"
@@ -148,16 +151,7 @@ class _Parser:
         return (g, h)
 
     def parse_perm(self) -> Parsed:
-        generators = [self.parse_cycles()]
-        while True:
-            save = self.pos
-            if not self.accept(","):
-                break
-            if self.peek() == "(":
-                generators.append(self.parse_cycles())
-            else:
-                self.pos = save
-                break
+        generators = self.parse_list(self.parse_cycles, lambda: self.peek() == "(")
         label = "perm:" + ",".join(
             "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
             for cycles in generators)

@@ -582,3 +582,49 @@ def reference_semidirect_product(normal: Group, acting: Group, action) -> Group:
     # (x1, y1)(x2, y2) = (x1 * phi^y1(x2), y1 + y2)
     table = normal.mult[x1, phi_stack[y1, x2]] * m + (y1 + y2) % m
     return Group(table, label=f"SD({normal.label};{acting.label})")
+
+
+# The nonmetacyclic formula and the permutation-closure fill before both
+# worked on int32 index vectors, copied as they were; parameter checks are
+# left out.
+
+def reference_nonmetacyclic_m2(n2: int, m2: int) -> Group:
+    n2, m2 = sorted((n2, m2))
+    na, nb = 2 ** n2, 2 ** m2
+    idx = np.arange(na * nb * 2)
+    i1, j1, k1 = (idx // (2 * nb))[:, None], ((idx // 2) % nb)[:, None], (idx % 2)[:, None]
+    i2, j2, k2 = (idx // (2 * nb))[None, :], ((idx // 2) % nb)[None, :], (idx % 2)[None, :]
+    ii = (i1 + i2) % na
+    jj = (j1 + j2) % nb
+    kk = (k1 + k2 + j1 * i2) % 2  # b^j a^i = a^i b^j c^(ij)
+    return Group((ii * nb + jj) * 2 + kk, label=f"M2({n2},{m2},1)",
+                 witness={"a": 2 * nb, "b": 2, "c": 1})
+
+
+def reference_from_permutations(perms) -> Group:
+    k = len(perms[0])
+    gens: list[tuple[int, ...]] = []
+    for p in perms:
+        t = tuple(int(x) for x in p)
+        if t not in gens:
+            gens.append(t)
+    identity = tuple(range(k))
+    elems: list[tuple[int, ...]] = [identity]
+    index = {identity: 0}
+    queue = [identity]
+    while queue:
+        nxt: list[tuple[int, ...]] = []
+        for x in queue:
+            for g in gens:
+                y = tuple(g[p] for p in x)
+                if y not in index:
+                    index[y] = len(elems)
+                    elems.append(y)
+                    nxt.append(y)
+        queue = nxt
+    n = len(elems)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, u in enumerate(elems):
+        for j, v in enumerate(elems):
+            table[i, j] = index[tuple(v[p] for p in u)]
+    return Group(table, label=f"perm[{n}]")

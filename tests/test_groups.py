@@ -10,8 +10,10 @@ from pcl import groups
 from pcl.errors import GroupSpecError, SizeLimitError
 from pcl.specs import build_family
 
-from conftest import (reference_dihedral, reference_direct_product, reference_metacyclic_m2,
-                      reference_quaternion, reference_semidirect_product)
+from conftest import (reference_dihedral, reference_direct_product,
+                      reference_from_permutations, reference_metacyclic_m2,
+                      reference_nonmetacyclic_m2, reference_quaternion,
+                      reference_semidirect_product)
 
 
 FAMILY_SPECS = [
@@ -196,6 +198,16 @@ def test_size_limit_names_a_power_order_briefly(spec, order, monkeypatch):
     assert str(caught.value) == f"group order {order} exceeds the cap PCL_MAX_ORDER=512"
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 1]],
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]]])
+def test_a_table_latin_on_one_axis_only_is_rejected(rows):
+    # identity in row and column 0; the first table's rows are permutations
+    # but its columns 2 and 3 repeat, the second is its transpose
+    with pytest.raises(ValueError, match="not a Latin square"):
+        groups.Group(np.array(rows))
+
+
 def test_raw_table_roundtrip():
     g = build_family("D(8)")
     text = "\n".join(" ".join(str(int(x)) for x in row) for row in g.mult)
@@ -280,7 +292,8 @@ def test_extension_kernel_matches_the_direct_product_formula(left, right):
     _assert_same_table(groups.direct_product(a, b), reference_direct_product(a, b))
 
 
-@pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)"])
+@pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)", "M2(4,5,1)", "EA(2,10)",
+                                  "C(16)xC(8)xC(4)xC(2)"])
 def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
     # the table itself is 4 MB
     monkeypatch.setenv("PCL_MAX_ORDER", "1024")
@@ -291,3 +304,51 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 20 << 20, (spec, peak)
+
+
+def test_nonmetacyclic_table_matches_the_int64_formula():
+    for n2 in range(1, 8):
+        for m2 in range(n2, 9 - n2):  # orders up to 512
+            if n2 + m2 >= 3:
+                _assert_same_table(groups.nonmetacyclic_m2(n2, m2),
+                                   reference_nonmetacyclic_m2(n2, m2))
+
+
+# image tuples on 0..k-1: S3, A4, A5, S5, S3 with a repeated generator
+@pytest.mark.parametrize("perms", [
+    [(1, 0, 2), (1, 2, 0)],
+    [(1, 2, 0, 3), (1, 0, 3, 2)],
+    [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)],
+    [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)],
+    [(1, 0, 2), (1, 2, 0), (1, 0, 2)]])
+def test_permutation_table_matches_the_pairwise_fill(perms):
+    _assert_same_table(groups.from_permutations(perms), reference_from_permutations(perms))
+
+
+def test_permutation_table_of_order_576_matches_the_pairwise_fill(monkeypatch):
+    # S4 x S4 on the points 0..3 and 4..7
+    monkeypatch.setenv("PCL_MAX_ORDER", "576")
+    perms = [(1, 2, 3, 0, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7),
+             (0, 1, 2, 3, 5, 6, 7, 4), (0, 1, 2, 3, 5, 4, 6, 7)]
+    G = groups.from_permutations(perms)
+    assert G.order == 576
+    _assert_same_table(G, reference_from_permutations(perms))
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("C(12)", 1), ("D(2)", 1), ("D(8)", 1), ("Q8", 1), ("M2(2,1)", 1), ("M2(3,2)", 1),
+    ("M2(1,2,1)", 1), ("M2(2,3,1)", 1), ("EA(2,4)", 1), ("EA(3,0)", 1),
+    ("SD(C(5);C(4);1->2)", 3), ("C(4)xD(6)", 3)])
+def test_constructors_build_only_the_groups_of_the_spec(spec, count, monkeypatch):
+    # internal factors are tables: only the named atoms and the result are
+    # built, and so validated, as groups
+    built = []
+    init = groups.Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0].shape)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Group, "__init__", counting_init)
+    build_family(spec)
+    assert len(built) == count, built

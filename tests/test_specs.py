@@ -82,6 +82,19 @@ def test_parse_errors_carry_positions():
         assert caught.value.position is not None, bad
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("SD(C(5);C(4);1->2,)", "expected ')' (at position 17)"),
+    ("SD(C(5);C(4);1->2 , )", "expected ')' (at position 18)"),
+    ("perm:(1 2),", "trailing input after group spec (at position 10)"),
+    ("perm:(1 2) , x C(2)", "trailing input after group spec (at position 11)")])
+def test_a_comma_ending_a_list_is_not_consumed(bad, message):
+    # the action list and the generator list leave a "," that starts no
+    # item unread, so the spec fails where it stands
+    with pytest.raises(GroupSpecError) as caught:
+        build_family(bad)
+    assert str(caught.value) == message
+
+
 def test_constraint_violations_name_the_constraint():
     with pytest.raises(GroupSpecError, match="n1 >= 2"):
         build_family("M2(1,1)")
