@@ -6,8 +6,8 @@ vertices.  This package decides that property along four independent routes
 (two coset criteria, an exact transversal search, and the raw graph
 definition), reduces general groups to 2-groups through Sylow subgroups,
 and implements closed-form classifications for abelian 2-groups, minimal
-nonabelian 2-groups, dihedral groups and groups with abelian Sylow
-2-subgroups, all cross-checked against each other.
+nonabelian 2-groups, dihedral groups and pairs whose reduced P is nontrivial
+and abelian, all cross-checked against each other.
 """
 
 from .catalog import (CatalogEntry, build_entry, default_catalog,

@@ -79,16 +79,14 @@ def criterion3(G: Group, H: Subgroup) -> Verdict:
     """Coset test: every x with x^2 in H and odd |H| / |H meet H^x| must have
     a solution of y^2 = 1 in the coset Hx.  Fails with the least violating x."""
     _require_subgroup_of(G, H)
-    return G.memo(("criterion3", H.mask_int),
-                  lambda: _coset_criterion(G, H, "criterion3", H.mask[G.squares]))
+    return _coset_criterion(G, H, "criterion3", H.mask[G.squares])
 
 
 def criterion4(G: Group, H: Subgroup) -> Verdict:
     """Double-coset variant: x ranges over elements with HxH = Hx^-1 H (placed
     by membership of x^-1 in HxH) and odd |H| / |H meet H^x|."""
     _require_subgroup_of(G, H)
-    return G.memo(("criterion4", H.mask_int), lambda: _coset_criterion(
-        G, H, "criterion4", _self_inverse_double_cosets(G, H)))
+    return _coset_criterion(G, H, "criterion4", _self_inverse_double_cosets(G, H))
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
@@ -206,7 +204,6 @@ def connection_set_from_transversal(G: Group, H: Subgroup,
     _require_subgroup_of(G, H)
     validate_transversal(T)
     h_rep = next(t for t in T.reps if H.mask[t])
-    assert G.mul(h_rep, h_rep) == 0
     reps = {0 if t == h_rep else int(t) for t in T.reps}
     members = tuple(sorted(reps - {0}))
     connection = ConnectionSet(G, members)

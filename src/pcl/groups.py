@@ -131,8 +131,8 @@ class Group:
         """The value of ``compute()``, computed once per group and ``key``.
 
         Every derived value of a group (element orders, conjugation table,
-        lattice, per-subgroup verdicts keyed on ``(name, H.mask_int)``) is
-        memoised here.
+        lattice, per-subgroup transversals and Frattini subgroups keyed on
+        ``(name, H.mask_int)``) is memoised here.
         """
         try:
             return self._cache[key]
@@ -373,11 +373,13 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
                  witness={"a": 2 * nb, "b": 2, "c": 1})
 
 
-def direct_product(a: Group, b: Group, label: str | None = None) -> Group:
-    """Componentwise product, the extension with trivial action; index
-    (x, y) -> x * |B| + y."""
-    return Group(_extension(a.mult, b.mult, np.arange(a.order)),
-                 label=label or f"{a.label} x {b.label}")
+def direct_product(*factors: Group, label: str | None = None) -> Group:
+    """Componentwise product, folded left over the factors' tables as the
+    extension with trivial action; index (x, y) -> x * |B| + y at each step."""
+    table = factors[0].mult
+    for factor in factors[1:]:
+        table = _extension(table, factor.mult, np.arange(len(table)))
+    return Group(table, label=label or " x ".join(f.label for f in factors))
 
 
 def semidirect_product(normal: Group, acting: Group,

@@ -24,7 +24,6 @@ left to right.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Callable
 
 from . import groups
@@ -103,12 +102,8 @@ class _Parser:
         if len(factors) == 1:
             return factors[0]
         label = "x".join(factor_label for factor_label, _ in factors)
-
-        def build() -> Group:
-            product = reduce(groups.direct_product, (make() for _, make in factors))
-            product.label = label
-            return product
-        return label, build
+        return label, lambda: groups.direct_product(*(make() for _, make in factors),
+                                                    label=label)
 
     def parse_atom(self) -> Parsed:
         self.skip_ws()

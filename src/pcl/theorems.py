@@ -18,12 +18,12 @@ from itertools import product
 
 import numpy as np
 
+from .codes import zhang_reduce
 from .errors import WrongClassifierError
 from .groups import Group
 from .structure import (FamilyRecognition, Subgroup, frattini, full_subgroup,
                         recognize_a1_family, recognize_dihedral,
-                        subgroup_generated, sylow, sylow_containing,
-                        _sylow_within, _is_2group)
+                        subgroup_generated, _is_2group)
 
 CLAUSE_TRIVIAL = "trivial-subgroup"
 CLAUSE_FRATTINI = "frattini-containment"
@@ -53,10 +53,10 @@ class ClassificationOutcome:
 
 
 def classify(G: Group, H: Subgroup) -> ClassificationOutcome | None:
-    """The verdict on H of the first rule whose class holds G, in priority
-    order: abelian 2-groups, minimal nonabelian 2-groups, dihedral groups,
-    groups with a nontrivial abelian Sylow 2-subgroup; None when none does.
-    Each class is decided by its classifier's guard alone."""
+    """The verdict on H of the first rule whose class holds the pair, in
+    priority order: abelian 2-groups, minimal nonabelian 2-groups, dihedral
+    groups, pairs whose reduced P is nontrivial and abelian; None when none
+    does.  Each class is decided by its classifier's guard alone."""
     for rule in (classify_abelian_2group, classify_a1_2group, dihedral_classify,
                  classify_abelian_sylow2):
         try:
@@ -73,10 +73,12 @@ def classify_abelian_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
             f"classify_abelian_2group requires an abelian 2-group, got {G.label}")
     if H.is_trivial or H.is_full:
         return ClassificationOutcome(True, CLAUSE_TRIVIAL)
-    phi_g = frattini(full_subgroup(G))
-    phi_h = frattini(H)
-    ok = ((H.mask_int & phi_g.mask_int) & ~phi_h.mask_int) == 0
-    return ClassificationOutcome(ok, CLAUSE_FRATTINI)
+    return ClassificationOutcome(_frattini_contained(H, full_subgroup(G)), CLAUSE_FRATTINI)
+
+
+def _frattini_contained(Q: Subgroup, P: Subgroup) -> bool:
+    """Whether Q meet Phi(P) <= Phi(Q), for subgroups Q <= P of 2-power order."""
+    return ((Q.mask_int & frattini(P).mask_int) & ~frattini(Q).mask_int) == 0
 
 
 def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
@@ -226,16 +228,11 @@ def dihedral_classify(G: Group, H: Subgroup) -> ClassificationOutcome:
 
 
 def classify_abelian_sylow2(G: Group, H: Subgroup) -> ClassificationOutcome:
-    """Rule for groups with a nontrivial abelian Sylow 2-subgroup: with Q a
-    Sylow 2-subgroup of H inside a Sylow 2-subgroup P of G, H is a perfect
-    code iff Q meet Phi(P) <= Phi(Q)."""
-    P0 = sylow(G, 2)
-    if P0.order == 1 or not P0.is_abelian:
+    """Rule for pairs whose reduced P is nontrivial and abelian: with (Q, P)
+    from ``codes.zhang_reduce``, H is a perfect code of G iff Q is one of P,
+    and by the abelian 2-group rule iff Q meet Phi(P) <= Phi(Q)."""
+    Q, P = zhang_reduce(G, H)
+    if P.order == 1 or not P.is_abelian:
         raise WrongClassifierError(
-            f"classify_abelian_sylow2 requires a nontrivial abelian Sylow 2-subgroup, got {G.label}")
-    Q = _sylow_within(G, H, 2, None)
-    P = sylow_containing(G, 2, Q)
-    phi_p = frattini(P)
-    phi_q = frattini(Q)
-    ok = ((Q.mask_int & phi_p.mask_int) & ~phi_q.mask_int) == 0
-    return ClassificationOutcome(ok, CLAUSE_SYLOW2)
+            f"classify_abelian_sylow2 requires a nontrivial abelian reduced P, got {G.label}")
+    return ClassificationOutcome(_frattini_contained(Q, P), CLAUSE_SYLOW2)

@@ -9,12 +9,14 @@ import pytest
 from pcl import structure as st
 from pcl.catalog import default_catalog
 from pcl.codes import ConnectionSet, Transversal, Verdict
+from pcl.errors import WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
                            _sylow_within)
-from pcl.theorems import FamilyMatch, _family_table
+from pcl.theorems import (CLAUSE_SYLOW2, ClassificationOutcome, FamilyMatch,
+                          _family_table)
 
 
 @pytest.fixture(scope="session")
@@ -389,6 +391,21 @@ def reference_sylow(G, within: Subgroup, p: int) -> Subgroup:
     ``within``, as the library chose a Sylow subgroup before growing one."""
     q = _p_part(within.order, p)
     return next(S for S in all_subgroups(G) if S.order == q and S.issubset(within))
+
+
+def reference_abelian_sylow2(G, H: Subgroup) -> ClassificationOutcome:
+    """The abelian-Sylow rule as first written, on a Sylow 2-subgroup of G
+    grown from one of H: H is a perfect code iff Q meet Phi(P) <= Phi(Q)."""
+    P0 = sylow(G, 2)
+    if P0.order == 1 or not P0.is_abelian:
+        raise WrongClassifierError(
+            f"classify_abelian_sylow2 requires a nontrivial abelian Sylow 2-subgroup, got {G.label}")
+    Q = _sylow_within(G, H, 2, None)
+    P = sylow_containing(G, 2, Q)
+    phi_p = frattini(P)
+    phi_q = frattini(Q)
+    ok = ((Q.mask_int & phi_p.mask_int) & ~phi_q.mask_int) == 0
+    return ClassificationOutcome(ok, CLAUSE_SYLOW2)
 
 
 def _p_part(n: int, p: int) -> int:

@@ -338,7 +338,7 @@ def test_permutation_table_of_order_576_matches_the_pairwise_fill(monkeypatch):
 @pytest.mark.parametrize("spec, count", [
     ("C(12)", 1), ("D(2)", 1), ("D(8)", 1), ("Q8", 1), ("M2(2,1)", 1), ("M2(3,2)", 1),
     ("M2(1,2,1)", 1), ("M2(2,3,1)", 1), ("EA(2,4)", 1), ("EA(3,0)", 1),
-    ("SD(C(5);C(4);1->2)", 3), ("C(4)xD(6)", 3)])
+    ("SD(C(5);C(4);1->2)", 3), ("C(4)xD(6)", 3), ("C(8)xC(4)xC(2)", 4)])
 def test_constructors_build_only_the_groups_of_the_spec(spec, count, monkeypatch):
     # internal factors are tables: only the named atoms and the result are
     # built, and so validated, as groups

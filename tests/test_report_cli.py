@@ -650,7 +650,7 @@ def test_classifier_choice_and_routes_never_build_the_lattice(monkeypatch):
         # each class decided here, independently of the classifiers' guards
         is_2group = structure._is_2group(G)
         family = structure.recognize_a1_family(G).tag if is_2group else None
-        P = structure.sylow(G, 2)
+        _, P = codes.zhang_reduce(G, H)  # rule 4's class is per pair
         holds = {
             theorems.classify_abelian_2group: family == "abelian",
             theorems.classify_a1_2group: family in ("q8", "metacyclic", "nonmetacyclic"),

@@ -10,7 +10,7 @@ from pcl.errors import WrongClassifierError
 from pcl.groups import Group
 from pcl.specs import build_family
 
-from conftest import reference_family_match
+from conftest import reference_abelian_sylow2, reference_family_match
 
 
 def test_abelian_classifier_examples():
@@ -285,6 +285,59 @@ def test_abelian_sylow2_rejects_wrong_groups():
     odd = build_family("C(9)")
     with pytest.raises(WrongClassifierError):
         th.classify_abelian_sylow2(odd, st.trivial_subgroup(odd))
+
+
+def test_abelian_sylow2_equals_the_sylow_of_g_form_where_that_applies():
+    # on groups with an abelian Sylow 2-subgroup S, every S holding Q is a
+    # conjugate of the reduced P by an element of N_G(Q), so both forms agree
+    for spec in ["perm:(1 2 3),(1 2)", "perm:(1 2 3),(1 2)(3 4)",
+                 "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)", "D(12)", "D(20)"]:
+        g = build_family(spec)
+        for S in st.all_subgroups(g):
+            assert th.classify_abelian_sylow2(g, S) == reference_abelian_sylow2(g, S), \
+                (spec, S.members.tolist())
+
+
+def test_abelian_sylow2_applies_per_pair_in_a_nonabelian_2group():
+    # in a 2-group the reduced pair is (H, N_G(H)), so the rule holds exactly
+    # where the normalizer is abelian
+    g = build_family("D(8)xC(2)")
+    applies = 0
+    for S in st.all_subgroups(g):
+        if st.normalizer(g, S).is_abelian:
+            out = th.classify_abelian_sylow2(g, S)
+            assert out.clause == th.CLAUSE_SYLOW2
+            assert out.is_code == codes.criterion3(g, S).is_code, S.members.tolist()
+            applies += 1
+        else:
+            with pytest.raises(WrongClassifierError):
+                th.classify_abelian_sylow2(g, S)
+    assert applies == 16
+
+
+# groups whose Sylow 2-subgroup is nonabelian and outside the direct classes,
+# but where some pairs reduce to an abelian P
+NONABELIAN_SYLOW_SPECS = [
+    "perm:(1 2 3 4),(1 2)", "perm:(1 2 3 4),(1 2)xC(2)", "perm:(1 2 3 4 5),(1 2)",
+    "C(3)xD(8)", "C(3)xQ8", "D(8)xC(2)", "D(16)xC(2)", "SD(C(8);C(2);1->3)",
+    "D(8)xD(8)", "M2(2,2,1)xC(2)", "C(3)xM2(2,2,1)", "C(5)xM2(3,1)",
+    "perm:(1 2 3 4),(1 2)xC(3)", "SD(C(7);C(3);1->2)xD(8)",
+    "SD(C(4)xC(4);C(2);1->4,4->1)"]
+
+
+def test_theorem_route_equals_the_oracle_on_reduced_abelian_pairs():
+    verdicts, mismatches = 0, []
+    for spec in NONABELIAN_SYLOW_SPECS:
+        g = build_family(spec)
+        for S in st.all_subgroups(g):
+            out = th.classify(g, S)
+            if out is None:
+                continue
+            verdicts += 1
+            if out.is_code != (codes.find_inverse_closed_transversal(g, S) is not None):
+                mismatches.append((spec, S.members.tolist(), out))
+    assert mismatches == []
+    assert verdicts >= 476
 
 
 def test_sylow_choice_invariance_of_reduction():
