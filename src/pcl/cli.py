@@ -64,8 +64,7 @@ def _cmd_subgroups(args) -> int:
         "label": group.label,
         "order": group.order,
         "count": len(subgroups),
-        "subgroups": [{"elements": s.members.tolist(), "order": s.order,
-                       "generators": list(s.generators)} for s in subgroups],
+        "subgroups": [report._subgroup_json(s) for s in subgroups],
     }
     _write(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK

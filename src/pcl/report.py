@@ -109,16 +109,18 @@ def _timed_payload(entry: CatalogEntry, H: Subgroup, method: str) -> dict:
     return payload
 
 
+def _subgroup_json(H: Subgroup) -> dict:
+    """The JSON form of a subgroup in records and ``pcl subgroups``."""
+    return {"elements": H.members.tolist(), "order": H.order,
+            "generators": list(H.generators)}
+
+
 def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
     verdicts = {m: _timed_payload(entry, H, m) for m in methods}
     votes = {v["is_code"] for v in verdicts.values() if "is_code" in v}
     return {
         "group": entry.label,
-        "subgroup": {
-            "elements": H.members.tolist(),
-            "order": H.order,
-            "generators": list(H.generators),
-        },
+        "subgroup": _subgroup_json(H),
         "verdicts": verdicts,
         "agreement": len(votes) <= 1,
     }

@@ -12,7 +12,6 @@ from p-group identities and never build it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -116,8 +115,9 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     (p the prime of o(z)); then V<z> is the union of the p cosets V z^i,
     one ``Group.extend`` step.
     Every nontrivial solvable subgroup has a normal subgroup of prime index,
-    so this reaches every subgroup of a solvable group.  For a group that is
-    not solvable (the derived series decides), one join pass against the
+    so this reaches every subgroup of a solvable group; and a subgroup it
+    reaches has a series with factors of prime order, so it reaches G exactly
+    when G is solvable.  When it does not reach G, one join pass against the
     cyclic subgroups, seeded with what the extension found, completes the
     lattice.  Generators are the canonical ones of ``Subgroup``, so they do
     not depend on how the lattice was found.
@@ -130,18 +130,16 @@ def _lattice(G: Group) -> list[Subgroup]:
         raise SizeLimitError(
             f"subgroup enumeration of order {G.order} exceeds PCL_MAX_ORDER={max_order()}")
     masks = _cyclic_extensions(G)
-    if not _is_solvable(G):
+    if not any(mask.all() for mask in masks):
         masks = _join_completion(G, masks)
     return sorted((Subgroup(G, mask) for mask in masks), key=Subgroup.sort_key)
 
 
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
     """Membership masks of every subgroup reachable by cyclic extension."""
-    n = G.order
-    prime, pth_power = _prime_powers(G)
+    prime, _ = _prime_powers(G)
     candidates = np.flatnonzero(prime)
-    ct = G.conj_table[candidates]
-    trivial = np.zeros(n, dtype=bool)
+    trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
     found = {trivial.tobytes(): trivial}
     layer = [trivial]
@@ -149,11 +147,9 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
         next_layer = []
         for V in layer:
             members = np.flatnonzero(V)
-            extends = (V[ct[:, members]].all(axis=1) & ~V[candidates]
-                       & V[pth_power[candidates]])
             # z inside an extension V<y> already made gives V<z> = V<y>
             covered = V.copy()
-            for z in candidates[extends].tolist():
+            for z in _extenders(G, V, members, candidates).tolist():
                 if covered[z]:
                     continue
                 U = V.copy()
@@ -165,6 +161,18 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
                     next_layer.append(U)
         layer = next_layer
     return list(found.values())
+
+
+def _extenders(G: Group, mask: np.ndarray, members: np.ndarray,
+               allowed: np.ndarray) -> np.ndarray:
+    """The z of ``allowed`` (ascending elements of prime-power order) that
+    grow the subgroup V of ``mask`` and ``members`` to V<z>, the union of the
+    p cosets V z^i: z lies outside V, has z^p in V and normalizes V.  Only
+    the rows of the memoised conjugation table that pass the first two tests
+    are read."""
+    _, pth_power = _prime_powers(G)
+    allowed = allowed[~mask[allowed] & mask[pth_power[allowed]]]
+    return allowed[mask[G.conj_table[allowed[:, None], members]].all(axis=1)]
 
 
 def _prime_powers(G: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +198,6 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
             power = G.mult[power, idx]
         pth_power[prime == p] = power[prime == p]
     return _readonly(prime), _readonly(pth_power)
-
-
-def _is_solvable(G: Group) -> bool:
-    """Whether the derived series of G, from the memoised G', reaches the
-    trivial subgroup."""
-    previous, members = G.order, derived_subgroup(G).members
-    while 1 < members.size < previous:
-        previous, members = members.size, G.closure(_commutators(G, members))
-    return members.size == 1
 
 
 def _commutators(G: Group, members: np.ndarray) -> np.ndarray:
@@ -326,21 +325,18 @@ def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
 def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
-    ``containing`` (default trivial): P becomes P<z>, the union of the cosets
-    P z^i found by one ``Group.extend`` step, for the least p-element z of
-    ``within`` that normalizes P, lies outside P and has z^p in P.  Such a z
-    exists until P is Sylow, since P lies in a Sylow subgroup S and N_S(P)/P
-    is a nontrivial p-group."""
+    ``containing`` (default trivial): P becomes P<z>, one ``Group.extend``
+    step, for the least p-element z of ``within`` among ``_extenders`` of P.
+    Such a z exists until P is Sylow, since P lies in a Sylow subgroup S and
+    N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
     if q == within.order:
         return within
-    prime, pth_power = _prime_powers(G)
+    prime, _ = _prime_powers(G)
     candidates = np.flatnonzero(within.mask & (prime == p))
     P = trivial_subgroup(G) if containing is None else containing
     while P.order < q:
-        extends = (P.mask[G.conj_table[np.ix_(candidates, P.members)]].all(axis=1)
-                   & ~P.mask[candidates] & P.mask[pth_power[candidates]])
-        z = int(candidates[np.argmax(extends)])
+        z = int(_extenders(G, P.mask, P.members, candidates)[0])
         mask = P.mask.copy()
         G.extend(P.members, mask, (z,))
         P = Subgroup(G, mask)
@@ -358,29 +354,11 @@ def omega1(G: Group) -> Subgroup:
 
 
 def min_generators(H: Subgroup) -> int:
-    """Minimal number of generators d(H).
-
-    For p-groups this is log_p of the index of the Frattini subgroup
-    (Burnside basis); otherwise a direct search over generating sets.
-    """
-    if H.order == 1:
-        return 0
-    pk = prime_power(H.order)
-    if pk is not None:
-        p, _ = pk
-        quotient = H.order // frattini(H).order
-        d = 0
-        while quotient > 1:
-            quotient //= p
-            d += 1
-        return d
-    G = H.parent
-    candidates = [int(m) for m in H.members if m != 0]
-    for k in range(1, len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            if G.closure(combo).size == H.order:
-                return k
-    raise RuntimeError("generator search failed")
+    """Minimal number of generators d(H) of the p-group H: log_p of the
+    index of the Frattini subgroup (Burnside basis).  Trivial H gives 0; H of
+    order divisible by two primes raises ``PreconditionError``."""
+    index = H.order // frattini(H).order
+    return 0 if index == 1 else prime_power(index)[1]
 
 
 def is_minimal_nonabelian(G: Group) -> bool:

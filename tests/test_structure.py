@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,44 @@ def test_lattice_matches_join_closure_on_catalog(catalog):
     ("perm:(1 2 3 4),(1 2)", 30, True),        # S4
     ("perm:(1 2 3 4 5),(1 2 3)", 59, False),   # A5, through the join pass
     ("perm:(1 2 3 4 5),(1 2)", 156, False),    # S5, through the join pass
+    ("SD(Q8;C(3);1->2,2->3)", 15, True),       # SL(2,3)
 ])
 def test_symmetric_and_alternating_subgroup_counts(spec, count, solvable):
     G = build_family(spec)
     subs = st.all_subgroups(G)
     assert len(subs) == count
-    assert st._is_solvable(G) == solvable
+    # cyclic extension reaches the whole group exactly when it is solvable
+    assert any(m.all() for m in st._cyclic_extensions(G)) == solvable
     if G.order <= 60:
         assert {tuple(S.members.tolist()) for S in subs} == join_closure_subgroups(G)
+
+
+@pytest.mark.parametrize("spec", [
+    "perm:(1 2 3 4),(1 2)", "perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3 4 5),(1 2)",
+    "D(12)", "SD(C(5);C(4);1->2)"])
+def test_lattice_needs_no_derived_subgroup(spec, monkeypatch):
+    def refuse(G):
+        raise AssertionError("the lattice read the derived subgroup")
+    monkeypatch.setattr(st, "derived_subgroup", refuse)
+    G = build_family(spec)
+    subs = st.all_subgroups(G)
+    assert {tuple(S.members.tolist()) for S in subs} == join_closure_subgroups(G)
+
+
+@pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)", "M2(4,5,1)"])
+def test_order_1024_lattice_peak_under_10_mb(spec, monkeypatch):
+    # the 4 MB conjugation table is built before tracing; the lattice reads
+    # its rows in place
+    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    G = build_family(spec)
+    G.conj_table, G.element_orders()
+    tracemalloc.start()
+    try:
+        st.all_subgroups(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20, (spec, peak)
 
 
 def test_lattice_generators_are_canonical():
@@ -217,13 +249,16 @@ def test_index_sets_match_the_np_unique_references_on_catalog(catalog):
 
 
 def test_min_generators_against_bruteforce():
-    cases = ["C(8)", "Q8", "EA(2,3)", "C(4)xC(2)", "D(8)", "M2(1,2,1)",
-             "perm:(1 2 3),(1 2)", "SD(C(5);C(4);1->2)"]
+    cases = ["C(8)", "Q8", "EA(2,3)", "C(4)xC(2)", "D(8)", "M2(1,2,1)"]
     for spec in cases:
         g = build_family(spec)
         H = st.full_subgroup(g)
         assert st.min_generators(H) == brute_force_min_generators(H), spec
     assert st.min_generators(st.trivial_subgroup(build_family("C(4)"))) == 0
+    # S3 and F20 are not p-groups
+    for spec in ["perm:(1 2 3),(1 2)", "SD(C(5);C(4);1->2)"]:
+        with pytest.raises(PreconditionError):
+            st.min_generators(st.full_subgroup(build_family(spec)))
 
 
 def test_min_generators_examples():
