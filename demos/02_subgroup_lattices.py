@@ -5,16 +5,14 @@ Run:  python demos/02_subgroup_lattices.py
 
 from collections import Counter
 
-from pcl import (all_subgroups, build_family, center, derived_subgroup,
-                 frattini, full_subgroup, min_generators, normalizer, omega1,
-                 sylow)
+from pcl import (all_subgroups, build_family, derived_subgroup, frattini,
+                 full_subgroup, involutions, min_generators, normalizer, sylow)
 
 d8 = build_family("D(8)")
 lattice = all_subgroups(d8)
 print(f"D(8) has {len(lattice)} subgroups, by order:",
       dict(Counter(s.order for s in lattice)))
 
-print("center:", center(d8).members.tolist())
 print("derived subgroup:", derived_subgroup(d8).members.tolist())
 print("Frattini subgroup:", frattini(full_subgroup(d8)).members.tolist())
 
@@ -28,5 +26,5 @@ print(f"\nA5 has {len(all_subgroups(a5))} subgroups;"
 
 m = build_family("M2(2,2,1)")
 print(f"\nM2(2,2,1): d(G) = {min_generators(full_subgroup(m))},"
-      f" |omega1| = {omega1(m).order},"
+      f" solutions of x^2 = 1: {involutions(m).size},"
       f" Frattini order = {frattini(full_subgroup(m)).order}")

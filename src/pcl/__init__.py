@@ -14,9 +14,8 @@ from .catalog import (CatalogEntry, build_entry, default_catalog,
                       load_catalog_pairs)
 from .codes import (ConnectionSet, Transversal, Verdict,
                     connection_set_from_transversal, criterion3, criterion4,
-                    criterion3_on_pair, exhaustive_connection_set_search,
-                    find_inverse_closed_transversal, is_code_perfect,
-                    verify_perfect_code_in_cayley, zhang_reduce)
+                    exhaustive_connection_set_search, find_inverse_closed_transversal,
+                    order4_witness, verify_perfect_code_in_cayley, zhang_reduce)
 from .errors import (GroupSpecError, PclError, PreconditionError,
                      SizeLimitError, WrongClassifierError)
 from .groups import (Group, cyclic, dihedral, direct_product,
@@ -25,11 +24,10 @@ from .groups import (Group, cyclic, dihedral, direct_product,
                      semidirect_product)
 from .report import METHODS, render_summary_table, run_verification_matrix
 from .specs import build_family
-from .structure import (FamilyRecognition, Subgroup, all_subgroups, center,
+from .structure import (FamilyRecognition, Subgroup, all_subgroups,
                         derived_subgroup, frattini, full_subgroup, involutions,
-                        is_minimal_nonabelian, maximal_subgroups,
-                        min_generators, normalizer, omega1,
-                        recognize_a1_family, recognize_dihedral,
+                        is_minimal_nonabelian, maximal_subgroups, min_generators,
+                        normalizer, recognize_a1_family, recognize_dihedral,
                         subgroup_as_group, subgroup_generated, sylow,
                         sylow_containing, trivial_subgroup)
 from .theorems import (ClassificationOutcome, FamilyMatch, classify,

@@ -71,6 +71,7 @@ def _cmd_subgroups(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    # bad input fails here, before --out is opened
     entry = catalog.build_entry(args.spec, args.spec)
     methods = report.parse_methods(args.methods)
     if args.subgroup is not None:
@@ -84,14 +85,10 @@ def _cmd_classify(args) -> int:
         targets = [subgroup_generated(entry.group, gens)]
     else:
         targets = all_subgroups(entry.group)
-    lines = []
-    disagreement = False
-    for H in targets:
-        record = report.record_for(entry, H, methods)
-        disagreement = disagreement or report._split_disagreement(record)[0]
-        lines.append(json.dumps(record, sort_keys=True))
-    _write("\n".join(lines), args.out)
-    return EXIT_DISAGREEMENT if disagreement else EXIT_OK
+    row = report._blank_row(entry.label, entry.group.order)
+    with _output(args.out) as out:
+        report._write_records(out, report._tallied_records(entry, targets, methods, row))
+    return EXIT_DISAGREEMENT if row["disagreements"] else EXIT_OK
 
 
 def _worker_count(flag: int | None) -> int:

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groups import Group, sorted_distinct
-from .structure import (Subgroup, full_subgroup, normalizer, subgroup_as_group,
-                        _sylow_within)
+from .structure import Subgroup, full_subgroup, normalizer, _sylow_within
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,10 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
     element), so a coset with no admissible representative fails the branch
     immediately; with a fixed canonical order instead, such a coset deep in
     the order makes refutations exponential.  The search is exact and
-    deterministic, and results are memoised per subgroup.
+    deterministic, and its result is not kept.
     """
     _require_subgroup_of(G, H)
-    return G.memo(("transversal", H.mask_int), lambda: _transversal_search(G, H))
+    return _transversal_search(G, H)
 
 
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
@@ -290,19 +289,8 @@ def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:
     return Q, P
 
 
-def criterion3_on_pair(P: Subgroup, Q: Subgroup) -> Verdict:
-    """criterion3 for Q viewed as a subgroup of the group P."""
-    group, (inner,) = subgroup_as_group(P, Q)
-    return criterion3(group, inner)
-
-
-def is_code_perfect(G: Group) -> bool:
-    """True when every subgroup is a perfect code; equivalently, no element
-    has order 4."""
-    return order4_witness(G) is None
-
-
 def order4_witness(G: Group) -> int | None:
-    """The least element of order 4, if any."""
+    """The least element of order 4, if any.  Every subgroup of G is a
+    perfect code exactly when there is none."""
     hits = np.flatnonzero(G.element_orders() == 4)
     return int(hits[0]) if hits.size else None

@@ -131,8 +131,8 @@ class Group:
         """The value of ``compute()``, computed once per group and ``key``.
 
         Every derived value of a group (element orders, conjugation table,
-        lattice, per-subgroup transversals and Frattini subgroups keyed on
-        ``(name, H.mask_int)``) is memoised here.
+        lattice, Frattini subgroups keyed on ``(name, H.mask_int)``) is
+        memoised here; a pair's transversal lives only while it is decided.
         """
         try:
             return self._cache[key]

@@ -9,11 +9,10 @@ order.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from contextlib import closing
-
-import numpy as np
 
 from . import catalog, codes, theorems
 from .catalog import CatalogEntry
@@ -30,20 +29,20 @@ def _verdict(v: codes.Verdict) -> dict:
     return {"is_code": v.is_code, "evidence": v.evidence}
 
 
-def _oracle(entry: CatalogEntry, H: Subgroup) -> dict:
-    transversal = codes.find_inverse_closed_transversal(entry.group, H)
+def _oracle(entry: CatalogEntry, H: Subgroup, search) -> dict:
+    transversal = search()
     if transversal is None:
         return {"is_code": False, "evidence": None}
     return {"is_code": True, "evidence": {"transversal": list(transversal.reps)}}
 
 
-def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
+def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
     """Definition-level verdict: re-check a connection set built from the
     transversal, or exhaust all inverse-closed sets on small groups and
     re-check the one found.  None when neither route applies (no witness
     and the group is too large to sweep)."""
     G = entry.group
-    transversal = codes.find_inverse_closed_transversal(G, H)
+    transversal = search()
     if transversal is not None:
         connection = codes.connection_set_from_transversal(G, H, transversal)
         return {"is_code": codes.verify_perfect_code_in_cayley(G, connection, H),
@@ -57,7 +56,7 @@ def _cayley(entry: CatalogEntry, H: Subgroup) -> dict | None:
             "evidence": {"connection_set": list(found.members)}}
 
 
-def _theorem(entry: CatalogEntry, H: Subgroup) -> dict | None:
+def _theorem(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
     outcome = theorems.classify(entry.group, H)
     if outcome is None:
         return None
@@ -69,12 +68,12 @@ def _theorem(entry: CatalogEntry, H: Subgroup) -> dict | None:
     return payload
 
 
-# Decision routes in record order: name -> (entry, H) -> payload, or None
-# where the route does not apply.  All but the theorem classifiers decide
-# the question exactly and form the correctness gate.
+# Decision routes in record order: name -> (entry, H, transversal search) ->
+# payload, or None where the route does not apply.  All but the theorem
+# classifiers decide the question exactly and form the correctness gate.
 ROUTES = {
-    "criterion3": lambda e, H: _verdict(codes.criterion3(e.group, H)),
-    "criterion4": lambda e, H: _verdict(codes.criterion4(e.group, H)),
+    "criterion3": lambda e, H, _: _verdict(codes.criterion3(e.group, H)),
+    "criterion4": lambda e, H, _: _verdict(codes.criterion4(e.group, H)),
     "oracle": _oracle,
     "cayley": _cayley,
     "theorem": _theorem,
@@ -100,9 +99,9 @@ def parse_methods(methods) -> tuple[str, ...]:
     return chosen
 
 
-def _timed_payload(entry: CatalogEntry, H: Subgroup, method: str) -> dict:
+def _timed_payload(entry: CatalogEntry, H: Subgroup, method: str, search) -> dict:
     start = time.perf_counter()
-    payload = ROUTES[method](entry, H)
+    payload = ROUTES[method](entry, H, search)
     if payload is None:
         payload = {"not_applicable": True}
     payload["time_ms"] = (time.perf_counter() - start) * 1000.0
@@ -116,7 +115,9 @@ def _subgroup_json(H: Subgroup) -> dict:
 
 
 def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
-    verdicts = {m: _timed_payload(entry, H, m) for m in methods}
+    # oracle and cayley share one search, run (and timed) for the first to ask
+    search = functools.cache(lambda: codes.find_inverse_closed_transversal(entry.group, H))
+    verdicts = {m: _timed_payload(entry, H, m, search) for m in methods}
     votes = {v["is_code"] for v in verdicts.values() if "is_code" in v}
     return {
         "group": entry.label,
@@ -126,49 +127,62 @@ def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
     }
 
 
-def _split_disagreement(record: dict) -> tuple[bool, bool]:
-    """(ground-truth routes disagree, theorem clause mismatches them).
-
-    The equivalence routes are the correctness gate; a theorem verdict that
-    contradicts their agreed answer is a reported finding about the
-    classification, not an engine failure.
-    """
-    truth_votes = {v["is_code"] for m, v in record["verdicts"].items()
-                   if m in GROUND_TRUTH_METHODS and "is_code" in v}
-    theorem = record["verdicts"].get("theorem", {})
-    route_split = len(truth_votes) > 1
-    finding = ("is_code" in theorem and len(truth_votes) == 1
-               and theorem["is_code"] not in truth_votes)
-    return route_split, finding
+def _blank_row(label: str, order) -> dict:
+    return {"group": label, "order": order, "subgroups": 0, "codes": 0,
+            "classes": 0, "code_classes": 0, "disagreements": 0, "findings": 0}
 
 
-def entry_records(entry: CatalogEntry, methods=METHODS) -> list[dict]:
-    return [record_for(entry, H, methods) for H in all_subgroups(entry.group)]
-
-
-def _run_entry(job: tuple[str, str, tuple[str, ...]]) -> tuple[dict, list[dict]] | PclError:
-    """Build one catalog entry and run it: its summary row and its records.
-    A bad or too-large spec gives its error instead."""
+def _run_entry(job: tuple[str, str, tuple[str, ...]]):
+    """Build one catalog entry and its lattice: its summary row and the generator
+    of its records, which fills the row in; a bad or too-large spec's error."""
     label, spec_text, methods = job
     try:
         entry = catalog.build_entry(label, spec_text)
-        records = entry_records(entry, methods)
+        lattice = all_subgroups(entry.group)
     except (GroupSpecError, SizeLimitError) as exc:
         return exc.with_traceback(None)
+    row = _blank_row(label, entry.group.order)
+    return row, _tallied_records(entry, lattice, methods, row)
+
+
+def _tallied_records(entry: CatalogEntry, subgroups, methods, row: dict):
+    """Each subgroup's record, made as it is read and then counted into
+    ``row``, which is whole when the generator is.  A split among the
+    equivalence routes is a disagreement; a theorem verdict against their
+    agreed answer is a finding about the classification.  A class of
+    conjugate subgroups is all codes or none, and each subgroup H adds
+    |N_G(H)| / |G| to the count of its class."""
     G = entry.group
-    coded = np.array([next((v["is_code"] for v in r["verdicts"].values()
-                            if "is_code" in v), False) for r in records], dtype=bool)
-    # Conjugation is an automorphism, so a class of conjugate subgroups is all
-    # codes or none, and counting orbits gives the classes: each subgroup H
-    # adds |N_G(H)| / |G| to the count of its class.
-    normalizer_orders = np.array([normalizer(G, H).order for H in all_subgroups(G)])
-    splits = [_split_disagreement(r) for r in records]
-    return {"group": label, "order": G.order, "subgroups": len(records),
-            "codes": int(coded.sum()),
-            "classes": int(normalizer_orders.sum()) // G.order,
-            "code_classes": int(normalizer_orders[coded].sum()) // G.order,
-            "disagreements": sum(split for split, _ in splits),
-            "findings": sum(finding for _, finding in splits)}, records
+    for H in subgroups:
+        record = record_for(entry, H, methods)
+        yield record
+        verdicts = record["verdicts"]
+        truth = {v["is_code"] for m, v in verdicts.items()
+                 if m in GROUND_TRUTH_METHODS and "is_code" in v}
+        theorem = verdicts.get("theorem", {})
+        is_code = next((v["is_code"] for v in verdicts.values() if "is_code" in v), False)
+        weight = normalizer(G, H).order  # orbit sums, divided by |G| below
+        row["subgroups"] += 1
+        row["codes"] += is_code
+        row["classes"] += weight
+        row["code_classes"] += weight * is_code
+        row["disagreements"] += len(truth) > 1
+        row["findings"] += ("is_code" in theorem and len(truth) == 1
+                            and theorem["is_code"] not in truth)
+    row["classes"] //= G.order
+    row["code_classes"] //= G.order
+
+
+def _run_entry_to_end(job):
+    """``_run_entry`` in a pool worker: the whole row and its records' list."""
+    result = _run_entry(job)
+    return result if isinstance(result, PclError) else (result[0], list(result[1]))
+
+
+def _write_records(out, records) -> None:
+    """Write each record to ``out`` as one JSON line once it is made; flush."""
+    out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    out.flush()
 
 
 def _entry_results(jobs: list, workers: int):
@@ -179,7 +193,7 @@ def _entry_results(jobs: list, workers: int):
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            yield from pool.map(_run_entry, jobs)
+            yield from pool.map(_run_entry_to_end, jobs)
         finally:
             pool.shutdown(cancel_futures=True)
     else:
@@ -194,8 +208,9 @@ def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
     Each entry is built in the process that runs it, so a malformed or
     too-large spec surfaces in that entry's row instead of aborting the run.
     Entries run in catalog order (or across ``workers`` processes, results
-    still taken in catalog order).  As each entry arrives its records are
-    written to the text stream ``out``, one JSON line each, and flushed.  A
+    still taken in catalog order).  Serially each record goes to the text
+    stream ``out`` as one JSON line once its pair is decided, and only its
+    counts in the entry's row outlive it; ``out`` is flushed per entry.  A
     record disagrees when two applicable methods return different verdicts.
     A row counts its subgroups and codes both one by one and up to
     conjugacy (``classes``, ``code_classes``).
@@ -210,15 +225,13 @@ def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
             if isinstance(result, PclError):
                 summary["size_limited"] += isinstance(result, SizeLimitError)
                 summary["spec_errors"] += isinstance(result, GroupSpecError)
-                summary["rows"].append(
-                    {"group": label, "order": "", "subgroups": 0, "codes": 0,
-                     "classes": 0, "code_classes": 0, "disagreements": 0,
-                     "findings": 0, "error": str(result)})
+                summary["rows"].append(_blank_row(label, "") | {"error": str(result)})
                 continue
             row, records = result
             if out is not None:
-                out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
-                out.flush()
+                _write_records(out, records)
+            for _ in records:  # the pairs no writer read still count in the row
+                pass
             summary["disagreements"] += row["disagreements"]
             summary["findings"] += row["findings"]
             summary["rows"].append(row)

@@ -281,13 +281,21 @@ def _frattini(H: Subgroup) -> Subgroup:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    """Subgroup generated by all commutators."""
-    return G.memo("derived", lambda: subgroup_generated(
-        G, _commutators(G, np.arange(G.order)).tolist()))
+    """Subgroup generated by all commutators: the normal closure N of those of
+    G's canonical generators (their images commute in G/N), grown by their
+    conjugates under the generators until conjugation keeps it."""
+    return G.memo("derived", lambda: _derived_subgroup(G))
 
 
-def center(G: Group) -> Subgroup:
-    return G.memo("center", lambda: Subgroup(G, (G.mult == G.mult.T).all(axis=1)))
+def _derived_subgroup(G: Group) -> Subgroup:
+    xs = full_subgroup(G).generators
+    gens = tuple(G.commutator(a, b) for a in xs for b in xs)
+    while True:
+        mask, gens = G.generate(gens)
+        conjugates = tuple(G.conjugate(g, x) for g in gens for x in xs)
+        if mask[list(conjugates)].all():
+            return Subgroup(G, mask)
+        gens += conjugates
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
@@ -346,11 +354,6 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
 def involutions(G: Group) -> np.ndarray:
     """Indices of all solutions of x*x = identity, the identity included."""
     return np.flatnonzero(G.squares == 0).astype(np.int32)
-
-
-def omega1(G: Group) -> Subgroup:
-    """Subgroup generated by all solutions of x*x = identity."""
-    return subgroup_generated(G, involutions(G).tolist())
 
 
 def min_generators(H: Subgroup) -> int:

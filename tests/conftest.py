@@ -8,7 +8,7 @@ import pytest
 
 from pcl import structure as st
 from pcl.catalog import default_catalog
-from pcl.codes import ConnectionSet, Transversal, Verdict
+from pcl.codes import ConnectionSet, Transversal, Verdict, criterion3
 from pcl.errors import WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
@@ -339,6 +339,31 @@ def reference_commutators(G, members: np.ndarray) -> np.ndarray:
     """``structure._commutators`` as the library computed it with np.unique."""
     a, b = members[:, None], members[None, :]
     return np.unique(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+
+
+def reference_derived_subgroup(G) -> Subgroup:
+    """G' as ``structure.derived_subgroup`` computed it before the normal
+    closure: the subgroup generated by all |G|^2 commutators."""
+    return st.subgroup_generated(G, st._commutators(G, np.arange(G.order)).tolist())
+
+
+def reference_center(G) -> Subgroup:
+    """The center as ``structure.center`` computed it before it went: the
+    elements whose row of the table equals their column."""
+    return Subgroup(G, (G.mult == G.mult.T).all(axis=1))
+
+
+def reference_omega1(G) -> Subgroup:
+    """The subgroup generated by all solutions of x*x = identity, as
+    ``structure.omega1`` computed it before it went."""
+    return st.subgroup_generated(G, st.involutions(G).tolist())
+
+
+def reference_criterion3_on_pair(P: Subgroup, Q: Subgroup) -> Verdict:
+    """criterion3 for Q viewed as a subgroup of the group P, as
+    ``codes.criterion3_on_pair`` computed it before it went."""
+    group, (inner,) = st.subgroup_as_group(P, Q)
+    return criterion3(group, inner)
 
 
 def reference_prime_power_table(G) -> tuple[np.ndarray, np.ndarray]:

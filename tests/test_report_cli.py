@@ -32,6 +32,11 @@ def run_matrix(entries, **kwargs):
     return summary, [json.loads(line) for line in stream.getvalue().splitlines()]
 
 
+def entry_records(entry):
+    """Every record of the entry, one per subgroup, in lattice order."""
+    return [report.record_for(entry, H) for H in structure.all_subgroups(entry.group)]
+
+
 def canonical(records):
     """Records with the wall-clock timing fields zeroed."""
     out = []
@@ -45,7 +50,7 @@ def canonical(records):
 
 def test_record_structure_and_agreement():
     entry = build_entry("Q8", "Q8")
-    records = report.entry_records(entry)
+    records = entry_records(entry)
     assert len(records) == 6
     code_count = 0
     for r in records:
@@ -60,7 +65,7 @@ def test_record_structure_and_agreement():
 
 def test_d8_code_count_and_cayley_evidence():
     entry = build_entry("D(8)", "D(8)")
-    records = report.entry_records(entry)
+    records = entry_records(entry)
     assert len(records) == 10
     codes_found = [r for r in records if r["verdicts"]["criterion3"]["is_code"]]
     assert len(codes_found) == 9
@@ -72,7 +77,7 @@ def test_d8_code_count_and_cayley_evidence():
 
 def test_cayley_method_exhausts_small_negatives():
     entry = build_entry("C(4)", "C(4)")
-    records = report.entry_records(entry)
+    records = entry_records(entry)
     center = next(r for r in records if r["subgroup"]["elements"] == [0, 2])
     assert center["verdicts"]["cayley"]["is_code"] is False
     assert center["verdicts"]["cayley"]["evidence"] == {"exhausted_all_sets": True}
@@ -87,14 +92,15 @@ def test_cayley_method_reverifies_an_exhaustive_positive(monkeypatch):
     checked = []
     monkeypatch.setattr(codes, "verify_perfect_code_in_cayley",
                         lambda G, S, C: checked.append((S.members, C)) or False)
-    assert report.ROUTES["cayley"](entry, trivial) == {
+    search = lambda: codes.find_inverse_closed_transversal(entry.group, trivial)
+    assert report.ROUTES["cayley"](entry, trivial, search) == {
         "is_code": False, "evidence": {"connection_set": [1, 2, 3]}}
     assert checked == [((1, 2, 3), trivial)]
 
 
 def test_cayley_method_not_applicable_above_limit():
     entry = build_entry("C(32)", "C(32)")
-    records = report.entry_records(entry)
+    records = entry_records(entry)
     bad = next(r for r in records if r["subgroup"]["order"] == 8)
     assert bad["verdicts"]["cayley"] == {"not_applicable": True,
                                          "time_ms": bad["verdicts"]["cayley"]["time_ms"]}
@@ -105,7 +111,7 @@ def test_cayley_method_not_applicable_above_limit():
 
 def test_theorem_method_not_applicable_for_odd_order():
     entry = build_entry("C7:C3", "SD(C(7);C(3);1->2)")
-    records = report.entry_records(entry)
+    records = entry_records(entry)
     for r in records:
         assert r["verdicts"]["theorem"].get("not_applicable") is True
         assert r["agreement"] is True
@@ -139,6 +145,39 @@ def test_matrix_streams_each_entry_before_building_the_next(monkeypatch):
     monkeypatch.setattr(pcl.catalog, "build_entry", spy)
     report.run_verification_matrix([("Q8", "Q8"), ("C(4)", "C(4)")], out=stream)
     assert lines_at_build == [0, 6]
+
+
+def test_matrix_writes_each_record_as_its_pair_is_decided(monkeypatch):
+    stream = io.StringIO()
+    record_for = report.record_for
+    lines_at_call = []
+
+    def spy(entry, H, methods):
+        lines_at_call.append(len(stream.getvalue().splitlines()))
+        return record_for(entry, H, methods)
+
+    monkeypatch.setattr(report, "record_for", spy)
+    report.run_verification_matrix([("D(8)", "D(8)")], out=stream)
+    assert lines_at_call == list(range(10))
+
+
+@pytest.mark.parametrize("methods", [None, "cayley"], ids=["all", "cayley"])
+def test_each_pair_searches_for_its_transversal_once(monkeypatch, methods):
+    build, find, search = (pcl.catalog.build_entry, codes.find_inverse_closed_transversal,
+                           codes._transversal_search)
+    built, found, searched = [], [], []
+    monkeypatch.setattr(pcl.catalog, "build_entry",
+                        lambda label, spec: built.append(build(label, spec)) or built[-1])
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal",
+                        lambda G, H: found.append(H) or find(G, H))
+    monkeypatch.setattr(codes, "_transversal_search",
+                        lambda G, H: searched.append(H) or search(G, H))
+    report.run_verification_matrix([("D(16)", "D(16)")], methods=methods)
+    G = built[0].group
+    assert found == searched == structure.all_subgroups(G)
+    # and nothing of a search outlives its pair
+    assert not [key for key in G._cache
+                if (key[0] if isinstance(key, tuple) else key).startswith("transversal")]
 
 
 def test_matrix_parallel_workers_match_serial():
@@ -302,6 +341,29 @@ def test_cli_classify_route_split_exits_1(tmp_path, monkeypatch):
                         lambda G, H: codes.Verdict(True, "criterion4"))
     assert main(["classify", "C(4)", "--methods", "criterion3,criterion4",
                  "--out", str(tmp_path / "r.jsonl")]) == 1
+
+
+@pytest.mark.parametrize("spec", ["D(8)", "perm:(1 2 3),(1 2)", "SD(C(7);C(3);1->2)"])
+def test_cli_classify_writes_the_records_of_verify(tmp_path, spec):
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps([spec]))
+    assert main(["verify", "--catalog", str(spec_file),
+                 "--out", str(tmp_path / "verify.jsonl")]) == 0
+    assert main(["classify", spec, "--out", str(tmp_path / "classify.jsonl")]) == 0
+    verified, classified = (
+        canonical(json.loads(line) for line in (tmp_path / name).read_text().splitlines())
+        for name in ("verify.jsonl", "classify.jsonl"))
+    assert classified == verified
+
+
+@pytest.mark.parametrize("args", [["M2(1,1)"], ["Q8", "--subgroup", "9"],
+                                  ["Q8", "--methods", "nonsense"]],
+                         ids=["spec", "generator", "methods"])
+def test_cli_classify_bad_input_leaves_no_out_file(tmp_path, capsys, args):
+    out_file = tmp_path / "r.jsonl"
+    code = main(["classify", *args, "--out", str(out_file)])
+    _assert_input_error(code, capsys.readouterr().err)
+    assert not out_file.exists()
 
 
 def test_cli_verify_reader_closing_the_pipe_is_an_input_error(tmp_path):

