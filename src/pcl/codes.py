@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Group, sorted_distinct
-from .structure import Subgroup, full_subgroup, normalizer, _sylow_within
+from .groups import Group, index_mask, sorted_distinct
+from .structure import Subgroup, full_subgroup, involutions, normalizer, _sylow_within
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,8 @@ class ConnectionSet:
         if 0 in members:
             raise PreconditionError("a connection set may not contain the identity")
         member_set = set(members)
-        if any(int(G.inv[m]) not in member_set for m in members):
+        inv = memoryview(G.inv)
+        if any(inv[m] not in member_set for m in members):
             raise PreconditionError("a connection set must be inverse-closed")
 
     def mask(self) -> np.ndarray:
@@ -78,35 +79,48 @@ def criterion3(G: Group, H: Subgroup) -> Verdict:
     """Coset test: every x with x^2 in H and odd |H| / |H meet H^x| must have
     a solution of y^2 = 1 in the coset Hx.  Fails with the least violating x."""
     _require_subgroup_of(G, H)
-    return _coset_criterion(G, H, "criterion3", H.mask[G.squares])
+    xs = _without_involution_in_coset(G, H)
+    xs = xs[H.mask[G.squares[xs]]]
+    return _odd_index_verdict(G, H, "criterion3", xs)
 
 
 def criterion4(G: Group, H: Subgroup) -> Verdict:
     """Double-coset variant: x ranges over elements with HxH = Hx^-1 H (placed
     by membership of x^-1 in HxH) and odd |H| / |H meet H^x|."""
     _require_subgroup_of(G, H)
-    return _coset_criterion(G, H, "criterion4", _self_inverse_double_cosets(G, H))
+    xs = _without_involution_in_coset(G, H)
+    if xs.size:
+        xs = xs[_self_inverse_double_cosets(G, H, xs)]
+    return _odd_index_verdict(G, H, "criterion4", xs)
 
 
-def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
-    """Mask of the x with x^-1 in HxH.  Double cosets partition G, so that is
-    HxH = Hx^-1 H, decided by comparing least elements: the least element of
-    HxH is the least over h of the least element of the right coset Hxh."""
+def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
+    """The x, ascending, whose coset Hx holds no y with y^2 = 1: the x outside
+    H * I for the solutions I of y^2 = 1, one |H| x |I| gather."""
+    hi = G.mult[H.members[:, None], involutions(G)]
+    return np.flatnonzero(~index_mask(hi, G.order))
+
+
+def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
+    """Mask over ``xs`` of the x with x^-1 in HxH.  Double cosets partition
+    G, so that is HxH = Hx^-1 H, decided by comparing least elements: the
+    least element of HxH is the least over h of the least element of the
+    right coset Hxh, labelled here only for ``xs`` and their inverses."""
     coset_min = G.mult[H.members, :].min(axis=0)
-    label = coset_min[G.mult[:, H.members]].min(axis=1)
-    return label == label[G.inv]
+    ends = sorted_distinct(np.concatenate((xs, G.inv[xs])), G.order)
+    label = np.empty_like(coset_min)
+    label[ends] = coset_min[G.mult[ends[:, None], H.members]].min(axis=1)
+    return label[xs] == label[G.inv[xs]]
 
 
-def _coset_criterion(G: Group, H: Subgroup, method: str,
-                     selected: np.ndarray) -> Verdict:
-    """The coset condition of both criteria, over all x at once: every
-    selected x with odd |H| / |H meet H^x| needs a y in Hx with y^2 = 1."""
-    members = H.members
-    odd = (H.order // H.mask[G.conj_table[:, members]].sum(axis=1)) % 2 == 1
-    has_involution = (G.squares[G.mult[members, :]] == 0).any(axis=0)
-    violating = np.flatnonzero(selected & odd & ~has_involution)
-    if violating.size:
-        return Verdict(False, method, {"violating_x": int(violating[0])})
+def _odd_index_verdict(G: Group, H: Subgroup, method: str, xs: np.ndarray) -> Verdict:
+    """A criterion's verdict from ``xs``, ascending, the x that its other
+    tests leave: the least x with odd |H| / |H meet H^x| violates."""
+    if xs.size:
+        meet = H.mask[G.conj_table[xs[:, None], H.members]].sum(axis=1)
+        violating = xs[(H.order // meet) % 2 == 1]
+        if violating.size:
+            return Verdict(False, method, {"violating_x": int(violating[0])})
     return Verdict(True, method)
 
 
@@ -124,7 +138,10 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
     Cosets are extended fewest-viable-candidates first (ties broken by least
     element), so a coset with no admissible representative fails the branch
     immediately; with a fixed canonical order instead, such a coset deep in
-    the order makes refutations exponential.  The search is exact and
+    the order makes refutations exponential.  Components of one or two
+    cosets, nearly all of them, get that search's answer in closed form: a
+    lone coset takes its least self-inverse element, and a pair of cosets
+    is decided by ``_coset_pair_choice``.  The search is exact and
     deterministic, and its result is not kept.
     """
     _require_subgroup_of(G, H)
@@ -132,13 +149,15 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
 
 
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
-    coset = G.mult[H.members, :].min(axis=0)  # least element of Hg
-    partner = coset[G.inv]
-    inv = G.inv.tolist()
+    coset = G.mult[H.members].min(axis=0).tolist()  # least element of Hg
+    inv = memoryview(G.inv)
     table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
-    for t, (key, p) in enumerate(zip(coset.tolist(), partner.tolist())):
-        table.setdefault(key, [])
-        if p != key or inv[t] == t:
+    for t, key in enumerate(coset):
+        i = inv[t]
+        p = coset[i]
+        if key not in table:
+            table[key] = []
+        if p != key or i == t:
             table[key].append((t, p))
     assignment: dict[int, int] = {}
 
@@ -162,18 +181,51 @@ def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
             assignment.pop(p, None)
         return False
 
-    seen: set[int] = set()
-    for root in table:
-        component, stack = [], [root]
+    for root, cands in table.items():  # the least key of its component
+        if root in assignment:
+            continue
+        linked = {p for _, p in cands}
+        linked.discard(root)
+        if not linked:  # a lone coset takes its least self-inverse element
+            if not cands:
+                return None
+            assignment[root] = cands[0][0]
+            continue
+        if len(linked) == 1:
+            (other,) = linked
+            if {p for _, p in table[other]} <= {root, other}:
+                assignment.update(_coset_pair_choice(table, inv, root, other))
+                continue
+        component, stack = {root}, [root]
         while stack:
-            key = stack.pop()
-            if key not in seen:
-                seen.add(key)
-                component.append(key)
-                stack.extend(p for _, p in table[key])
+            for _, p in table[stack.pop()]:
+                if p not in component:
+                    component.add(p)
+                    stack.append(p)
         if not backtrack(sorted(component)):
             return None
     return Transversal(G, H, tuple(assignment[k] for k in table))
+
+
+def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
+    """The backtracking search's choice on a component of the two cosets
+    K < L, without searching.  Such a component always has one.
+
+    The coset with fewer candidates (K on a tie) is tried first.  Its
+    candidates are each self-inverse or cross to the other coset, whose
+    inverses cross back.  If the other coset holds a self-inverse element,
+    the first coset's least candidate t succeeds: the other takes t^-1 when
+    t crosses, and its own least self-inverse element when it does not.  If
+    not, only a crossing candidate succeeds, and the least one is taken.
+    """
+    if len(table[L]) < len(table[K]):
+        K, L = L, K
+    own = next((t for t, p in table[L] if p == L), None)
+    if own is not None:
+        t, p = table[K][0]
+        return {K: t, L: inv[t] if p == L else own}
+    t = next(t for t, p in table[K] if p == L)
+    return {K: t, L: inv[t]}
 
 
 def validate_transversal(T: Transversal) -> None:
@@ -181,12 +233,13 @@ def validate_transversal(T: Transversal) -> None:
     G, H = T.parent, T.subgroup
     if len(T.reps) != G.order // H.order:
         raise PreconditionError("wrong number of coset representatives")
-    coset_key = G.mult[H.members, :].min(axis=0)
-    rep_keys = {int(coset_key[t]) for t in T.reps}
+    coset_key = memoryview(G.mult[H.members].min(axis=0))
+    rep_keys = {coset_key[t] for t in T.reps}
     if len(rep_keys) != len(T.reps):
         raise PreconditionError("representatives do not cover every coset once")
     rep_set = set(T.reps)
-    if any(int(G.inv[t]) not in rep_set for t in T.reps):
+    inv = memoryview(G.inv)
+    if any(inv[t] not in rep_set for t in T.reps):
         raise PreconditionError("representative set is not inverse-closed")
 
 
@@ -202,11 +255,12 @@ def connection_set_from_transversal(G: Group, H: Subgroup,
     """
     _require_subgroup_of(G, H)
     validate_transversal(T)
-    h_rep = next(t for t in T.reps if H.mask[t])
+    in_h = H.mask.tolist()  # a memoryview would pin a buffer record on H.mask
+    h_rep = next(t for t in T.reps if in_h[t])
     reps = {0 if t == h_rep else int(t) for t in T.reps}
     members = tuple(sorted(reps - {0}))
     connection = ConnectionSet(G, members)
-    if H.mask[list(connection.members)].any():
+    if any(in_h[m] for m in connection.members):
         raise PreconditionError("connection set meets the subgroup")
     return connection
 

@@ -193,40 +193,40 @@ class Group:
         """(mask, gens): the membership mask of the subgroup generated by
         ``elems`` and its greedy generators, the elements of ``elems`` that,
         in their order, lie outside the subgroup generated by those before
-        them.  Each greedy generator costs one ``extend`` step."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[0] = True
-        members = np.zeros(1, dtype=np.int32)
+        them.
+
+        Each greedy generator is one Dimino step (G. Butler, *Fundamental
+        Algorithms for Permutation Groups*, LNCS 559, 1991): as
+        (K r) s = K (r s), the subgroup <K, gens> is the union of the right
+        cosets K r of the subgroup K found so far, for every r reached from
+        the identity by right multiplication with ``gens``.  The loop reads
+        the table through a memoryview, one Python int per product.
+        """
+        if isinstance(elems, np.ndarray):
+            elems = elems.tolist()
+        table = memoryview(self.mult)
+        mask = bytearray(self.order)
+        mask[0] = 1
+        members = [0]
         gens: list[int] = []
         for g in elems:
             g = int(g)
-            if not mask[g]:
-                gens.append(g)
-                members = self.extend(members, mask, gens)
-        return mask, tuple(gens)
-
-    def extend(self, members: np.ndarray, mask: np.ndarray, gens) -> np.ndarray:
-        """Members of K<gens>, for the subgroup K of ``members``, also marked
-        in ``mask`` (which marks K on entry).
-
-        Dimino's step (G. Butler, *Fundamental Algorithms for Permutation
-        Groups*, LNCS 559, 1991): as (K r) s = K (r s), K<gens> is the union
-        of the right cosets K r for every r reached from the identity by
-        right multiplication with ``gens``.  It is the subgroup <K, gens>
-        when ``gens`` holds generators of K or normalizes K.
-        """
-        mult = self.mult
-        cosets = [members]
-        reps = [0]
-        for r in reps:  # reps grows as cosets are found
-            for s in gens:
-                e = int(mult[r, s])
-                if not mask[e]:
-                    coset = mult[members, e]
-                    mask[coset] = True
-                    cosets.append(coset)
-                    reps.append(e)
-        return np.concatenate(cosets)
+            if mask[g]:
+                continue
+            gens.append(g)
+            K = members
+            members = K[:]
+            reps = [0]
+            for r in reps:  # reps grows as cosets are found
+                for s in gens:
+                    e = table[r, s]
+                    if not mask[e]:
+                        coset = [table[k, e] for k in K]
+                        for c in coset:
+                            mask[c] = 1
+                        members += coset
+                        reps.append(e)
+        return np.frombuffer(mask, dtype=bool), tuple(gens)
 
     def check_axioms(self) -> None:
         """Exact associativity check by Light's test.
@@ -235,8 +235,8 @@ class Group:
         of the table from ``generate``.  The elements g passing the check are
         closed under products (Clifford & Preston, *The Algebraic Theory of
         Semigroups* I, section 1.2), so when all generators pass, what each
-        ``extend`` step touched is an associative Latin sub-table, a group,
-        and the steps found the whole table.  The cost is O(n^2 d) for d
+        Dimino step touched is an associative Latin sub-table, a group, and
+        the steps found the whole table.  The cost is O(n^2 d) for d
         generators.  Identity, Latin-square and inverse checks already run at
         construction.  Raises ValueError on a violation.
         """

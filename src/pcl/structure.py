@@ -113,7 +113,7 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     each layer extends every subgroup V of the last layer by each element z
     of prime-power order that normalizes V, lies outside V and has z^p in V
     (p the prime of o(z)); then V<z> is the union of the p cosets V z^i,
-    one ``Group.extend`` step.
+    one gather each (``_grown``).
     Every nontrivial solvable subgroup has a normal subgroup of prime index,
     so this reaches every subgroup of a solvable group; and a subgroup it
     reaches has a series with factors of prime order, so it reaches G exactly
@@ -152,8 +152,7 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
             for z in _extenders(G, V, members, candidates).tolist():
                 if covered[z]:
                     continue
-                U = V.copy()
-                G.extend(members, U, (z,))
+                U = _grown(G, V, members, z)
                 covered |= U
                 key = U.tobytes()
                 if key not in found:
@@ -173,6 +172,18 @@ def _extenders(G: Group, mask: np.ndarray, members: np.ndarray,
     _, pth_power = _prime_powers(G)
     allowed = allowed[~mask[allowed] & mask[pth_power[allowed]]]
     return allowed[mask[G.conj_table[allowed[:, None], members]].all(axis=1)]
+
+
+def _grown(G: Group, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
+    """Mask of V<z> for one of V's ``_extenders`` z: the union of the cosets
+    V z^i, 0 <= i < p, one gather of V's ``members`` each.  As z^p lies in V
+    and p is prime, z^i lies outside V exactly for 0 < i < p."""
+    grown = mask.copy()
+    e = z
+    while not grown[e]:
+        grown[G.mult[members, e]] = True
+        e = G.mul(e, z)
+    return grown
 
 
 def _prime_powers(G: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +344,8 @@ def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
 def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
-    ``containing`` (default trivial): P becomes P<z>, one ``Group.extend``
-    step, for the least p-element z of ``within`` among ``_extenders`` of P.
+    ``containing`` (default trivial): P becomes P<z>, grown by ``_grown``,
+    for the least p-element z of ``within`` among ``_extenders`` of P.
     Such a z exists until P is Sylow, since P lies in a Sylow subgroup S and
     N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
@@ -345,15 +356,15 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
     P = trivial_subgroup(G) if containing is None else containing
     while P.order < q:
         z = int(_extenders(G, P.mask, P.members, candidates)[0])
-        mask = P.mask.copy()
-        G.extend(P.members, mask, (z,))
-        P = Subgroup(G, mask)
+        P = Subgroup(G, _grown(G, P.mask, P.members, z))
     return P
 
 
 def involutions(G: Group) -> np.ndarray:
-    """Indices of all solutions of x*x = identity, the identity included."""
-    return np.flatnonzero(G.squares == 0).astype(np.int32)
+    """Indices of all solutions of x*x = identity, the identity included;
+    memoised per group, like ``Group.squares``."""
+    return G.memo("involutions", lambda: _readonly(
+        np.flatnonzero(G.squares == 0).astype(np.int32)))
 
 
 def min_generators(H: Subgroup) -> int:

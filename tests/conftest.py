@@ -8,7 +8,8 @@ import pytest
 
 from pcl import structure as st
 from pcl.catalog import default_catalog
-from pcl.codes import ConnectionSet, Transversal, Verdict, criterion3
+from pcl.codes import (ConnectionSet, Transversal, Verdict, criterion3,
+                       _require_subgroup_of)
 from pcl.errors import WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
@@ -178,6 +179,38 @@ def _odd_and_no_involution(G, H, x) -> bool:
     if (H.order // intersection) % 2 == 0:
         return False
     return not (G.squares[G.mult[H.members, x]] == 0).any()
+
+
+def reference_coset_criterion(G, H, method: str) -> Verdict:
+    """criterion3 or criterion4 as the library computed them before the
+    cheapest-first filters: one array expression over all x, with the
+    double-coset labels for every x."""
+    _require_subgroup_of(G, H)
+    if method == "criterion3":
+        return _coset_criterion(G, H, "criterion3", H.mask[G.squares])
+    return _coset_criterion(G, H, "criterion4", _self_inverse_double_cosets(G, H))
+
+
+def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
+    """Mask of the x with x^-1 in HxH.  Double cosets partition G, so that is
+    HxH = Hx^-1 H, decided by comparing least elements: the least element of
+    HxH is the least over h of the least element of the right coset Hxh."""
+    coset_min = G.mult[H.members, :].min(axis=0)
+    label = coset_min[G.mult[:, H.members]].min(axis=1)
+    return label == label[G.inv]
+
+
+def _coset_criterion(G: Group, H: Subgroup, method: str,
+                     selected: np.ndarray) -> Verdict:
+    """The coset condition of both criteria, over all x at once: every
+    selected x with odd |H| / |H meet H^x| needs a y in Hx with y^2 = 1."""
+    members = H.members
+    odd = (H.order // H.mask[G.conj_table[:, members]].sum(axis=1)) % 2 == 1
+    has_involution = (G.squares[G.mult[members, :]] == 0).any(axis=0)
+    violating = np.flatnonzero(selected & odd & ~has_involution)
+    if violating.size:
+        return Verdict(False, method, {"violating_x": int(violating[0])})
+    return Verdict(True, method)
 
 
 def reference_transversal_search(G, H) -> Transversal | None:

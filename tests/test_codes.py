@@ -9,9 +9,10 @@ from pcl import codes, structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import (inverse_closed_subsets, reference_criterion3,
-                      reference_criterion3_on_pair, reference_criterion4,
-                      reference_exhaustive_search, reference_transversal_search)
+from conftest import (inverse_closed_subsets, reference_coset_criterion,
+                      reference_criterion3, reference_criterion3_on_pair,
+                      reference_criterion4, reference_exhaustive_search,
+                      reference_transversal_search)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,50 @@ def test_transversal_search_matches_the_reference_on_the_catalog(catalog):
         for H in st.all_subgroups(G):
             assert reps(codes.find_inverse_closed_transversal(G, H)) == \
                 reps(reference_transversal_search(G, H)), (entry.label, H)
+
+
+def component_sizes(G, H) -> list[int]:
+    """Sizes of the components of right cosets of H linked by inversion:
+    Hx and Hy are linked when some t in Hx has t^-1 in Hy."""
+    key = G.mult[H.members].min(axis=0)
+    root = {int(k): int(k) for k in key}
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for t, k in enumerate(key.tolist()):
+        a, b = find(k), find(int(key[G.inv[t]]))
+        root[max(a, b)] = min(a, b)
+    roots = [find(k) for k in root]
+    return sorted(roots.count(r) for r in set(roots))
+
+
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3),(1 2)(3 4)",
+                                  "SD(C(5);C(4);1->2)", "SD(C(7);C(3);1->2)"])
+def test_transversal_closed_form_matches_the_reference_beside_searched_components(spec):
+    # A5, A4, F20 and C7:C3 have pairs whose cosets form a component of
+    # three or more, which the search backtracks over; the components of one
+    # or two cosets beside them are decided in closed form
+    G = build_family(spec)
+    large = 0
+    for H in st.all_subgroups(G):
+        large += max(component_sizes(G, H)) >= 3
+        assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+            reps(reference_transversal_search(G, H)), (spec, H)
+    assert large > 0
+
+
+@pytest.mark.parametrize("spec", ["D(256)", "M2(3,4,1)", "C(8)xC(4)xC(4)"])
+def test_criteria_match_the_all_x_reference(spec):
+    # the whole Verdict, violating_x included, against one array expression
+    # over every x: the filters run cheapest first, on survivors only
+    G = build_family(spec)
+    for H in st.all_subgroups(G):
+        for method, route in (("criterion3", codes.criterion3),
+                              ("criterion4", codes.criterion4)):
+            assert route(G, H) == reference_coset_criterion(G, H, method), (spec, H)
 
 
 def test_criterion4_examples(c4):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pcl.catalog
@@ -178,6 +179,29 @@ def test_each_pair_searches_for_its_transversal_once(monkeypatch, methods):
     # and nothing of a search outlives its pair
     assert not [key for key in G._cache
                 if (key[0] if isinstance(key, tuple) else key).startswith("transversal")]
+
+
+@pytest.mark.parametrize("spec", ["D(16)", "M2(2,2,1)"])
+def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
+    # the routes read the table through per-call views; the group memo gains
+    # no list, memoryview or |G|^2 array while the pairs are decided
+    entry = build_entry(spec, spec)
+    G = entry.group
+    lattice = structure.all_subgroups(G)
+    before = set(G._cache)
+    for H in lattice:
+        report.record_for(entry, H)
+
+    def copies(value):
+        # arrays are also looked for inside tuples (the 𝒜₁ family candidates
+        # are a tuple of their labels' list and two index arrays)
+        if isinstance(value, tuple):
+            return any(isinstance(v, np.ndarray) and copies(v) for v in value)
+        return (isinstance(value, (list, memoryview))
+                or (isinstance(value, np.ndarray) and value.size >= G.order ** 2))
+
+    assert [key for key in set(G._cache) - before if copies(G._cache[key])] == []
+    assert not hasattr(type(G), "extend")
 
 
 def test_matrix_parallel_workers_match_serial():
