@@ -8,7 +8,9 @@ Four independent routes are implemented and cross-checked elsewhere:
   system of right-coset representatives closed under inversion.  Existence of
   such a transversal is equivalent to the subgroup being a perfect code.
 * ``verify_perfect_code_in_cayley``: the graph definition itself, checked
-  vertex by vertex against an explicit connection set.  This is the single
+  vertex by vertex against an explicit connection set: each vertex's count of
+  code neighbours is read off the products s c of S by the subgroup, one
+  |S| x |H| gather, about |G| entries, not |G| x |H|.  This is the single
   source of definitional truth; positive verdicts from the other routes are
   turned into a connection set and re-verified here, and for small groups an
   exhaustive sweep over all inverse-closed connection sets refutes negatives.
@@ -17,6 +19,8 @@ Four independent routes are implemented and cross-checked elsewhere:
   blocks' rows in one table of per-block counts (``hits``), plus one for the
   vertices in the subgroup.  It uses neither the transversal lemma nor the
   criteria, and the set it finds is re-verified like any other positive.
+
+Every sub-table a route reads per pair goes through ``groups.gather``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Group, index_mask, sorted_distinct
+from .groups import Group, gather, index_mask, sorted_distinct
 from .structure import Subgroup, full_subgroup, involutions, normalizer, _sylow_within
 
 
@@ -57,11 +61,6 @@ class ConnectionSet:
         if any(inv[m] not in member_set for m in members):
             raise PreconditionError("a connection set must be inverse-closed")
 
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.parent.order, dtype=bool)
-        m[list(self.members)] = True
-        return m
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -80,7 +79,7 @@ def criterion3(G: Group, H: Subgroup) -> Verdict:
     a solution of y^2 = 1 in the coset Hx.  Fails with the least violating x."""
     _require_subgroup_of(G, H)
     xs = _without_involution_in_coset(G, H)
-    xs = xs[H.mask[G.squares[xs]]]
+    xs = xs[H.mask.take(G.squares.take(xs))]
     return _odd_index_verdict(G, H, "criterion3", xs)
 
 
@@ -97,8 +96,8 @@ def criterion4(G: Group, H: Subgroup) -> Verdict:
 def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
     """The x, ascending, whose coset Hx holds no y with y^2 = 1: the x outside
     H * I for the solutions I of y^2 = 1, one |H| x |I| gather."""
-    hi = G.mult[H.members[:, None], involutions(G)]
-    return np.flatnonzero(~index_mask(hi, G.order))
+    hi = gather(G.mult, H.members, involutions(G))
+    return (~index_mask(hi, G.order)).nonzero()[0]
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
@@ -106,18 +105,21 @@ def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.nda
     G, so that is HxH = Hx^-1 H, decided by comparing least elements: the
     least element of HxH is the least over h of the least element of the
     right coset Hxh, labelled here only for ``xs`` and their inverses."""
-    coset_min = G.mult[H.members, :].min(axis=0)
-    ends = sorted_distinct(np.concatenate((xs, G.inv[xs])), G.order)
+    coset_min = G.mult.take(H.members, 0).min(axis=0)
+    inverses = G.inv.take(xs)
+    ends = index_mask(xs, G.order)
+    ends[inverses] = True
+    ends = ends.nonzero()[0]
     label = np.empty_like(coset_min)
-    label[ends] = coset_min[G.mult[ends[:, None], H.members]].min(axis=1)
-    return label[xs] == label[G.inv[xs]]
+    label[ends] = coset_min.take(gather(G.mult, ends, H.members)).min(axis=1)
+    return label.take(xs) == label.take(inverses)
 
 
 def _odd_index_verdict(G: Group, H: Subgroup, method: str, xs: np.ndarray) -> Verdict:
     """A criterion's verdict from ``xs``, ascending, the x that its other
     tests leave: the least x with odd |H| / |H meet H^x| violates."""
     if xs.size:
-        meet = H.mask[G.conj_table[xs[:, None], H.members]].sum(axis=1)
+        meet = H.mask.take(gather(G.conj_table, xs, H.members)).sum(axis=1)
         violating = xs[(H.order // meet) % 2 == 1]
         if violating.size:
             return Verdict(False, method, {"violating_x": int(violating[0])})
@@ -149,7 +151,7 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
 
 
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
-    coset = G.mult[H.members].min(axis=0).tolist()  # least element of Hg
+    coset = G.mult.take(H.members, 0).min(axis=0).tolist()  # least element of Hg
     inv = memoryview(G.inv)
     table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
     for t, key in enumerate(coset):
@@ -233,7 +235,7 @@ def validate_transversal(T: Transversal) -> None:
     G, H = T.parent, T.subgroup
     if len(T.reps) != G.order // H.order:
         raise PreconditionError("wrong number of coset representatives")
-    coset_key = memoryview(G.mult[H.members].min(axis=0))
+    coset_key = memoryview(G.mult.take(H.members, 0).min(axis=0))
     rep_keys = {coset_key[t] for t in T.reps}
     if len(rep_keys) != len(T.reps):
         raise PreconditionError("representatives do not cover every coset once")
@@ -268,8 +270,12 @@ def connection_set_from_transversal(G: Group, H: Subgroup,
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:
     """Definition check: every vertex is at distance at most 1 from exactly
     one element of C in the Cayley graph with connection set S.  Vertex g is
-    adjacent to c when g c^-1 lies in S, and at distance 0 from c when g = c."""
-    counts = S.mask()[G.mult[:, G.inv[C.members]]].sum(axis=1)
+    adjacent to c when g c^-1 lies in S, that is when g = s c for some s in
+    S, and at distance 0 from c when g = c.  So the counts are read from the
+    edge side: each product s c, one |S| x |C| gather, adds 1 to its vertex,
+    and each c adds 1 to itself."""
+    edges = gather(G.mult, np.array(S.members, dtype=np.int32), C.members)
+    counts = np.bincount(edges.ravel(), minlength=G.order)
     counts[C.members] += 1
     return bool((counts == 1).all())
 

@@ -259,7 +259,26 @@ def sorted_distinct(values, n: int) -> np.ndarray:
     """``np.unique(values)`` for integers in range(n), read off
     ``index_mask``.  It sorts nothing, and it keeps numpy.ma unloaded,
     which np.unique, np.union1d and np.isin import on first call."""
-    return np.flatnonzero(index_mask(values, n)).astype(np.int32)
+    return index_mask(values, n).nonzero()[0].astype(np.int32)
+
+
+GATHER_TAKE_CELLS = 1 << 15
+
+
+def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[rows[:, None], cols]``, the sub-table of ``rows`` by ``cols``.
+
+    While the copy of the whole rows is small (at most GATHER_TAKE_CELLS
+    entries) it is read as two ``take`` calls, rows and then columns, which
+    skip the broadcast index's fixed cost: 1.7-3.6 µs against 3.0-11.5 µs
+    for 16x8 to 64x16 reads of order-64 and order-128 tables.  Past that,
+    copying whole rows costs more than it saves (55 µs against 753 µs for
+    1,024x8 of an order-2048 table), and the broadcast index is kept.
+    Timed on a 2-core Xeon, Python 3.11, numpy 2.4.
+    """
+    if len(rows) * table.shape[1] <= GATHER_TAKE_CELLS:
+        return table.take(rows, 0).take(cols, 1)
+    return table[rows[:, None], cols]
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:

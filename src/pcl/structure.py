@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, max_order, prime_power, sorted_distinct, _readonly
+from .groups import Group, gather, index_mask, max_order, prime_power, sorted_distinct, _readonly
 
 
 class Subgroup:
@@ -36,7 +36,7 @@ class Subgroup:
         if not mask[0]:
             raise ValueError("a subgroup contains the identity")
         mask.setflags(write=False)
-        members = np.flatnonzero(mask).astype(np.int32)
+        members = mask.nonzero()[0].astype(np.int32)
         members.setflags(write=False)
         self.parent = parent
         self.mask = mask
@@ -136,20 +136,22 @@ def _lattice(G: Group) -> list[Subgroup]:
 
 
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
-    """Membership masks of every subgroup reachable by cyclic extension."""
+    """Membership masks of every subgroup reachable by cyclic extension.
+    Each subgroup carries the generating set it was made with, its parent's
+    and the z that grew it, for the normality test of ``_extenders``."""
     prime, _ = _prime_powers(G)
-    candidates = np.flatnonzero(prime)
+    candidates = prime.nonzero()[0]
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
     found = {trivial.tobytes(): trivial}
-    layer = [trivial]
+    layer = [(trivial, ())]
     while layer:
         next_layer = []
-        for V in layer:
-            members = np.flatnonzero(V)
+        for V, gens in layer:
+            members = V.nonzero()[0]
             # z inside an extension V<y> already made gives V<z> = V<y>
             covered = V.copy()
-            for z in _extenders(G, V, members, candidates).tolist():
+            for z in _extenders(G, V, gens, candidates).tolist():
                 if covered[z]:
                     continue
                 U = _grown(G, V, members, z)
@@ -157,21 +159,24 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
                 key = U.tobytes()
                 if key not in found:
                     found[key] = U
-                    next_layer.append(U)
+                    next_layer.append((U, gens + (z,)))
         layer = next_layer
     return list(found.values())
 
 
-def _extenders(G: Group, mask: np.ndarray, members: np.ndarray,
+def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],
                allowed: np.ndarray) -> np.ndarray:
     """The z of ``allowed`` (ascending elements of prime-power order) that
-    grow the subgroup V of ``mask`` and ``members`` to V<z>, the union of the
-    p cosets V z^i: z lies outside V, has z^p in V and normalizes V.  Only
-    the rows of the memoised conjugation table that pass the first two tests
-    are read."""
+    grow the subgroup V of ``mask``, generated by ``gens``, to V<z>, the
+    union of the p cosets V z^i: z lies outside V, has z^p in V and
+    normalizes V.  As conjugation by z is an automorphism, z normalizes V
+    exactly when it maps each generator into V, so only the generators'
+    columns of the memoised conjugation table are read, and only in the rows
+    that pass the first two tests."""
     _, pth_power = _prime_powers(G)
-    allowed = allowed[~mask[allowed] & mask[pth_power[allowed]]]
-    return allowed[mask[G.conj_table[allowed[:, None], members]].all(axis=1)]
+    allowed = allowed[~mask.take(allowed) & mask.take(pth_power.take(allowed))]
+    cols = np.array(gens, dtype=np.int32)
+    return allowed[mask.take(gather(G.conj_table, allowed, cols)).all(axis=1)]
 
 
 def _grown(G: Group, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
@@ -270,8 +275,9 @@ def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
 
 def frattini(H: Subgroup) -> Subgroup:
     """Phi(H) of the p-group H: by Burnside, the subgroup generated by the
-    p-th powers and commutators of H, or by the squares alone when p = 2.
-    Trivial H gives H itself; H of order divisible by two primes raises
+    p-th powers and commutators of H, or by the squares alone when p = 2;
+    in an abelian parent the p-th powers already form it.  Trivial H gives
+    H itself; H of order divisible by two primes raises
     ``PreconditionError``."""
     return H.parent.memo(("frattini", H.mask_int), lambda: _frattini(H))
 
@@ -284,6 +290,8 @@ def _frattini(H: Subgroup) -> Subgroup:
     G = H.parent
     _, pth_power = _prime_powers(G)
     gens = pth_power[H.members]
+    if G.is_abelian:  # (ab)^p = a^p b^p, so the p-th powers are Phi(H)
+        return Subgroup(G, index_mask(gens, G.order))
     # for p = 2 the squares suffice: [a, b] = a^-2 (ab^-1)^2 b^2
     if H.order % 2:
         gens = sorted_distinct(np.concatenate((gens, _commutators(G, H.members))),
@@ -310,9 +318,11 @@ def _derived_subgroup(G: Group) -> Subgroup:
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
-    ct = G.conj_table
-    mask = H.mask[ct[:, H.members]].all(axis=1)
-    return Subgroup(G, mask)
+    """N_G(H): the x with x^-1 g x in H for every canonical generator g of
+    H, which is x^-1 H x = H, read from |G| x d entries of the conjugation
+    table for d generators, not |G| x |H|."""
+    cols = np.array(H.generators, dtype=np.int32)
+    return Subgroup(G, H.mask.take(G.conj_table.take(cols, 1)).all(axis=1))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -345,18 +355,21 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
     ``containing`` (default trivial): P becomes P<z>, grown by ``_grown``,
-    for the least p-element z of ``within`` among ``_extenders`` of P.
+    for the least p-element z of ``within`` among ``_extenders`` of P, and
+    z joins the generators of ``containing`` that the test reads.
     Such a z exists until P is Sylow, since P lies in a Sylow subgroup S and
     N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
     if q == within.order:
         return within
     prime, _ = _prime_powers(G)
-    candidates = np.flatnonzero(within.mask & (prime == p))
+    candidates = (within.mask & (prime == p)).nonzero()[0]
     P = trivial_subgroup(G) if containing is None else containing
+    gens = P.generators
     while P.order < q:
-        z = int(_extenders(G, P.mask, P.members, candidates)[0])
+        z = int(_extenders(G, P.mask, gens, candidates)[0])
         P = Subgroup(G, _grown(G, P.mask, P.members, z))
+        gens += (z,)
     return P
 
 

@@ -362,6 +362,25 @@ def reference_frattini(H: Subgroup) -> np.ndarray:
     return mask
 
 
+def reference_normalizer(G, H: Subgroup) -> Subgroup:
+    """``structure.normalizer`` as the library computed it before it read
+    H's generators only: the x with x^-1 h x in H for every member h."""
+    ct = G.conj_table
+    mask = H.mask[ct[:, H.members]].all(axis=1)
+    return Subgroup(G, mask)
+
+
+def reference_cayley_check(G, S: ConnectionSet, C: Subgroup) -> bool:
+    """``codes.verify_perfect_code_in_cayley`` as the library computed it
+    before it counted from the edge side: for each vertex g, the c in C with
+    g c^-1 in S, from the |G| x |C| columns of the table."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[list(S.members)] = True
+    counts = mask[G.mult[:, G.inv[C.members]]].sum(axis=1)
+    counts[C.members] += 1
+    return bool((counts == 1).all())
+
+
 def reference_squares_set(G) -> np.ndarray:
     """The indices of ``G.square_mask``, as the library computed them with
     np.unique."""

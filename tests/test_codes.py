@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcl import codes, structure as st
+from pcl import codes, groups, structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
 from conftest import (inverse_closed_subsets, reference_coset_criterion,
                       reference_criterion3, reference_criterion3_on_pair,
-                      reference_criterion4, reference_exhaustive_search,
-                      reference_transversal_search)
+                      reference_cayley_check, reference_criterion4,
+                      reference_exhaustive_search, reference_transversal_search)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,44 @@ def test_connection_set_invariants(d8):
         codes.ConnectionSet(d8, (2,))  # a alone is not inverse-closed
     ok = codes.ConnectionSet(d8, (2, 6))
     assert ok.members == (2, 6)
+
+
+@pytest.mark.parametrize("spec", ["D(8)", "Q8", "C(4)xC(2)"])
+def test_cayley_check_matches_the_column_count_on_every_connection_set(spec):
+    G = build_family(spec)
+    outcomes = set()
+    for H in st.all_subgroups(G):
+        for mask in inverse_closed_subsets(G):
+            S = codes.ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
+            expected = reference_cayley_check(G, S, H)
+            assert codes.verify_perfect_code_in_cayley(G, S, H) == expected, \
+                (H.members.tolist(), S.members)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_cayley_check_matches_the_column_count_past_the_gather_rule(monkeypatch):
+    # the connection sets of an order-1024 group's codes: those of more than
+    # 32 elements read S x H by the broadcast index, the others by two takes;
+    # each is checked for its code H and, mostly failing, for the trivial
+    # subgroup
+    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    G = build_family("M2(4,5,1)")
+    trivial = st.trivial_subgroup(G)
+    sizes, outcomes = set(), set()
+    for H in st.all_subgroups(G):
+        T = codes.find_inverse_closed_transversal(G, H)
+        if T is None:
+            continue
+        S = codes.connection_set_from_transversal(G, H, T)
+        assert codes.verify_perfect_code_in_cayley(G, S, H)
+        assert reference_cayley_check(G, S, H)
+        expected = reference_cayley_check(G, S, trivial)
+        assert codes.verify_perfect_code_in_cayley(G, S, trivial) == expected, H.members.tolist()
+        sizes.add(len(S.members) * G.order > groups.GATHER_TAKE_CELLS)
+        outcomes.add(expected)
+    assert sizes == {True, False}
+    assert outcomes == {True, False}
 
 
 def test_exhaustive_refutation_on_c4_center(c4):

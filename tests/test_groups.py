@@ -306,6 +306,30 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
     assert peak <= 20 << 20, (spec, peak)
 
 
+@pytest.mark.parametrize("spec", ["D(16)", "D(1024)"])
+def test_gather_equals_the_broadcast_index(spec, monkeypatch):
+    # row counts at and just past the size rule (rows repeat in D(16)), and
+    # empty rows and columns
+    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    G = build_family(spec)
+    n = G.order
+    rng = np.random.default_rng(0)
+    limit = groups.GATHER_TAKE_CELLS // n
+    row_sets = [np.array([], dtype=np.int32), np.array([0, n - 1], dtype=np.int32),
+                rng.integers(0, n, limit).astype(np.int32),
+                rng.integers(0, n, limit + 1).astype(np.int32)]
+    col_sets = [np.array([], dtype=np.int32), rng.integers(0, n, 8).astype(np.int32),
+                np.arange(n, dtype=np.int32)]
+    for table in (G.mult, G.conj_table):
+        for rows in row_sets:
+            for cols in col_sets:
+                got = groups.gather(table, rows, cols)
+                expected = table[rows[:, None], cols]
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape == (len(rows), len(cols))
+                assert np.array_equal(got, expected), (spec, len(rows), len(cols))
+
+
 def test_nonmetacyclic_table_matches_the_int64_formula():
     for n2 in range(1, 8):
         for m2 in range(n2, 9 - n2):  # orders up to 512

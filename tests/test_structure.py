@@ -15,7 +15,8 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       brute_force_min_generators, brute_force_subgroups,
                       join_closure_subgroups, reference_center,
                       reference_commutators, reference_derived_subgroup,
-                      reference_greedy_generators, reference_omega1,
+                      reference_frattini, reference_greedy_generators,
+                      reference_normalizer, reference_omega1,
                       reference_prime_power_table, reference_squares_set)
 
 
@@ -214,6 +215,16 @@ def test_normalizer_by_conjugation_scan(d8):
         assert S.issubset(st.normalizer(d8, S))
 
 
+@pytest.mark.parametrize("spec", ["D(64)", "perm:(1 2 3 4),(1 2)",
+                                  "perm:(1 2 3 4 5),(1 2 3)", "SD(Q8;C(3);1->2,2->3)",
+                                  "M2(3,3,1)", "C(8)xC(4)xC(2)"])
+def test_normalizer_on_generators_matches_the_member_scan(spec):
+    # D(64), S4, A5, SL(2,3), a nonmetacyclic 2-group and an abelian group
+    g = build_family(spec)
+    for H in st.all_subgroups(g):
+        assert st.normalizer(g, H) == reference_normalizer(g, H), (spec, H.members.tolist())
+
+
 def test_sylow_examples():
     s3 = build_family("perm:(1 2 3),(1 2)")
     assert st.sylow(s3, 2).order == 2
@@ -378,6 +389,17 @@ def test_frattini_equals_squares_for_abelian_2groups():
         g = build_family(spec)
         phi = st.frattini(st.full_subgroup(g))
         assert phi.members.tolist() == np.flatnonzero(g.square_mask).tolist(), spec
+
+
+@pytest.mark.parametrize("spec", ["C(8)", "C(4)xC(2)", "EA(2,3)", "C(8)xC(4)",
+                                  "EA(3,3)", "C(9)xC(3)", "C(25)xC(5)"])
+def test_frattini_of_abelian_pgroups_matches_the_maximal_subgroups(spec):
+    # read off the p-th powers in an abelian parent, odd p included; the
+    # reference intersects the maximal subgroups of every subgroup H
+    g = build_family(spec)
+    for H in st.all_subgroups(g):
+        phi = st.frattini(H)
+        assert phi.mask.tolist() == reference_frattini(H).tolist(), (spec, H.members.tolist())
 
 
 def test_frattini_is_generated_by_squares_in_2groups():
