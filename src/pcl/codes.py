@@ -30,36 +30,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Group, gather, index_mask, sorted_distinct
+from .groups import Group, _readonly, gather, index_mask, sorted_distinct
 from .structure import Subgroup, full_subgroup, involutions, normalizer, _sylow_within
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transversal:
-    """An inverse-closed system of right-coset representatives."""
+    """An inverse-closed right transversal; ``reps`` is read-only int32."""
 
     parent: Group
     subgroup: Subgroup
-    reps: tuple[int, ...]
+    reps: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "reps", _readonly(np.array(self.reps, dtype=np.int32)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionSet:
-    """An inverse-closed, identity-free subset of a group."""
+    """An inverse-closed, identity-free subset, read-only int32 ascending."""
 
     parent: Group
-    members: tuple[int, ...]
+    members: np.ndarray
 
     def __post_init__(self):
         G = self.parent
-        members = tuple(sorted(int(m) for m in self.members))
-        object.__setattr__(self, "members", members)
-        if 0 in members:
+        members = np.array(self.members, dtype=np.int32)
+        members.sort()
+        # numpy would wrap a negative index round to an element
+        if members.size and (members[0] < 0 or members[-1] >= G.order):
+            raise PreconditionError("a connection set holds an index outside the group")
+        if members.size and members[0] == 0:
             raise PreconditionError("a connection set may not contain the identity")
-        member_set = set(members)
-        inv = memoryview(G.inv)
-        if any(inv[m] not in member_set for m in members):
+        if not index_mask(members, G.order).take(G.inv.take(members)).all():
             raise PreconditionError("a connection set must be inverse-closed")
+        object.__setattr__(self, "members", _readonly(members))
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
                     stack.append(p)
         if not backtrack(sorted(component)):
             return None
-    return Transversal(G, H, tuple(assignment[k] for k in table))
+    return Transversal(G, H, [assignment[k] for k in table])
 
 
 def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
@@ -231,40 +236,33 @@ def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
 
 
 def validate_transversal(T: Transversal) -> None:
-    """Raise PreconditionError unless T is an inverse-closed right transversal."""
-    G, H = T.parent, T.subgroup
-    if len(T.reps) != G.order // H.order:
+    """Raise PreconditionError unless T is an inverse-closed right transversal.
+    With as many reps as cosets, the cosets H t cover G exactly when no two
+    reps share one: one |H| x |T| gather, |G| entries."""
+    G, H, reps = T.parent, T.subgroup, T.reps
+    if reps.size != G.order // H.order:
         raise PreconditionError("wrong number of coset representatives")
-    coset_key = memoryview(G.mult.take(H.members, 0).min(axis=0))
-    rep_keys = {coset_key[t] for t in T.reps}
-    if len(rep_keys) != len(T.reps):
+    if reps.min() < 0:  # numpy would wrap it round; past the end, the gather raises
+        raise PreconditionError("a representative is a negative index")
+    if not index_mask(gather(G.mult, H.members, reps), G.order).all():
         raise PreconditionError("representatives do not cover every coset once")
-    rep_set = set(T.reps)
-    inv = memoryview(G.inv)
-    if any(inv[t] not in rep_set for t in T.reps):
+    if not index_mask(reps, G.order).take(G.inv.take(reps)).all():
         raise PreconditionError("representative set is not inverse-closed")
 
 
 def connection_set_from_transversal(G: Group, H: Subgroup,
                                     T: Transversal) -> ConnectionSet:
-    """Connection set realizing H as a perfect code, from a transversal.
+    """Connection set realizing H as a perfect code, from a transversal of H.
 
-    The representative of the coset H itself is self-inverse (its inverse
-    lies in the same coset, and the set holds one element per coset), so
-    swapping it for the identity keeps the transversal inverse-closed.  The
-    remaining representatives form an inverse-closed, identity-free set
-    disjoint from H.
+    Exactly one representative lies in H, and it is self-inverse: its
+    inverse is a representative in H too.  So the others form an
+    inverse-closed set disjoint from H, and so free of the identity.
     """
     _require_subgroup_of(G, H)
+    if T.parent is not G or T.subgroup != H:
+        raise PreconditionError("transversal belongs to a different subgroup")
     validate_transversal(T)
-    in_h = H.mask.tolist()  # a memoryview would pin a buffer record on H.mask
-    h_rep = next(t for t in T.reps if in_h[t])
-    reps = {0 if t == h_rep else int(t) for t in T.reps}
-    members = tuple(sorted(reps - {0}))
-    connection = ConnectionSet(G, members)
-    if any(in_h[m] for m in connection.members):
-        raise PreconditionError("connection set meets the subgroup")
-    return connection
+    return ConnectionSet(G, T.reps[~H.mask.take(T.reps)])
 
 
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:
@@ -274,7 +272,7 @@ def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bo
     S, and at distance 0 from c when g = c.  So the counts are read from the
     edge side: each product s c, one |S| x |C| gather, adds 1 to its vertex,
     and each c adds 1 to itself."""
-    edges = gather(G.mult, np.array(S.members, dtype=np.int32), C.members)
+    edges = gather(G.mult, S.members, C.members)
     counts = np.bincount(edges.ravel(), minlength=G.order)
     counts[C.members] += 1
     return bool((counts == 1).all())
@@ -313,7 +311,7 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
         if found.size:
             chosen = least[np.flatnonzero(_bits((high << low) | int(found[0]), k))]
             members = sorted_distinct(np.concatenate((chosen, G.inv[chosen])), G.order)
-            return ConnectionSet(G, tuple(members.tolist()))
+            return ConnectionSet(G, members)
     return None
 
 

@@ -33,7 +33,7 @@ def _oracle(entry: CatalogEntry, H: Subgroup, search) -> dict:
     transversal = search()
     if transversal is None:
         return {"is_code": False, "evidence": None}
-    return {"is_code": True, "evidence": {"transversal": list(transversal.reps)}}
+    return {"is_code": True, "evidence": {"transversal": transversal.reps.tolist()}}
 
 
 def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
@@ -45,15 +45,14 @@ def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
     transversal = search()
     if transversal is not None:
         connection = codes.connection_set_from_transversal(G, H, transversal)
-        return {"is_code": codes.verify_perfect_code_in_cayley(G, connection, H),
-                "evidence": {"connection_set": list(connection.members)}}
-    if G.order > EXHAUSTIVE_CAYLEY_LIMIT:
+    elif G.order > EXHAUSTIVE_CAYLEY_LIMIT:
         return None
-    found = codes.exhaustive_connection_set_search(G, H)
-    if found is None:
-        return {"is_code": False, "evidence": {"exhausted_all_sets": True}}
-    return {"is_code": codes.verify_perfect_code_in_cayley(G, found, H),
-            "evidence": {"connection_set": list(found.members)}}
+    else:
+        connection = codes.exhaustive_connection_set_search(G, H)
+        if connection is None:
+            return {"is_code": False, "evidence": {"exhausted_all_sets": True}}
+    return {"is_code": codes.verify_perfect_code_in_cayley(G, connection, H),
+            "evidence": {"connection_set": connection.members.tolist()}}
 
 
 def _theorem(entry: CatalogEntry, H: Subgroup, search) -> dict | None:

@@ -269,6 +269,16 @@ def reference_transversal_search(G, H) -> Transversal | None:
     return Transversal(G, H, tuple(assignment[k] for k in keys))
 
 
+def reference_connection_set(G, H, T: Transversal) -> tuple[int, ...]:
+    """The members of ``codes.connection_set_from_transversal`` as the
+    library built them from tuples and sets: the representative in H
+    swapped for the identity, the identity dropped, the rest sorted."""
+    in_h = H.mask.tolist()
+    h_rep = next(t for t in T.reps.tolist() if in_h[t])
+    reps = {0 if t == h_rep else t for t in T.reps.tolist()}
+    return tuple(sorted(reps - {0}))
+
+
 def inverse_closed_subsets(G):
     """Yield the masks of all inverse-closed subsets of G minus the identity.
 
@@ -302,7 +312,7 @@ def reference_exhaustive_search(G, H) -> ConnectionSet | None:
         counts = mask[neighbours].sum(axis=1)
         counts[H.members] += 1
         if (counts == 1).all():
-            return ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
+            return ConnectionSet(G, np.flatnonzero(mask))
     return None
 
 
@@ -375,7 +385,7 @@ def reference_cayley_check(G, S: ConnectionSet, C: Subgroup) -> bool:
     before it counted from the edge side: for each vertex g, the c in C with
     g c^-1 in S, from the |G| x |C| columns of the table."""
     mask = np.zeros(G.order, dtype=bool)
-    mask[list(S.members)] = True
+    mask[S.members] = True
     counts = mask[G.mult[:, G.inv[C.members]]].sum(axis=1)
     counts[C.members] += 1
     return bool((counts == 1).all())

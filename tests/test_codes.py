@@ -12,7 +12,8 @@ from pcl.specs import build_family
 from conftest import (inverse_closed_subsets, reference_coset_criterion,
                       reference_criterion3, reference_criterion3_on_pair,
                       reference_cayley_check, reference_criterion4,
-                      reference_exhaustive_search, reference_transversal_search)
+                      reference_connection_set, reference_exhaustive_search,
+                      reference_transversal_search)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def test_coset_criteria_match_the_reference_loops_on_the_catalog(catalog):
 
 
 def reps(transversal):
-    return None if transversal is None else transversal.reps
+    return None if transversal is None else transversal.reps.tolist()
 
 
 def test_transversal_search_matches_the_reference_on_the_catalog(catalog):
@@ -120,7 +121,7 @@ def test_criterion4_examples(c4):
 def test_transversal_search_examples(c4, d8):
     full = st.full_subgroup(d8)
     t = codes.find_inverse_closed_transversal(d8, full)
-    assert t.reps == (0,)
+    assert t.reps.tolist() == [0]
     assert codes.find_inverse_closed_transversal(c4, st.subgroup_generated(c4, [2])) is None
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     t = codes.find_inverse_closed_transversal(d8, hb)
@@ -142,26 +143,36 @@ def test_transversal_validation_rejects_malformed(d8):
             codes.Transversal(d8, hb, (0, 1, d8.power(a, 2), d8.power(a, 3))))
     with pytest.raises(PreconditionError):
         codes.connection_set_from_transversal(d8, hb, codes.Transversal(d8, hb, (0, a)))
+    # the cosets of <4> in C(8) are {0,4}, {1,5}, {2,6}, {3,7}; 1^-1 = 7
+    c8 = build_family("C(8)")
+    H = st.subgroup_generated(c8, [4])
+    with pytest.raises(PreconditionError, match="inverse-closed"):
+        codes.validate_transversal(codes.Transversal(c8, H, (0, 1, 2, 3)))
+    with pytest.raises(PreconditionError, match="cover"):
+        codes.validate_transversal(codes.Transversal(c8, H, (0, 1, 5, 3)))
+    with pytest.raises(PreconditionError):  # indices that wrap round to a, a^2, a^3
+        codes.validate_transversal(codes.Transversal(
+            d8, hb, [0] + [d8.power(a, k) - d8.order for k in (1, 2, 3)]))
 
 
 def test_connection_set_construction(d8):
     full = st.full_subgroup(d8)
     t = codes.find_inverse_closed_transversal(d8, full)
     s = codes.connection_set_from_transversal(d8, full, t)
-    assert s.members == ()
+    assert s.members.tolist() == []
     assert codes.verify_perfect_code_in_cayley(d8, s, full)
     triv = st.trivial_subgroup(d8)
     t = codes.find_inverse_closed_transversal(d8, triv)
     s = codes.connection_set_from_transversal(d8, triv, t)
-    assert s.members == tuple(range(1, 8))
+    assert s.members.tolist() == list(range(1, 8))
     assert codes.verify_perfect_code_in_cayley(d8, s, triv)
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     a = d8.witness["a"]
     hand = codes.Transversal(d8, hb, (0, a, d8.power(a, 2), d8.power(a, 3)))
     s = codes.connection_set_from_transversal(d8, hb, hand)
-    assert set(s.members) == {a, d8.power(a, 2), d8.power(a, 3)}
+    assert set(s.members.tolist()) == {a, d8.power(a, 2), d8.power(a, 3)}
     assert codes.verify_perfect_code_in_cayley(d8, s, hb)
-    assert not hb.mask[list(s.members)].any()
+    assert not hb.mask[s.members].any()
 
 
 def test_connection_set_invariants(d8):
@@ -169,8 +180,46 @@ def test_connection_set_invariants(d8):
         codes.ConnectionSet(d8, (0, 2))
     with pytest.raises(PreconditionError):
         codes.ConnectionSet(d8, (2,))  # a alone is not inverse-closed
+    with pytest.raises(PreconditionError):  # -2 would wrap round to a^-1 = 6
+        codes.ConnectionSet(d8, (-2, 2))
     ok = codes.ConnectionSet(d8, (2, 6))
-    assert ok.members == (2, 6)
+    assert ok.members.tolist() == [2, 6]
+
+
+def test_evidence_is_a_read_only_int32_array(d8):
+    hb = st.subgroup_generated(d8, [d8.witness["b"]])
+    given = np.array([6, 2, 0, 4], dtype=np.int64)
+    t = codes.Transversal(d8, hb, given)
+    s = codes.ConnectionSet(d8, given[:2])
+    assert t.reps.tolist() == [6, 2, 0, 4]  # in the order given
+    assert s.members.tolist() == [2, 6]  # ascending
+    for array in (t.reps, s.members, codes.find_inverse_closed_transversal(d8, hb).reps):
+        assert array.dtype == np.int32 and not array.flags.writeable
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_connection_set_rejects_a_transversal_of_another_pair(d8):
+    # a transversal of <7> is no transversal of the trivial subgroup
+    T = codes.find_inverse_closed_transversal(d8, st.subgroup_generated(d8, [7]))
+    with pytest.raises(PreconditionError):
+        codes.connection_set_from_transversal(d8, st.trivial_subgroup(d8), T)
+    # nor of the same subgroup of another copy of the group
+    other = build_family("D(8)")
+    H = st.subgroup_generated(other, [7])
+    with pytest.raises(PreconditionError):
+        codes.connection_set_from_transversal(other, H, T)
+
+
+def test_connection_set_matches_the_tuple_reference_on_the_catalog(catalog):
+    for entry in catalog:
+        G = entry.group
+        if G.order > 64:
+            continue
+        for H in st.all_subgroups(G):
+            T = codes.find_inverse_closed_transversal(G, H)
+            if T is not None:
+                assert codes.connection_set_from_transversal(G, H, T).members.tolist() == \
+                    list(reference_connection_set(G, H, T)), (entry.label, H)
 
 
 @pytest.mark.parametrize("spec", ["D(8)", "Q8", "C(4)xC(2)"])
@@ -179,10 +228,10 @@ def test_cayley_check_matches_the_column_count_on_every_connection_set(spec):
     outcomes = set()
     for H in st.all_subgroups(G):
         for mask in inverse_closed_subsets(G):
-            S = codes.ConnectionSet(G, tuple(np.flatnonzero(mask).tolist()))
+            S = codes.ConnectionSet(G, np.flatnonzero(mask))
             expected = reference_cayley_check(G, S, H)
             assert codes.verify_perfect_code_in_cayley(G, S, H) == expected, \
-                (H.members.tolist(), S.members)
+                (H.members.tolist(), S.members.tolist())
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -201,6 +250,7 @@ def test_cayley_check_matches_the_column_count_past_the_gather_rule(monkeypatch)
         if T is None:
             continue
         S = codes.connection_set_from_transversal(G, H, T)
+        assert S.members.tolist() == list(reference_connection_set(G, H, T))
         assert codes.verify_perfect_code_in_cayley(G, S, H)
         assert reference_cayley_check(G, S, H)
         expected = reference_cayley_check(G, S, trivial)
@@ -230,8 +280,8 @@ def assert_same_exhaustive_result(G, H):
     """Both sweeps refute, or both return the same first connection set."""
     found = codes.exhaustive_connection_set_search(G, H)
     expected = reference_exhaustive_search(G, H)
-    assert (None if found is None else found.members) == \
-        (None if expected is None else expected.members), H.members.tolist()
+    assert (None if found is None else found.members.tolist()) == \
+        (None if expected is None else expected.members.tolist()), H.members.tolist()
 
 
 @pytest.mark.parametrize("spec, subgroups", [

@@ -210,8 +210,8 @@ def test_transversal_search_matches_the_reference_outside_the_catalog(spec):
     for S in st.all_subgroups(g):
         found = codes.find_inverse_closed_transversal(g, S)
         expected = reference_transversal_search(g, S)
-        assert (None if found is None else found.reps) == \
-            (None if expected is None else expected.reps), (spec, S.members.tolist())
+        assert (None if found is None else found.reps.tolist()) == \
+            (None if expected is None else expected.reps.tolist()), (spec, S.members.tolist())
 
 
 @settings(max_examples=25, deadline=None)

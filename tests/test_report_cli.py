@@ -92,11 +92,11 @@ def test_cayley_method_reverifies_an_exhaustive_positive(monkeypatch):
     monkeypatch.setattr(codes, "find_inverse_closed_transversal", lambda G, H: None)
     checked = []
     monkeypatch.setattr(codes, "verify_perfect_code_in_cayley",
-                        lambda G, S, C: checked.append((S.members, C)) or False)
+                        lambda G, S, C: checked.append((S.members.tolist(), C)) or False)
     search = lambda: codes.find_inverse_closed_transversal(entry.group, trivial)
     assert report.ROUTES["cayley"](entry, trivial, search) == {
         "is_code": False, "evidence": {"connection_set": [1, 2, 3]}}
-    assert checked == [((1, 2, 3), trivial)]
+    assert checked == [([1, 2, 3], trivial)]
 
 
 def test_cayley_method_not_applicable_above_limit():
