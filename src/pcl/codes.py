@@ -135,38 +135,87 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
     """Exact backtracking search for an inverse-closed right transversal.
 
     Choosing representative t for a coset forces t^-1 as the representative
-    of the coset of t^-1, its partner; which coset that is depends on the
-    candidate, so the forcing is per candidate.  One table holds each coset's
-    admissible (t, partner) pairs, t ascending: a t whose inverse is another
-    element of its own coset never is one.  Cosets linked by t -> partner
-    form components, and no choice in one changes another's candidates, so
-    each component is searched alone.
+    of the coset of t^-1, its partner.  A coset Hk is uniform when the
+    inverses of all its elements lie in one coset, which holds exactly when
+    k normalizes H (every coset of a normal H is uniform), and split when
+    they do not.  Uniform cosets are decided in closed form from the coset
+    keys, each coset's least element: a coset that is its own partner takes
+    its least self-inverse element (with none, there is no transversal), and
+    two uniform cosets K < L that are each other's partner take k and k^-1.
+    The partner of a uniform coset is uniform, so no choice for one ever
+    touches a split coset.
+
+    For the split cosets, which partner a choice forces depends on the
+    candidate, so the forcing is per candidate.  One table holds each split
+    coset's admissible (t, partner) pairs, t ascending: a t whose inverse is
+    another element of its own coset never is one.  Cosets linked by
+    t -> partner form components, and no choice in one changes another's
+    candidates, so each component is searched alone.
 
     Cosets are extended fewest-viable-candidates first (ties broken by least
     element), so a coset with no admissible representative fails the branch
     immediately; with a fixed canonical order instead, such a coset deep in
-    the order makes refutations exponential.  Components of one or two
-    cosets, nearly all of them, get that search's answer in closed form: a
-    lone coset takes its least self-inverse element, and a pair of cosets
-    is decided by ``_coset_pair_choice``.  The search is exact and
-    deterministic, and its result is not kept.
+    the order makes refutations exponential.  A split coset always has a
+    candidate that crosses to another coset, so every component has two or
+    more, and one of exactly two gets that search's answer in closed form
+    from ``_coset_pair_choice``.  The search is exact and deterministic, and
+    its result is not kept.
     """
     _require_subgroup_of(G, H)
     return _transversal_search(G, H)
 
 
+_KEY_BLOCK_CELLS = 1 << 20  # entries of G.mult read at once for the coset keys
+
+
 def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
-    coset = G.mult.take(H.members, 0).min(axis=0).tolist()  # least element of Hg
+    rows = max(1, _KEY_BLOCK_CELLS // G.order)
+    key = G.mult.take(H.members[:rows], 0).min(axis=0)  # least element of Hg
+    for start in range(rows, H.order, rows):
+        np.minimum(key, G.mult.take(H.members[start:start + rows], 0).min(axis=0), out=key)
+    partner = key.take(G.inv)  # the coset of g^-1
+    keys = (key == np.arange(G.order, dtype=np.int32)).nonzero()[0]  # ascending
+    # Hk is split when some g in it has g^-1 outside the coset of k^-1
+    split_keys = key[partner != partner.take(key)]
+    uniform = keys
+    if split_keys.size:
+        split = index_mask(split_keys, G.order)
+        uniform = keys[~split.take(keys)]
     inv = memoryview(G.inv)
-    table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
-    for t, key in enumerate(coset):
-        i = inv[t]
-        p = coset[i]
-        if key not in table:
-            table[key] = []
-        if p != key or i == t:
-            table[key].append((t, p))
     assignment: dict[int, int] = {}
+    own = None  # the least self-inverse element of each coset holding one
+    for k, p in zip(uniform.tolist(), partner.take(uniform).tolist()):
+        if p != k:  # Hk and Hp are each other's inverses: they take k and k^-1
+            if k < p:
+                assignment[k], assignment[p] = k, inv[k]
+        elif inv[k] == k:  # a lone coset takes its least self-inverse element
+            assignment[k] = k
+        else:
+            if own is None:
+                solutions = involutions(G)[::-1]  # the least is written last
+                own = dict(zip(key.take(solutions).tolist(), solutions.tolist()))
+            if k not in own:
+                return None
+            assignment[k] = own[k]
+    if split_keys.size and not _split_coset_search(
+            key.tolist(), inv, split.take(key).nonzero()[0].tolist(), assignment):
+        return None
+    return Transversal(G, H, [assignment[k] for k in keys.tolist()])
+
+
+def _split_coset_search(coset: list[int], inv, elements: list[int],
+                        assignment: dict[int, int]) -> bool:
+    """Extend ``assignment`` to the split cosets, whose ``elements`` are
+    given ascending, with ``coset`` the key of every element: False when
+    some component of them has no choice."""
+    table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
+    for t in elements:
+        k, i = coset[t], inv[t]
+        p = coset[i]
+        if k not in table:
+            table[k] = []
+        if p != k or i == t:
+            table[k].append((t, p))
 
     def backtrack(component: list[int]) -> bool:
         # both ends of a pair are written at once, so a partner not yet
@@ -191,13 +240,8 @@ def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
     for root, cands in table.items():  # the least key of its component
         if root in assignment:
             continue
-        linked = {p for _, p in cands}
+        linked = {p for _, p in cands}  # never empty: some t crosses
         linked.discard(root)
-        if not linked:  # a lone coset takes its least self-inverse element
-            if not cands:
-                return None
-            assignment[root] = cands[0][0]
-            continue
         if len(linked) == 1:
             (other,) = linked
             if {p for _, p in table[other]} <= {root, other}:
@@ -210,8 +254,8 @@ def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
                     component.add(p)
                     stack.append(p)
         if not backtrack(sorted(component)):
-            return None
-    return Transversal(G, H, [assignment[k] for k in table])
+            return False
+    return True
 
 
 def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:

@@ -9,7 +9,6 @@ order.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from contextlib import closing
@@ -115,7 +114,13 @@ def _subgroup_json(H: Subgroup) -> dict:
 
 def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
     # oracle and cayley share one search, run (and timed) for the first to ask
-    search = functools.cache(lambda: codes.find_inverse_closed_transversal(entry.group, H))
+    found = []
+
+    def search():
+        if not found:
+            found.append(codes.find_inverse_closed_transversal(entry.group, H))
+        return found[0]
+
     verdicts = {m: _timed_payload(entry, H, m, search) for m in methods}
     votes = {v["is_code"] for v in verdicts.values() if "is_code" in v}
     return {

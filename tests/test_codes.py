@@ -96,6 +96,65 @@ def test_transversal_closed_form_matches_the_reference_beside_searched_component
     assert large > 0
 
 
+def coset_kinds(G, H) -> dict[int, bool]:
+    """Each right coset of H, by its least element k, mapped to whether it
+    is uniform: the inverses of all its elements lie in one coset."""
+    key = G.mult[H.members].min(axis=0)
+    partners: dict[int, set[int]] = {}
+    for t in range(G.order):
+        partners.setdefault(int(key[t]), set()).add(int(key[G.inv[t]]))
+    return {k: len(ps) == 1 for k, ps in partners.items()}
+
+
+@pytest.mark.parametrize("spec", ["D(16)", "D(24)", "C(8)xC(4)xC(4)", "M2(3,4,1)",
+                                  "perm:(1 2 3),(1 2)(3 4)", "SD(C(5);C(4);1->2)"])
+def test_transversal_search_decides_uniform_cosets_beside_split_ones(spec):
+    # uniform cosets are decided from their keys and split ones searched; a
+    # coset Hk is uniform exactly when k normalizes H, so an abelian group
+    # has no split coset and each of the others has a pair holding both
+    # kinds, such as <s> in D(16), whose 2 normalizing cosets of 8 are uniform
+    G = build_family(spec)
+    mixed = 0
+    for H in st.all_subgroups(G):
+        kinds = coset_kinds(G, H)
+        N = st.normalizer(G, H)
+        assert kinds == {k: bool(N.mask[k]) for k in kinds}, (spec, H)
+        mixed += len(set(kinds.values())) == 2
+        assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+            reps(reference_transversal_search(G, H)), (spec, H)
+    assert (mixed == 0) if G.is_abelian else (mixed > 0), (spec, mixed)
+
+
+def test_normal_subgroups_build_no_table(monkeypatch):
+    # every coset of a normal subgroup is uniform, so the search of split
+    # cosets, which tables their elements, is never reached
+    def refuse(*args):
+        raise AssertionError("the split cosets were searched")
+
+    monkeypatch.setattr(codes, "_split_coset_search", refuse)
+    for spec in ("C(8)xC(4)xC(2)", "D(16)", "M2(2,2,1)"):
+        G = build_family(spec)
+        normal = [H for H in st.all_subgroups(G) if st.normalizer(G, H).order == G.order]
+        assert len(normal) > 2, spec
+        for H in normal:
+            assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+                reps(reference_transversal_search(G, H)), (spec, H)
+    G = build_family("D(16)")
+    with pytest.raises(AssertionError, match="split cosets"):
+        codes.find_inverse_closed_transversal(G, st.subgroup_generated(G, [G.witness["b"]]))
+
+
+def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
+    # blocks of 64 entries: 4 rows of D(16), 5 of A4 (a last block of 2 rows
+    # when H = A4) and 1 of C(8)xC(4)xC(2)
+    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 64)
+    for spec in ("D(16)", "perm:(1 2 3),(1 2)(3 4)", "C(8)xC(4)xC(2)"):
+        G = build_family(spec)
+        for H in st.all_subgroups(G):
+            assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+                reps(reference_transversal_search(G, H)), (spec, H)
+
+
 @pytest.mark.parametrize("spec", ["D(256)", "M2(3,4,1)", "C(8)xC(4)xC(4)"])
 def test_criteria_match_the_all_x_reference(spec):
     # the whole Verdict, violating_x included, against one array expression

@@ -306,19 +306,25 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
     assert peak <= 20 << 20, (spec, peak)
 
 
-@pytest.mark.parametrize("spec", ["D(16)", "D(1024)"])
+@pytest.mark.parametrize("spec", ["D(16)", "D(1024)", "D(2048)"])
 def test_gather_equals_the_broadcast_index(spec, monkeypatch):
-    # row counts at and just past the size rule (rows repeat in D(16)), and
-    # empty rows and columns
-    monkeypatch.setenv("PCL_MAX_ORDER", "1024")
+    # row and column counts at and just past the size rule (rows repeat in
+    # D(16)), a tall, narrow read (1,023 x 2, as in D(2048)'s Cayley check,
+    # which takes the columns first) and a short, wide one, and empty rows
+    # and columns
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
     G = build_family(spec)
     n = G.order
     rng = np.random.default_rng(0)
     limit = groups.GATHER_TAKE_CELLS // n
     row_sets = [np.array([], dtype=np.int32), np.array([0, n - 1], dtype=np.int32),
                 rng.integers(0, n, limit).astype(np.int32),
-                rng.integers(0, n, limit + 1).astype(np.int32)]
-    col_sets = [np.array([], dtype=np.int32), rng.integers(0, n, 8).astype(np.int32),
+                rng.integers(0, n, limit + 1).astype(np.int32),
+                rng.integers(0, n, 1023).astype(np.int32)]
+    col_sets = [np.array([], dtype=np.int32), rng.integers(0, n, 2).astype(np.int32),
+                rng.integers(0, n, 8).astype(np.int32),
+                rng.integers(0, n, limit).astype(np.int32),
+                rng.integers(0, n, limit + 1).astype(np.int32),
                 np.arange(n, dtype=np.int32)]
     for table in (G.mult, G.conj_table):
         for rows in row_sets:
