@@ -131,8 +131,9 @@ class Group:
         """The value of ``compute()``, computed once per group and ``key``.
 
         Every derived value of a group (element orders, conjugation table,
-        lattice, Frattini subgroups keyed on ``(name, H.mask_int)``) is
-        memoised here; a pair's transversal lives only while it is decided.
+        squares, lattice, Sylow subgroups keyed on ``("sylow", p)``) is
+        memoised here, and no key names a subgroup; a pair's transversal
+        and Frattini masks live only while it is decided.
         """
         try:
             return self._cache[key]

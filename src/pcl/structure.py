@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, gather, index_mask, max_order, prime_power, sorted_distinct, _readonly
+from .groups import Group, gather, max_order, prime_power, sorted_distinct, _readonly
 
 
 class Subgroup:
@@ -275,14 +275,9 @@ def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
 
 def frattini(H: Subgroup) -> Subgroup:
     """Phi(H) of the p-group H: by Burnside, the subgroup generated by the
-    p-th powers and commutators of H, or by the squares alone when p = 2;
-    in an abelian parent the p-th powers already form it.  Trivial H gives
-    H itself; H of order divisible by two primes raises
+    p-th powers and commutators of H, or by the squares alone when p = 2.
+    Trivial H gives H itself; H of order divisible by two primes raises
     ``PreconditionError``."""
-    return H.parent.memo(("frattini", H.mask_int), lambda: _frattini(H))
-
-
-def _frattini(H: Subgroup) -> Subgroup:
     if H.order == 1:
         return H
     if prime_power(H.order) is None:
@@ -290,8 +285,6 @@ def _frattini(H: Subgroup) -> Subgroup:
     G = H.parent
     _, pth_power = _prime_powers(G)
     gens = pth_power[H.members]
-    if G.is_abelian:  # (ab)^p = a^p b^p, so the p-th powers are Phi(H)
-        return Subgroup(G, index_mask(gens, G.order))
     # for p = 2 the squares suffice: [a, b] = a^-2 (ab^-1)^2 b^2
     if H.order % 2:
         gens = sorted_distinct(np.concatenate((gens, _commutators(G, H.members))),

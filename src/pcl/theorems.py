@@ -20,8 +20,8 @@ import numpy as np
 
 from .codes import zhang_reduce
 from .errors import WrongClassifierError
-from .groups import Group
-from .structure import (FamilyRecognition, Subgroup, frattini, full_subgroup,
+from .groups import Group, index_mask
+from .structure import (FamilyRecognition, Subgroup, full_subgroup,
                         recognize_a1_family, recognize_dihedral,
                         subgroup_generated, _is_2group)
 
@@ -77,8 +77,17 @@ def classify_abelian_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
 
 
 def _frattini_contained(Q: Subgroup, P: Subgroup) -> bool:
-    """Whether Q meet Phi(P) <= Phi(Q), for subgroups Q <= P of 2-power order."""
-    return ((Q.mask_int & frattini(P).mask_int) & ~frattini(Q).mask_int) == 0
+    """Whether Q meet Phi(P) <= Phi(Q), for subgroups Q <= P of an abelian
+    2-group P, where Phi of each is its set of squares (``_squares``)."""
+    return not (Q.mask & _squares(P) & ~_squares(Q)).any()
+
+
+def _squares(H: Subgroup) -> np.ndarray:
+    """Mask of the squares of H's members.  In an abelian 2-group H,
+    Phi(H) = H^2 [H, H] = H^2 and (ab)^2 = a^2 b^2, so this is Phi(H); at
+    odd order it is not (C3 is its own set of squares, Phi(C3) = 1)."""
+    G = H.parent
+    return G.square_mask if H.is_full else index_mask(G.squares[H.members], G.order)
 
 
 def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
@@ -191,20 +200,21 @@ def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | N
 
     By Burnside's basis theorem, g1 and g2 generate a noncyclic 2-group H
     exactly when |H : Phi(H)| = 4, both lie in H, and none of g1, g2 and
-    g1 g2 lies in Phi(H).  The test runs over every candidate pair at once
-    and builds no subgroup.  Only noncyclic proper nontrivial subgroups can
-    match; other inputs return None.
+    g1 g2 lies in Phi(H).  H is a proper subgroup of a minimal nonabelian
+    group, so abelian, and Phi(H) is its set of squares.  The test runs over
+    every candidate pair at once and builds no subgroup.  Only noncyclic
+    proper nontrivial subgroups can match; other inputs return None.
     """
     if rec.tag != "nonmetacyclic":
         raise WrongClassifierError("match_theorem_family needs a nonmetacyclic recognition")
     G = H.parent
     if H.is_trivial or H.is_full or H.is_cyclic:
         return None
-    phi = frattini(H)
-    if H.order != 4 * phi.order:
+    phi = _squares(H)
+    if H.order != 4 * np.count_nonzero(phi):
         return None
     entries, g1, g2 = _family_candidates(G, rec)
-    outside_phi = H.mask & ~phi.mask
+    outside_phi = H.mask & ~phi
     hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
     if hits.size == 0:
         return None

@@ -181,10 +181,13 @@ def test_each_pair_searches_for_its_transversal_once(monkeypatch, methods):
                 if (key[0] if isinstance(key, tuple) else key).startswith("transversal")]
 
 
-@pytest.mark.parametrize("spec", ["D(16)", "M2(2,2,1)"])
+@pytest.mark.parametrize("spec", ["D(16)", "M2(2,2,1)", "C(8)xC(4)",
+                                  "perm:(1 2 3),(1 2)(3 4)", "perm:(1 2 3 4),(1 2)"])
 def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
     # the routes read the table through per-call views; the group memo gains
-    # no list, memoryview or |G|^2 array while the pairs are decided
+    # no list, memoryview or |G|^2 array while the pairs are decided, and no
+    # key naming a subgroup: the theorem route reads Phi of an abelian
+    # 2-group as a mask of squares, made per pair
     entry = build_entry(spec, spec)
     G = entry.group
     lattice = structure.all_subgroups(G)
@@ -200,7 +203,11 @@ def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
         return (isinstance(value, (list, memoryview))
                 or (isinstance(value, np.ndarray) and value.size >= G.order ** 2))
 
-    assert [key for key in set(G._cache) - before if copies(G._cache[key])] == []
+    added = set(G._cache) - before
+    assert [key for key in added if copies(G._cache[key])] == []
+    masks = {H.mask_int for H in lattice}
+    assert [key for key in added
+            if isinstance(key, tuple) and masks.intersection(key)] == []
     assert not hasattr(type(G), "extend")
 
 

@@ -8,6 +8,7 @@ import pytest
 from pcl import structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
+from pcl.theorems import _squares
 
 from conftest import (abelian_rank, assert_generators_match_references,
                       assert_structure_matches_references,
@@ -394,12 +395,37 @@ def test_frattini_equals_squares_for_abelian_2groups():
 @pytest.mark.parametrize("spec", ["C(8)", "C(4)xC(2)", "EA(2,3)", "C(8)xC(4)",
                                   "EA(3,3)", "C(9)xC(3)", "C(25)xC(5)"])
 def test_frattini_of_abelian_pgroups_matches_the_maximal_subgroups(spec):
-    # read off the p-th powers in an abelian parent, odd p included; the
-    # reference intersects the maximal subgroups of every subgroup H
+    # the one general formula, odd p included: the subgroup generated by the
+    # p-th powers and, for odd p, the commutators; the reference intersects
+    # the maximal subgroups of every subgroup H
     g = build_family(spec)
     for H in st.all_subgroups(g):
         phi = st.frattini(H)
         assert phi.mask.tolist() == reference_frattini(H).tolist(), (spec, H.members.tolist())
+
+
+@pytest.mark.parametrize("spec", ["C(8)xC(4)", "EA(2,3)", "D(16)", "M2(3,2)",
+                                  "M2(2,2,1)", "perm:(1 2 3),(1 2)(3 4)"])
+def test_squares_of_abelian_2subgroups_are_their_frattini(spec):
+    # the theorem route reads Phi of an abelian 2-group as its set of squares
+    g = build_family(spec)
+    checked = 0
+    for H in st.all_subgroups(g):
+        if H.is_abelian and H.order & (H.order - 1) == 0:
+            assert _squares(H).tolist() == reference_frattini(H).tolist(), \
+                (spec, H.members.tolist())
+            checked += 1
+    assert checked > 1
+
+
+def test_squares_are_not_frattini_at_odd_order():
+    # the 2-power order matters: A4's C3 is its own set of squares, but
+    # Phi(C3) is trivial
+    a4 = build_family("perm:(1 2 3),(1 2)(3 4)")
+    c3 = next(H for H in st.all_subgroups(a4) if H.order == 3)
+    assert _squares(c3).tolist() == c3.mask.tolist()
+    assert st.frattini(c3).is_trivial
+    assert reference_frattini(c3).sum() == 1
 
 
 def test_frattini_is_generated_by_squares_in_2groups():
