@@ -12,8 +12,9 @@ Four independent routes are implemented and cross-checked elsewhere:
   code neighbours is read off the products s c of S by the subgroup, one
   |S| x |H| gather, about |G| entries, not |G| x |H|.  This is the single
   source of definitional truth; positive verdicts from the other routes are
-  turned into a connection set and re-verified here, and for small groups an
-  exhaustive sweep over all inverse-closed connection sets refutes negatives.
+  turned into a connection set and re-verified here, which alone proves a
+  transversal one, and for small groups an exhaustive sweep over all
+  inverse-closed connection sets refutes negatives.
   The sweep checks every set, in a fixed order, against the definition, many
   sets per array operation: a set's domination counts are the sum of its
   blocks' rows in one table of per-block counts (``hits``), plus one for the
@@ -36,14 +37,14 @@ from .structure import Subgroup, full_subgroup, involutions, normalizer, _sylow_
 
 @dataclass(frozen=True, eq=False)
 class Transversal:
-    """An inverse-closed right transversal; ``reps`` is read-only int32."""
+    """A claimed inverse-closed right transversal, read-only int32 in range."""
 
     parent: Group
     subgroup: Subgroup
     reps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "reps", _readonly(np.array(self.reps, dtype=np.int32)))
+        object.__setattr__(self, "reps", _readonly(_element_indices(self.parent, self.reps)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +56,22 @@ class ConnectionSet:
 
     def __post_init__(self):
         G = self.parent
-        members = np.array(self.members, dtype=np.int32)
-        members.sort()
-        # numpy would wrap a negative index round to an element
-        if members.size and (members[0] < 0 or members[-1] >= G.order):
-            raise PreconditionError("a connection set holds an index outside the group")
+        members = np.sort(_element_indices(G, self.members))
         if members.size and members[0] == 0:
             raise PreconditionError("a connection set may not contain the identity")
         if not index_mask(members, G.order).take(G.inv.take(members)).all():
             raise PreconditionError("a connection set must be inverse-closed")
         object.__setattr__(self, "members", _readonly(members))
+
+
+def _element_indices(G: Group, values) -> np.ndarray:
+    """``values`` as int32, checked against range(|G|) first, as the cast
+    wraps 2^32 + 2 to 2; as uint64, a negative value reads past 2^63."""
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu"
+                        or values.astype(np.uint64).max() >= G.order):
+        raise PreconditionError(f"evidence holds a value that is no index in range({G.order})")
+    return values.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -279,34 +286,24 @@ def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
     return {K: t, L: inv[t]}
 
 
-def validate_transversal(T: Transversal) -> None:
-    """Raise PreconditionError unless T is an inverse-closed right transversal.
-    With as many reps as cosets, the cosets H t cover G exactly when no two
-    reps share one: one |H| x |T| gather, |G| entries."""
-    G, H, reps = T.parent, T.subgroup, T.reps
-    if reps.size != G.order // H.order:
-        raise PreconditionError("wrong number of coset representatives")
-    if reps.min() < 0:  # numpy would wrap it round; past the end, the gather raises
-        raise PreconditionError("a representative is a negative index")
-    if not index_mask(gather(G.mult, H.members, reps), G.order).all():
-        raise PreconditionError("representatives do not cover every coset once")
-    if not index_mask(reps, G.order).take(G.inv.take(reps)).all():
-        raise PreconditionError("representative set is not inverse-closed")
-
-
 def connection_set_from_transversal(G: Group, H: Subgroup,
                                     T: Transversal) -> ConnectionSet:
-    """Connection set realizing H as a perfect code, from a transversal of H.
-
-    Exactly one representative lies in H, and it is self-inverse: its
-    inverse is a representative in H too.  So the others form an
-    inverse-closed set disjoint from H, and so free of the identity.
-    """
+    """The representatives S of T outside H, a witness for H once
+    ``verify_perfect_code_in_cayley`` accepts it.  T must have |G:H| of them,
+    one in H and self-inverse, and ``ConnectionSet`` makes S inverse-closed.
+    If S passes the definition, each g outside H is s c in one way, so S
+    and 1 form a left transversal, and a right one, S being inverse-closed:
+    T is an inverse-closed right transversal exactly when it passes all."""
     _require_subgroup_of(G, H)
     if T.parent is not G or T.subgroup != H:
         raise PreconditionError("transversal belongs to a different subgroup")
-    validate_transversal(T)
-    return ConnectionSet(G, T.reps[~H.mask.take(T.reps)])
+    if T.reps.size != G.order // H.order:
+        raise PreconditionError("wrong number of coset representatives")
+    in_h = H.mask.take(T.reps)
+    inside = T.reps[in_h]
+    if inside.size != 1 or G.inv[inside[0]] != inside[0]:
+        raise PreconditionError("a transversal needs one self-inverse representative in H")
+    return ConnectionSet(G, T.reps[~in_h])
 
 
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:

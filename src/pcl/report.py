@@ -15,7 +15,7 @@ from contextlib import closing
 
 from . import catalog, codes, theorems
 from .catalog import CatalogEntry
-from .errors import GroupSpecError, PclError, SizeLimitError
+from .errors import GroupSpecError, PclError, PreconditionError, SizeLimitError
 from .structure import Subgroup, all_subgroups, normalizer
 
 EXHAUSTIVE_CAYLEY_LIMIT = 16
@@ -38,12 +38,15 @@ def _oracle(entry: CatalogEntry, H: Subgroup, search) -> dict:
 def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
     """Definition-level verdict: re-check a connection set built from the
     transversal, or exhaust all inverse-closed sets on small groups and
-    re-check the one found.  None when neither route applies (no witness
-    and the group is too large to sweep)."""
+    re-check the one found; a transversal that yields no set is refuted.
+    None when neither route applies (no witness, group too large to sweep)."""
     G = entry.group
     transversal = search()
     if transversal is not None:
-        connection = codes.connection_set_from_transversal(G, H, transversal)
+        try:
+            connection = codes.connection_set_from_transversal(G, H, transversal)
+        except PreconditionError as exc:
+            return {"is_code": False, "evidence": {"invalid_transversal": str(exc)}}
     elif G.order > EXHAUSTIVE_CAYLEY_LIMIT:
         return None
     else:

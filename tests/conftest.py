@@ -6,11 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from pcl import structure as st
-from pcl.catalog import default_catalog
+from pcl import report, structure as st
+from pcl.catalog import CatalogEntry, default_catalog
 from pcl.codes import (ConnectionSet, Transversal, Verdict, criterion3,
                        _require_subgroup_of)
-from pcl.errors import WrongClassifierError
+from pcl.errors import PreconditionError, WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
@@ -267,6 +267,25 @@ def reference_transversal_search(G, H) -> Transversal | None:
     if not backtrack():
         return None
     return Transversal(G, H, tuple(assignment[k] for k in keys))
+
+
+def validate_transversal(T: Transversal) -> None:
+    """Raise PreconditionError unless T is an inverse-closed right transversal
+    of its subgroup H: |G:H| representatives whose cosets H t cover G, with
+    the inverse of each among them.  The reference for what the Cayley route
+    accepts, which checks none of this directly."""
+    G, H, reps = T.parent, T.subgroup, T.reps.tolist()
+    if len(reps) != G.order // H.order:
+        raise PreconditionError("wrong number of coset representatives")
+    if len({int(G.mult[h, t]) for h in H.members.tolist() for t in reps}) != G.order:
+        raise PreconditionError("representatives do not cover every coset once")
+    if not {int(G.inv[t]) for t in reps} <= set(reps):
+        raise PreconditionError("representative set is not inverse-closed")
+
+
+def cayley_verdict(G, H, T: Transversal) -> bool:
+    """The Cayley route's verdict on the pair when the search returns T."""
+    return report.ROUTES["cayley"](CatalogEntry(G.label, G), H, lambda: T)["is_code"]
 
 
 def reference_connection_set(G, H, T: Transversal) -> tuple[int, ...]:

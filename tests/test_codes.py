@@ -9,11 +9,11 @@ from pcl import codes, groups, structure as st
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import (inverse_closed_subsets, reference_coset_criterion,
+from conftest import (cayley_verdict, inverse_closed_subsets, reference_coset_criterion,
                       reference_criterion3, reference_criterion3_on_pair,
                       reference_cayley_check, reference_criterion4,
                       reference_connection_set, reference_exhaustive_search,
-                      reference_transversal_search)
+                      reference_transversal_search, validate_transversal)
 
 
 @pytest.fixture(scope="module")
@@ -185,33 +185,59 @@ def test_transversal_search_examples(c4, d8):
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     t = codes.find_inverse_closed_transversal(d8, hb)
     assert t is not None
-    codes.validate_transversal(t)
+    validate_transversal(t)
     # the hand-written transversal {1, a, a^2, a^3} is also valid
     a = d8.witness["a"]
     hand = codes.Transversal(d8, hb, (0, a, d8.power(a, 2), d8.power(a, 3)))
-    codes.validate_transversal(hand)
+    validate_transversal(hand)
 
 
 def test_transversal_validation_rejects_malformed(d8):
+    # each malformed transversal is refused by connection_set_from_transversal,
+    # or yields a set that fails the definition, or is refused on construction
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
-    a = d8.witness["a"]
-    with pytest.raises(PreconditionError):
-        codes.validate_transversal(codes.Transversal(d8, hb, (0, a)))
-    with pytest.raises(PreconditionError):  # two reps from one coset
-        codes.validate_transversal(
-            codes.Transversal(d8, hb, (0, 1, d8.power(a, 2), d8.power(a, 3))))
-    with pytest.raises(PreconditionError):
-        codes.connection_set_from_transversal(d8, hb, codes.Transversal(d8, hb, (0, a)))
+    a, b = d8.witness["a"], d8.witness["b"]
+    short = codes.Transversal(d8, hb, (0, a))
+    with pytest.raises(PreconditionError, match="number"):
+        codes.connection_set_from_transversal(d8, hb, short)
+    assert not cayley_verdict(d8, hb, short)
+    # two reps from one coset: 1 and b, both in H
+    in_h = codes.Transversal(d8, hb, (0, b, d8.power(a, 2), d8.power(a, 3)))
+    with pytest.raises(PreconditionError, match="one self-inverse"):
+        codes.connection_set_from_transversal(d8, hb, in_h)
+    assert not cayley_verdict(d8, hb, in_h)
     # the cosets of <4> in C(8) are {0,4}, {1,5}, {2,6}, {3,7}; 1^-1 = 7
     c8 = build_family("C(8)")
     H = st.subgroup_generated(c8, [4])
-    with pytest.raises(PreconditionError, match="inverse-closed"):
-        codes.validate_transversal(codes.Transversal(c8, H, (0, 1, 2, 3)))
-    with pytest.raises(PreconditionError, match="cover"):
-        codes.validate_transversal(codes.Transversal(c8, H, (0, 1, 5, 3)))
+    for reps in ((0, 1, 2, 3), (0, 1, 5, 3)):
+        with pytest.raises(PreconditionError, match="inverse-closed"):
+            codes.connection_set_from_transversal(c8, H, codes.Transversal(c8, H, reps))
+        assert not cayley_verdict(c8, H, codes.Transversal(c8, H, reps))
+    # a, a^3 and ba are inverse-closed, but a and ba share the coset Ha, so
+    # the cosets do not cover G and only the definition check refuses them
+    cover = codes.Transversal(d8, hb, (0, a, d8.power(a, 3), int(d8.mult[b, a])))
+    S = codes.connection_set_from_transversal(d8, hb, cover)
+    assert not codes.verify_perfect_code_in_cayley(d8, S, hb)
+    assert not cayley_verdict(d8, hb, cover)
+    for T in (short, in_h, cover):
+        with pytest.raises(PreconditionError):
+            validate_transversal(T)
     with pytest.raises(PreconditionError):  # indices that wrap round to a, a^2, a^3
-        codes.validate_transversal(codes.Transversal(
-            d8, hb, [0] + [d8.power(a, k) - d8.order for k in (1, 2, 3)]))
+        codes.Transversal(d8, hb, [0] + [d8.power(a, k) - d8.order for k in (1, 2, 3)])
+
+
+def test_evidence_rejects_indices_that_wrap_in_the_int32_cast(d8):
+    hb = st.subgroup_generated(d8, [d8.witness["b"]])
+    reps = codes.find_inverse_closed_transversal(d8, hb).reps
+    for wrapped in (np.asarray(reps, dtype=np.int64) + 2**32, reps.astype(np.uint64) + 2**32,
+                    [int(t) + 2**32 for t in reps], [int(t) + 2**64 for t in reps]):
+        with pytest.raises(PreconditionError):
+            codes.Transversal(d8, hb, wrapped)
+    for members in (np.array([2**32 + 2, 2**32 + 6]), [2**32 + 2, 2**32 + 6],
+                    np.array([2.0, 6.0])):
+        with pytest.raises(PreconditionError):
+            codes.ConnectionSet(d8, members)
+    assert codes.ConnectionSet(d8, np.array([], dtype=np.float64)).members.tolist() == []
 
 
 def test_connection_set_construction(d8):

@@ -8,14 +8,16 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as stst
 
 from pcl import codes, groups, structure as st, theorems as th
+from pcl.errors import PreconditionError
 from pcl.groups import index_mask, sorted_distinct
 from pcl.specs import build_family
 
 from conftest import (assert_structure_matches_references,
-                      assert_witnesses_match_references, join_closure_subgroups,
-                      reference_closure, reference_criterion3,
+                      assert_witnesses_match_references, cayley_verdict,
+                      join_closure_subgroups, reference_closure, reference_criterion3,
                       reference_criterion3_on_pair, reference_criterion4,
-                      reference_greedy_generators, reference_transversal_search)
+                      reference_greedy_generators, reference_transversal_search,
+                      validate_transversal)
 
 SMALL_SPECS = [
     "C(2)", "C(4)", "C(8)", "C(12)", "EA(2,2)", "EA(2,3)", "C(4)xC(2)",
@@ -80,6 +82,44 @@ def test_decision_routes_agree_on_random_subgroups(spec, data):
     if transversal is not None:
         s = codes.connection_set_from_transversal(g, H, transversal)
         assert codes.verify_perfect_code_in_cayley(g, s, H)
+
+
+_positive = {}
+
+
+def _positive_pairs(spec):
+    """Every (H, transversal) of the group with H a perfect code."""
+    if spec not in _positive:
+        G = get_group(spec)
+        _positive[spec] = [(H, T) for H in st.all_subgroups(G)
+                           if (T := codes.find_inverse_closed_transversal(G, H)) is not None]
+    return _positive[spec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stst.sampled_from(["D(16)", "perm:(1 2 3),(1 2)(3 4)", "M2(2,2,1)", "C(8)xC(4)"]),
+       stst.data())
+def test_cayley_route_accepts_exactly_the_inverse_closed_transversals(spec, data):
+    # the definition check on the reps outside H, with |T| = |G:H| and one
+    # self-inverse rep in H, is the whole test that T is a transversal
+    G = get_group(spec)
+    H, T = data.draw(stst.sampled_from(_positive_pairs(spec)))
+    reps = T.reps.tolist()
+    k = data.draw(stst.integers(0, len(reps) - 1))
+    g = data.draw(stst.integers(0, G.order - 1))
+    reps = data.draw(stst.sampled_from([
+        reps[:k] + [g] + reps[k + 1:],  # replace a rep
+        reps[:k] + [reps[(k + 1) % len(reps)]] + reps[k + 1:],  # duplicate one
+        reps[:k] + [int(G.inv[reps[k]])] + reps[k + 1:],  # invert one
+        reps + [g],  # add one
+    ]))
+    corrupted = codes.Transversal(G, H, reps)
+    try:
+        validate_transversal(corrupted)
+        valid = True
+    except PreconditionError:
+        valid = False
+    assert cayley_verdict(G, H, corrupted) == valid
 
 
 @settings(max_examples=40, deadline=None)

@@ -99,6 +99,40 @@ def test_cayley_method_reverifies_an_exhaustive_positive(monkeypatch):
     assert checked == [([1, 2, 3], trivial)]
 
 
+def _corrupted_transversals(G, H):
+    """The search's transversal of H with one rep swapped for another element
+    of its coset, and with one rep swapped for an element of another rep's
+    coset, so that two reps share it."""
+    reps = codes.find_inverse_closed_transversal(G, H).reps.tolist()
+    coset = lambda t: sorted(int(G.mult[h, t]) for h in H.members.tolist())
+    k = next(k for k, t in enumerate(reps) if t not in H)
+    swapped = next(g for g in coset(reps[k]) if g != reps[k])
+    shared = coset(reps[k - 1])[-1]
+    return [reps[:k] + [r] + reps[k + 1:] for r in (swapped, shared)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["swapped", "shared"])
+def test_cayley_method_refutes_a_corrupted_transversal(tmp_path, monkeypatch, case):
+    # a search that returns a corrupted transversal is a disagreement with
+    # the oracle that trusts it, exit 1, not an input error
+    entry = build_entry("D(8)", "D(8)")
+    b = entry.group.witness["b"]
+    H = structure.subgroup_generated(entry.group, [b])
+    reps = _corrupted_transversals(entry.group, H)[case]
+    monkeypatch.setattr(codes, "find_inverse_closed_transversal",
+                        lambda G, K: codes.Transversal(G, K, reps))
+    search = lambda: codes.find_inverse_closed_transversal(entry.group, H)
+    assert report.ROUTES["cayley"](entry, H, search)["is_code"] is False
+    record = report.record_for(entry, H)
+    assert record["verdicts"]["oracle"]["evidence"] == {"transversal": reps}
+    assert record["verdicts"]["cayley"]["is_code"] is False
+    assert record["agreement"] is False
+    out_file = tmp_path / "r.jsonl"
+    assert main(["classify", "D(8)", "--subgroup", str(b), "--out", str(out_file)]) == 1
+    (line,) = out_file.read_text().splitlines()
+    assert json.loads(line)["agreement"] is False
+
+
 def test_cayley_method_not_applicable_above_limit():
     entry = build_entry("C(32)", "C(32)")
     records = entry_records(entry)
