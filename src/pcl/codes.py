@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groups import Group, _readonly, gather, index_mask, sorted_distinct
-from .structure import Subgroup, full_subgroup, involutions, normalizer, _sylow_within
+from .structure import Subgroup, involutions, normalizer, _sylow_within
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,8 @@ class Transversal:
 
 @dataclass(frozen=True, eq=False)
 class ConnectionSet:
-    """An inverse-closed, identity-free subset, read-only int32 ascending."""
+    """An inverse-closed, identity-free set without repeats, read-only int32
+    ascending."""
 
     parent: Group
     members: np.ndarray
@@ -59,7 +60,10 @@ class ConnectionSet:
         members = np.sort(_element_indices(G, self.members))
         if members.size and members[0] == 0:
             raise PreconditionError("a connection set may not contain the identity")
-        if not index_mask(members, G.order).take(G.inv.take(members)).all():
+        mask = index_mask(members, G.order)
+        if np.count_nonzero(mask) != members.size:
+            raise PreconditionError("a connection set may not repeat a member")
+        if not mask.take(G.inv.take(members)).all():
             raise PreconditionError("a connection set must be inverse-closed")
         object.__setattr__(self, "members", _readonly(members))
 
@@ -113,18 +117,12 @@ def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
-    """Mask over ``xs`` of the x with x^-1 in HxH.  Double cosets partition
-    G, so that is HxH = Hx^-1 H, decided by comparing least elements: the
-    least element of HxH is the least over h of the least element of the
-    right coset Hxh, labelled here only for ``xs`` and their inverses."""
+    """Mask over ``xs`` of the x with x^-1 in HxH.  HxH is the union of the
+    right cosets Hxh, so that holds exactly when the key of Hx^-1, its least
+    element, is the key of some Hxh: one |xs| x |H| gather."""
     coset_min = G.mult.take(H.members, 0).min(axis=0)
-    inverses = G.inv.take(xs)
-    ends = index_mask(xs, G.order)
-    ends[inverses] = True
-    ends = ends.nonzero()[0]
-    label = np.empty_like(coset_min)
-    label[ends] = coset_min.take(gather(G.mult, ends, H.members)).min(axis=1)
-    return label.take(xs) == label.take(inverses)
+    right = coset_min.take(gather(G.mult, xs, H.members))
+    return (right == coset_min.take(G.inv.take(xs))[:, None]).any(axis=1)
 
 
 def _odd_index_verdict(G: Group, H: Subgroup, method: str, xs: np.ndarray) -> Verdict:
@@ -380,12 +378,7 @@ def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:
     """
     _require_subgroup_of(G, H)
     Q = _sylow_within(G, H, 2, None)
-    if Q.order == 1:
-        N = full_subgroup(G)
-    else:
-        N = normalizer(G, Q)
-    P = _sylow_within(G, N, 2, Q)
-    return Q, P
+    return Q, _sylow_within(G, normalizer(G, Q), 2, Q)
 
 
 def order4_witness(G: Group) -> int | None:

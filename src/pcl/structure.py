@@ -20,14 +20,14 @@ from .groups import Group, gather, max_order, prime_power, sorted_distinct, _rea
 
 
 class Subgroup:
-    """A subgroup of a fixed parent group, as a membership mask.
+    """A subgroup of a fixed parent group: a membership mask and its members.
 
     Members are element indices of the parent.  Instances are immutable,
     hashable and compare equal exactly when they have the same parent object
     and the same member set.
     """
 
-    __slots__ = ("parent", "mask", "members", "order", "mask_int", "_key", "_generators")
+    __slots__ = ("parent", "mask", "members", "order", "_generators")
 
     def __init__(self, parent: Group, mask: np.ndarray):
         mask = np.array(mask, dtype=bool, copy=True)
@@ -42,8 +42,6 @@ class Subgroup:
         self.mask = mask
         self.members = members
         self.order = int(members.size)
-        self.mask_int = int.from_bytes(np.packbits(mask).tobytes(), "big")
-        self._key = (id(parent), self.mask_int)
         self._generators: tuple[int, ...] | None = None
 
     @property
@@ -56,10 +54,11 @@ class Subgroup:
         return self._generators
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self._key == other._key
+        return self is other or (isinstance(other, Subgroup) and self.parent is other.parent
+                                 and np.array_equal(self.mask, other.mask))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((id(self.parent), np.packbits(self.mask).tobytes()))
 
     def __contains__(self, element: int) -> bool:
         return bool(self.mask[element])
@@ -68,7 +67,7 @@ class Subgroup:
         return f"<Subgroup of {self.parent.label}, order {self.order}>"
 
     def issubset(self, other: "Subgroup") -> bool:
-        return (self.mask_int & ~other.mask_int) == 0
+        return bool(other.mask.take(self.members).all())
 
     @property
     def is_trivial(self) -> bool:
@@ -88,7 +87,10 @@ class Subgroup:
         return bool((self.parent.element_orders()[self.members] == self.order).any())
 
     def sort_key(self) -> tuple:
-        return (self.order, tuple(self.members.tolist()))
+        """(order, packed complement of the mask), which sorts as (order,
+        member tuple): where two member sets of one order first differ, the
+        set holding that element sorts first, and its complement bit is clear."""
+        return (self.order, np.packbits(~self.mask).tobytes())
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
@@ -132,7 +134,10 @@ def _lattice(G: Group) -> list[Subgroup]:
     masks = _cyclic_extensions(G)
     if not any(mask.all() for mask in masks):
         masks = _join_completion(G, masks)
-    return sorted((Subgroup(G, mask) for mask in masks), key=Subgroup.sort_key)
+    lattice = []
+    while masks:  # each mask goes as its Subgroup copies it: no two copies held
+        lattice.append(Subgroup(G, masks.pop()))
+    return sorted(lattice, key=Subgroup.sort_key)
 
 
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
@@ -265,12 +270,10 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
 
 def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
     """Maximal proper subgroups of H, from the parent lattice."""
-    proper = [S for S in all_subgroups(H.parent)
-              if S.order < H.order and (S.mask_int & ~H.mask_int) == 0]
+    proper = [S for S in all_subgroups(H.parent) if S.order < H.order and S.issubset(H)]
     proper.sort(key=lambda s: -s.order)
     return [S for S in proper
-            if not any(T.order > S.order and (S.mask_int & ~T.mask_int) == 0
-                       for T in proper)]
+            if not any(T.order > S.order and S.issubset(T) for T in proper)]
 
 
 def frattini(H: Subgroup) -> Subgroup:
@@ -517,7 +520,7 @@ def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgro
     group = Group(table, label=f"{G.label}|{P.order}")
     mapped = []
     for Q in inner:
-        if (Q.mask_int & ~P.mask_int) != 0:
+        if not Q.issubset(P):
             raise PreconditionError("inner subgroup is not contained in the restriction")
         mask = np.zeros(members.size, dtype=bool)
         mask[position[Q.members]] = True

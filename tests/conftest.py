@@ -472,16 +472,16 @@ def reference_class_counts(G, is_code) -> tuple[int, int]:
     them before orbit counting: list every conjugate of each new subgroup
     and ask ``is_code(H)`` of one subgroup per class."""
     ct = G.conj_table
-    seen: set[int] = set()
+    seen: set[bytes] = set()
     classes = code_classes = 0
     for H in all_subgroups(G):
-        if H.mask_int in seen:
+        if H.mask.tobytes() in seen:
             continue
         classes += 1
         for x in range(G.order):
             conj = np.zeros(G.order, dtype=bool)
             conj[ct[x, H.members]] = True
-            seen.add(int.from_bytes(np.packbits(conj).tobytes(), "big"))
+            seen.add(conj.tobytes())
         code_classes += bool(is_code(H))
     return classes, code_classes
 
@@ -510,7 +510,7 @@ def reference_abelian_sylow2(G, H: Subgroup) -> ClassificationOutcome:
     P = sylow_containing(G, 2, Q)
     phi_p = frattini(P)
     phi_q = frattini(Q)
-    ok = ((Q.mask_int & phi_p.mask_int) & ~phi_q.mask_int) == 0
+    ok = not (Q.mask & phi_p.mask & ~phi_q.mask).any()
     return ClassificationOutcome(ok, CLAUSE_SYLOW2)
 
 

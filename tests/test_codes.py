@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcl import codes, groups, structure as st
+from pcl import codes, groups, report, structure as st
+from pcl.catalog import CatalogEntry
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
@@ -155,7 +156,8 @@ def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
                 reps(reference_transversal_search(G, H)), (spec, H)
 
 
-@pytest.mark.parametrize("spec", ["D(256)", "M2(3,4,1)", "C(8)xC(4)xC(4)"])
+@pytest.mark.parametrize("spec", ["D(256)", "M2(3,4,1)", "C(8)xC(4)xC(4)",
+                                  "perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3 4),(1 2)"])
 def test_criteria_match_the_all_x_reference(spec):
     # the whole Verdict, violating_x included, against one array expression
     # over every x: the filters run cheapest first, on survivors only
@@ -219,7 +221,16 @@ def test_transversal_validation_rejects_malformed(d8):
     S = codes.connection_set_from_transversal(d8, hb, cover)
     assert not codes.verify_perfect_code_in_cayley(d8, S, hb)
     assert not cayley_verdict(d8, hb, cover)
-    for T in (short, in_h, cover):
+    # a repeated representative outside H: a and a^3 are inverse-closed, but
+    # a is listed twice, so the set is refused and no evidence lists it twice
+    repeat = codes.Transversal(d8, hb, (0, a, d8.power(a, 3), a))
+    with pytest.raises(PreconditionError, match="repeat"):
+        codes.connection_set_from_transversal(d8, hb, repeat)
+    with pytest.raises(PreconditionError, match="repeat"):
+        codes.ConnectionSet(d8, (2, 6, 6))
+    route = report.ROUTES["cayley"](CatalogEntry(d8.label, d8), hb, lambda: repeat)
+    assert route["is_code"] is False and "invalid_transversal" in route["evidence"]
+    for T in (short, in_h, cover, repeat):
         with pytest.raises(PreconditionError):
             validate_transversal(T)
     with pytest.raises(PreconditionError):  # indices that wrap round to a, a^2, a^3
@@ -471,9 +482,8 @@ def test_proper_involution_covering_subgroups_rejected():
     for spec in ["Q8", "C(8)", "C(4)xC(2)", "M2(2,2)", "D(8)"]:
         g = build_family(spec)
         inv = st.involutions(g)
-        inv_mask_int = int(sum(1 << int(i) for i in inv) | 1)
         for H in st.all_subgroups(g):
-            if H.is_full or (inv_mask_int & ~H.mask_int) != 0:
+            if H.is_full or not H.mask.take(inv).all():
                 continue
             assert not codes.criterion3(g, H).is_code, (spec, H.members)
 

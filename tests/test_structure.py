@@ -136,11 +136,17 @@ def test_generators_match_the_references_on_larger_groups(spec):
     assert_generators_match_references(build_family(spec))
 
 
-def test_all_subgroups_sorted_and_deduplicated(q8):
-    subs = st.all_subgroups(q8)
+@pytest.mark.parametrize("spec", [
+    "Q8", "D(24)", "perm:(1 2 3 4),(1 2)", "perm:(1 2 3 4 5),(1 2 3)",
+    "perm:(1 2 3 4 5),(1 2)", "EA(2,5)", "M2(2,2,1)", "C(8)xC(4)xC(2)"])
+def test_all_subgroups_sorted_and_deduplicated(spec):
+    # S4, A5 and S5 by their permutations; A5 and S5 take the join pass
+    subs = st.all_subgroups(build_family(spec))
     keys = [s.sort_key() for s in subs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    # the packed keys order the lattice as (order, member tuple) does
+    assert subs == sorted(subs, key=lambda s: (s.order, tuple(s.members.tolist())))
 
 
 def test_frattini_examples(q8):
