@@ -30,7 +30,7 @@ d8 = build_family("D(8)")
 refl = subgroup_generated(d8, [d8.witness["b"]])
 t = find_inverse_closed_transversal(d8, refl)
 print("\nD(8), H = <b>:")
-print("  inverse-closed transversal:", t.reps.tolist())
+print("  inverse-closed transversal:", t.tolist())
 s = connection_set_from_transversal(d8, refl, t)
 print("  connection set:", s.members.tolist())
 print("  graph definition check:", verify_perfect_code_in_cayley(d8, s, refl))

@@ -12,10 +12,10 @@ and abelian, all cross-checked against each other.
 
 from .catalog import (CatalogEntry, build_entry, default_catalog,
                       load_catalog_pairs)
-from .codes import (ConnectionSet, Transversal, Verdict,
-                    connection_set_from_transversal, criterion3, criterion4,
-                    exhaustive_connection_set_search, find_inverse_closed_transversal,
-                    order4_witness, verify_perfect_code_in_cayley, zhang_reduce)
+from .codes import (ConnectionSet, Verdict, connection_set_from_transversal,
+                    criterion3, criterion4, exhaustive_connection_set_search,
+                    find_inverse_closed_transversal, order4_witness,
+                    verify_perfect_code_in_cayley, zhang_reduce)
 from .errors import (GroupSpecError, PclError, PreconditionError,
                      SizeLimitError, WrongClassifierError)
 from .groups import (Group, cyclic, dihedral, direct_product,

@@ -36,18 +36,6 @@ from .structure import Subgroup, involutions, normalizer, _sylow_within
 
 
 @dataclass(frozen=True, eq=False)
-class Transversal:
-    """A claimed inverse-closed right transversal, read-only int32 in range."""
-
-    parent: Group
-    subgroup: Subgroup
-    reps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "reps", _readonly(_element_indices(self.parent, self.reps)))
-
-
-@dataclass(frozen=True, eq=False)
 class ConnectionSet:
     """An inverse-closed, identity-free set without repeats, read-only int32
     ascending."""
@@ -81,7 +69,6 @@ def _element_indices(G: Group, values) -> np.ndarray:
 @dataclass(frozen=True)
 class Verdict:
     is_code: bool
-    method: str
     evidence: dict | None = None
 
 
@@ -96,7 +83,7 @@ def criterion3(G: Group, H: Subgroup) -> Verdict:
     _require_subgroup_of(G, H)
     xs = _without_involution_in_coset(G, H)
     xs = xs[H.mask.take(G.squares.take(xs))]
-    return _odd_index_verdict(G, H, "criterion3", xs)
+    return _odd_index_verdict(G, H, xs)
 
 
 def criterion4(G: Group, H: Subgroup) -> Verdict:
@@ -106,7 +93,7 @@ def criterion4(G: Group, H: Subgroup) -> Verdict:
     xs = _without_involution_in_coset(G, H)
     if xs.size:
         xs = xs[_self_inverse_double_cosets(G, H, xs)]
-    return _odd_index_verdict(G, H, "criterion4", xs)
+    return _odd_index_verdict(G, H, xs)
 
 
 def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
@@ -125,19 +112,21 @@ def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.nda
     return (right == coset_min.take(G.inv.take(xs))[:, None]).any(axis=1)
 
 
-def _odd_index_verdict(G: Group, H: Subgroup, method: str, xs: np.ndarray) -> Verdict:
+def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
     """A criterion's verdict from ``xs``, ascending, the x that its other
     tests leave: the least x with odd |H| / |H meet H^x| violates."""
     if xs.size:
         meet = H.mask.take(gather(G.conj_table, xs, H.members)).sum(axis=1)
         violating = xs[(H.order // meet) % 2 == 1]
         if violating.size:
-            return Verdict(False, method, {"violating_x": int(violating[0])})
-    return Verdict(True, method)
+            return Verdict(False, {"violating_x": int(violating[0])})
+    return Verdict(True)
 
 
-def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None:
-    """Exact backtracking search for an inverse-closed right transversal.
+def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
+    """Exact backtracking search for an inverse-closed right transversal: its
+    representatives, one per coset by ascending coset key, as a read-only
+    int32 array, or None when there is none.
 
     Choosing representative t for a coset forces t^-1 as the representative
     of the coset of t^-1, its partner.  A coset Hk is uniform when the
@@ -173,7 +162,7 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> Transversal | None
 _KEY_BLOCK_CELLS = 1 << 20  # entries of G.mult read at once for the coset keys
 
 
-def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
+def _transversal_search(G: Group, H: Subgroup) -> np.ndarray | None:
     rows = max(1, _KEY_BLOCK_CELLS // G.order)
     key = G.mult.take(H.members[:rows], 0).min(axis=0)  # least element of Hg
     for start in range(rows, H.order, rows):
@@ -205,7 +194,7 @@ def _transversal_search(G: Group, H: Subgroup) -> Transversal | None:
     if split_keys.size and not _split_coset_search(
             key.tolist(), inv, split.take(key).nonzero()[0].tolist(), assignment):
         return None
-    return Transversal(G, H, [assignment[k] for k in keys.tolist()])
+    return _readonly(np.array([assignment[k] for k in keys.tolist()], dtype=np.int32))
 
 
 def _split_coset_search(coset: list[int], inv, elements: list[int],
@@ -284,24 +273,23 @@ def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
     return {K: t, L: inv[t]}
 
 
-def connection_set_from_transversal(G: Group, H: Subgroup,
-                                    T: Transversal) -> ConnectionSet:
-    """The representatives S of T outside H, a witness for H once
-    ``verify_perfect_code_in_cayley`` accepts it.  T must have |G:H| of them,
-    one in H and self-inverse, and ``ConnectionSet`` makes S inverse-closed.
-    If S passes the definition, each g outside H is s c in one way, so S
-    and 1 form a left transversal, and a right one, S being inverse-closed:
-    T is an inverse-closed right transversal exactly when it passes all."""
+def connection_set_from_transversal(G: Group, H: Subgroup, reps) -> ConnectionSet:
+    """The representatives S in ``reps`` outside H, a witness for H once
+    ``verify_perfect_code_in_cayley`` accepts it.  ``reps`` must be |G:H|
+    indices in range(|G|), one in H and self-inverse, and ``ConnectionSet``
+    makes S inverse-closed.  If S passes the definition, each g outside H is
+    s c in one way, so S and 1 form a left transversal, and a right one, S
+    being inverse-closed: ``reps`` is an inverse-closed right transversal
+    exactly when it passes all."""
     _require_subgroup_of(G, H)
-    if T.parent is not G or T.subgroup != H:
-        raise PreconditionError("transversal belongs to a different subgroup")
-    if T.reps.size != G.order // H.order:
+    reps = _element_indices(G, reps)
+    if reps.size != G.order // H.order:
         raise PreconditionError("wrong number of coset representatives")
-    in_h = H.mask.take(T.reps)
-    inside = T.reps[in_h]
+    in_h = H.mask.take(reps)
+    inside = reps[in_h]
     if inside.size != 1 or G.inv[inside[0]] != inside[0]:
         raise PreconditionError("a transversal needs one self-inverse representative in H")
-    return ConnectionSet(G, T.reps[~in_h])
+    return ConnectionSet(G, reps[~in_h])
 
 
 def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bool:
@@ -311,6 +299,9 @@ def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bo
     S, and at distance 0 from c when g = c.  So the counts are read from the
     edge side: each product s c, one |S| x |C| gather, adds 1 to its vertex,
     and each c adds 1 to itself."""
+    if S.parent is not G:
+        raise PreconditionError("connection set belongs to a different group object")
+    _require_subgroup_of(G, C)
     edges = gather(G.mult, S.members, C.members)
     counts = np.bincount(edges.ravel(), minlength=G.order)
     counts[C.members] += 1

@@ -32,7 +32,7 @@ def _oracle(entry: CatalogEntry, H: Subgroup, search) -> dict:
     transversal = search()
     if transversal is None:
         return {"is_code": False, "evidence": None}
-    return {"is_code": True, "evidence": {"transversal": transversal.reps.tolist()}}
+    return {"is_code": True, "evidence": {"transversal": transversal.tolist()}}
 
 
 def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
@@ -195,8 +195,10 @@ def _write_records(out, records) -> None:
 def _entry_results(jobs: list, workers: int):
     """Each job's result of ``_run_entry``, in job order, as each arrives.
     Closing the generator early cancels the jobs no worker has taken up.
-    The pool machinery is imported only here, so a serial run never loads it."""
-    if workers > 1 and len(jobs) > 1:
+    The pool machinery is imported only here, so a serial run never loads it,
+    and it forks no more workers than there are jobs."""
+    workers = min(workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
         try:

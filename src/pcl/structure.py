@@ -420,10 +420,10 @@ def _is_2group(G: Group) -> bool:
 def recognize_a1_family(G: Group) -> FamilyRecognition:
     """Identify an abelian or minimal nonabelian 2-group, with witnesses.
 
-    Above order 8 the family follows from the number of solutions of
-    x^2 = 1 (4 metacyclic, 8 nonmetacyclic) and its parameters from the
-    order and the exponent; where two metacyclic parameter pairs fit, the
-    witness search decides.  The witness is the least generating pair
+    The family follows from the number of solutions of x^2 = 1 (2 for Q8,
+    4 or 6 metacyclic, 8 nonmetacyclic) and its parameters from the order
+    and the exponent; where two metacyclic parameter pairs fit, the witness
+    search decides.  The witness is the least generating pair
     satisfying the family's relations (``_least_generating_pair``).  The
     recognition is kept in the group memo, so every caller reads the same
     one.
@@ -438,17 +438,15 @@ def _recognize_a1(G: Group) -> FamilyRecognition:
         return FamilyRecognition("abelian")
     if not is_minimal_nonabelian(G):
         return FamilyRecognition("not_a1_or_a0")
-    if G.order == 8:
-        if involutions(G).size == 2:  # unique involution
-            return FamilyRecognition("q8", None, _quaternion_pair(G))
-        return FamilyRecognition("metacyclic", (2, 1), _metacyclic_pair(G, 2, 1))
-    # above order 8 the solutions of x^2 = 1 form Omega_1, of order 4 in the
-    # metacyclic family and 8 in the nonmetacyclic one; the exponent 2^e is
-    # the larger generator order
+    # the solutions of x^2 = 1 number 2 in Q8 and 6 in D8; otherwise they
+    # form Omega_1, of order 4 in the metacyclic family and 8 in the
+    # nonmetacyclic one.  The exponent 2^e is the larger generator order
     solutions = involutions(G).size
+    if solutions == 2:
+        return FamilyRecognition("q8", None, _quaternion_pair(G))
     log_order = G.order.bit_length() - 1
     e = int(G.element_orders().max()).bit_length() - 1
-    if solutions == 4:
+    if solutions in (4, 6):
         for n1, m1 in sorted({(e, log_order - e), (log_order - e, e)}):
             witness = _metacyclic_pair(G, n1, m1)
             if witness is not None:

@@ -8,8 +8,7 @@ import pytest
 
 from pcl import report, structure as st
 from pcl.catalog import CatalogEntry, default_catalog
-from pcl.codes import (ConnectionSet, Transversal, Verdict, criterion3,
-                       _require_subgroup_of)
+from pcl.codes import ConnectionSet, Verdict, criterion3, _require_subgroup_of
 from pcl.errors import PreconditionError, WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
@@ -160,8 +159,8 @@ def reference_criterion3(G, H) -> Verdict:
     ascending loop over x, so the first violator is the least one."""
     for x in range(G.order):
         if H.mask[G.squares[x]] and _odd_and_no_involution(G, H, x):
-            return Verdict(False, "criterion3", {"violating_x": x})
-    return Verdict(True, "criterion3")
+            return Verdict(False, {"violating_x": x})
+    return Verdict(True)
 
 
 def reference_criterion4(G, H) -> Verdict:
@@ -169,8 +168,8 @@ def reference_criterion4(G, H) -> Verdict:
     for x in range(G.order):
         double_coset = G.mult[np.ix_(H.members, G.mult[x, H.members])]
         if (double_coset == G.inv[x]).any() and _odd_and_no_involution(G, H, x):
-            return Verdict(False, "criterion4", {"violating_x": x})
-    return Verdict(True, "criterion4")
+            return Verdict(False, {"violating_x": x})
+    return Verdict(True)
 
 
 def _odd_and_no_involution(G, H, x) -> bool:
@@ -187,8 +186,8 @@ def reference_coset_criterion(G, H, method: str) -> Verdict:
     double-coset labels for every x."""
     _require_subgroup_of(G, H)
     if method == "criterion3":
-        return _coset_criterion(G, H, "criterion3", H.mask[G.squares])
-    return _coset_criterion(G, H, "criterion4", _self_inverse_double_cosets(G, H))
+        return _coset_criterion(G, H, H.mask[G.squares])
+    return _coset_criterion(G, H, _self_inverse_double_cosets(G, H))
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
@@ -200,8 +199,7 @@ def _self_inverse_double_cosets(G: Group, H: Subgroup) -> np.ndarray:
     return label == label[G.inv]
 
 
-def _coset_criterion(G: Group, H: Subgroup, method: str,
-                     selected: np.ndarray) -> Verdict:
+def _coset_criterion(G: Group, H: Subgroup, selected: np.ndarray) -> Verdict:
     """The coset condition of both criteria, over all x at once: every
     selected x with odd |H| / |H meet H^x| needs a y in Hx with y^2 = 1."""
     members = H.members
@@ -209,11 +207,11 @@ def _coset_criterion(G: Group, H: Subgroup, method: str,
     has_involution = (G.squares[G.mult[members, :]] == 0).any(axis=0)
     violating = np.flatnonzero(selected & odd & ~has_involution)
     if violating.size:
-        return Verdict(False, method, {"violating_x": int(violating[0])})
-    return Verdict(True, method)
+        return Verdict(False, {"violating_x": int(violating[0])})
+    return Verdict(True)
 
 
-def reference_transversal_search(G, H) -> Transversal | None:
+def reference_transversal_search(G, H) -> np.ndarray | None:
     """The transversal oracle as the library searched before the candidate
     table: one backtracking search over all cosets at once, rebuilding every
     unassigned coset's candidates at each node, fewest first."""
@@ -266,15 +264,15 @@ def reference_transversal_search(G, H) -> Transversal | None:
 
     if not backtrack():
         return None
-    return Transversal(G, H, tuple(assignment[k] for k in keys))
+    return np.array([assignment[k] for k in keys], dtype=np.int32)
 
 
-def validate_transversal(T: Transversal) -> None:
-    """Raise PreconditionError unless T is an inverse-closed right transversal
-    of its subgroup H: |G:H| representatives whose cosets H t cover G, with
+def validate_transversal(G, H, reps) -> None:
+    """Raise PreconditionError unless ``reps`` is an inverse-closed right
+    transversal of H: |G:H| representatives whose cosets H t cover G, with
     the inverse of each among them.  The reference for what the Cayley route
     accepts, which checks none of this directly."""
-    G, H, reps = T.parent, T.subgroup, T.reps.tolist()
+    reps = np.asarray(reps).tolist()
     if len(reps) != G.order // H.order:
         raise PreconditionError("wrong number of coset representatives")
     if len({int(G.mult[h, t]) for h in H.members.tolist() for t in reps}) != G.order:
@@ -283,19 +281,19 @@ def validate_transversal(T: Transversal) -> None:
         raise PreconditionError("representative set is not inverse-closed")
 
 
-def cayley_verdict(G, H, T: Transversal) -> bool:
-    """The Cayley route's verdict on the pair when the search returns T."""
-    return report.ROUTES["cayley"](CatalogEntry(G.label, G), H, lambda: T)["is_code"]
+def cayley_verdict(G, H, reps) -> bool:
+    """The Cayley route's verdict on the pair when the search returns ``reps``."""
+    return report.ROUTES["cayley"](CatalogEntry(G.label, G), H, lambda: reps)["is_code"]
 
 
-def reference_connection_set(G, H, T: Transversal) -> tuple[int, ...]:
+def reference_connection_set(G, H, reps) -> tuple[int, ...]:
     """The members of ``codes.connection_set_from_transversal`` as the
     library built them from tuples and sets: the representative in H
     swapped for the identity, the identity dropped, the rest sorted."""
     in_h = H.mask.tolist()
-    h_rep = next(t for t in T.reps.tolist() if in_h[t])
-    reps = {0 if t == h_rep else t for t in T.reps.tolist()}
-    return tuple(sorted(reps - {0}))
+    reps = np.asarray(reps).tolist()
+    h_rep = next(t for t in reps if in_h[t])
+    return tuple(sorted({0 if t == h_rep else t for t in reps} - {0}))
 
 
 def inverse_closed_subsets(G):

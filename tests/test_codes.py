@@ -50,7 +50,7 @@ def test_coset_criteria_match_the_reference_loops_on_the_catalog(catalog):
 
 
 def reps(transversal):
-    return None if transversal is None else transversal.reps.tolist()
+    return None if transversal is None else transversal.tolist()
 
 
 def test_transversal_search_matches_the_reference_on_the_catalog(catalog):
@@ -182,29 +182,28 @@ def test_criterion4_examples(c4):
 def test_transversal_search_examples(c4, d8):
     full = st.full_subgroup(d8)
     t = codes.find_inverse_closed_transversal(d8, full)
-    assert t.reps.tolist() == [0]
+    assert t.tolist() == [0]
     assert codes.find_inverse_closed_transversal(c4, st.subgroup_generated(c4, [2])) is None
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     t = codes.find_inverse_closed_transversal(d8, hb)
     assert t is not None
-    validate_transversal(t)
+    validate_transversal(d8, hb, t)
     # the hand-written transversal {1, a, a^2, a^3} is also valid
     a = d8.witness["a"]
-    hand = codes.Transversal(d8, hb, (0, a, d8.power(a, 2), d8.power(a, 3)))
-    validate_transversal(hand)
+    validate_transversal(d8, hb, (0, a, d8.power(a, 2), d8.power(a, 3)))
 
 
 def test_transversal_validation_rejects_malformed(d8):
     # each malformed transversal is refused by connection_set_from_transversal,
-    # or yields a set that fails the definition, or is refused on construction
+    # or yields a set that fails the definition
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     a, b = d8.witness["a"], d8.witness["b"]
-    short = codes.Transversal(d8, hb, (0, a))
+    short = (0, a)
     with pytest.raises(PreconditionError, match="number"):
         codes.connection_set_from_transversal(d8, hb, short)
     assert not cayley_verdict(d8, hb, short)
     # two reps from one coset: 1 and b, both in H
-    in_h = codes.Transversal(d8, hb, (0, b, d8.power(a, 2), d8.power(a, 3)))
+    in_h = (0, b, d8.power(a, 2), d8.power(a, 3))
     with pytest.raises(PreconditionError, match="one self-inverse"):
         codes.connection_set_from_transversal(d8, hb, in_h)
     assert not cayley_verdict(d8, hb, in_h)
@@ -213,17 +212,17 @@ def test_transversal_validation_rejects_malformed(d8):
     H = st.subgroup_generated(c8, [4])
     for reps in ((0, 1, 2, 3), (0, 1, 5, 3)):
         with pytest.raises(PreconditionError, match="inverse-closed"):
-            codes.connection_set_from_transversal(c8, H, codes.Transversal(c8, H, reps))
-        assert not cayley_verdict(c8, H, codes.Transversal(c8, H, reps))
+            codes.connection_set_from_transversal(c8, H, reps)
+        assert not cayley_verdict(c8, H, reps)
     # a, a^3 and ba are inverse-closed, but a and ba share the coset Ha, so
     # the cosets do not cover G and only the definition check refuses them
-    cover = codes.Transversal(d8, hb, (0, a, d8.power(a, 3), int(d8.mult[b, a])))
+    cover = (0, a, d8.power(a, 3), int(d8.mult[b, a]))
     S = codes.connection_set_from_transversal(d8, hb, cover)
     assert not codes.verify_perfect_code_in_cayley(d8, S, hb)
     assert not cayley_verdict(d8, hb, cover)
     # a repeated representative outside H: a and a^3 are inverse-closed, but
     # a is listed twice, so the set is refused and no evidence lists it twice
-    repeat = codes.Transversal(d8, hb, (0, a, d8.power(a, 3), a))
+    repeat = (0, a, d8.power(a, 3), a)
     with pytest.raises(PreconditionError, match="repeat"):
         codes.connection_set_from_transversal(d8, hb, repeat)
     with pytest.raises(PreconditionError, match="repeat"):
@@ -232,18 +231,20 @@ def test_transversal_validation_rejects_malformed(d8):
     assert route["is_code"] is False and "invalid_transversal" in route["evidence"]
     for T in (short, in_h, cover, repeat):
         with pytest.raises(PreconditionError):
-            validate_transversal(T)
-    with pytest.raises(PreconditionError):  # indices that wrap round to a, a^2, a^3
-        codes.Transversal(d8, hb, [0] + [d8.power(a, k) - d8.order for k in (1, 2, 3)])
+            validate_transversal(d8, hb, T)
+    negative = [0] + [d8.power(a, k) - d8.order for k in (1, 2, 3)]
+    with pytest.raises(PreconditionError, match="range"):  # they would wrap to a, a^2, a^3
+        codes.connection_set_from_transversal(d8, hb, negative)
+    assert not cayley_verdict(d8, hb, negative)
 
 
 def test_evidence_rejects_indices_that_wrap_in_the_int32_cast(d8):
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
-    reps = codes.find_inverse_closed_transversal(d8, hb).reps
+    reps = codes.find_inverse_closed_transversal(d8, hb)
     for wrapped in (np.asarray(reps, dtype=np.int64) + 2**32, reps.astype(np.uint64) + 2**32,
                     [int(t) + 2**32 for t in reps], [int(t) + 2**64 for t in reps]):
-        with pytest.raises(PreconditionError):
-            codes.Transversal(d8, hb, wrapped)
+        with pytest.raises(PreconditionError, match="range"):
+            codes.connection_set_from_transversal(d8, hb, wrapped)
     for members in (np.array([2**32 + 2, 2**32 + 6]), [2**32 + 2, 2**32 + 6],
                     np.array([2.0, 6.0])):
         with pytest.raises(PreconditionError):
@@ -264,7 +265,7 @@ def test_connection_set_construction(d8):
     assert codes.verify_perfect_code_in_cayley(d8, s, triv)
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     a = d8.witness["a"]
-    hand = codes.Transversal(d8, hb, (0, a, d8.power(a, 2), d8.power(a, 3)))
+    hand = (0, a, d8.power(a, 2), d8.power(a, 3))
     s = codes.connection_set_from_transversal(d8, hb, hand)
     assert set(s.members.tolist()) == {a, d8.power(a, 2), d8.power(a, 3)}
     assert codes.verify_perfect_code_in_cayley(d8, s, hb)
@@ -285,11 +286,11 @@ def test_connection_set_invariants(d8):
 def test_evidence_is_a_read_only_int32_array(d8):
     hb = st.subgroup_generated(d8, [d8.witness["b"]])
     given = np.array([6, 2, 0, 4], dtype=np.int64)
-    t = codes.Transversal(d8, hb, given)
     s = codes.ConnectionSet(d8, given[:2])
-    assert t.reps.tolist() == [6, 2, 0, 4]  # in the order given
     assert s.members.tolist() == [2, 6]  # ascending
-    for array in (t.reps, s.members, codes.find_inverse_closed_transversal(d8, hb).reps):
+    from_reps = codes.connection_set_from_transversal(d8, hb, given)
+    assert from_reps.members.tolist() == [2, 4, 6]
+    for array in (s.members, from_reps.members, codes.find_inverse_closed_transversal(d8, hb)):
         assert array.dtype == np.int32 and not array.flags.writeable
     assert given.flags.writeable  # the caller's array is copied, not frozen
 
@@ -297,13 +298,33 @@ def test_evidence_is_a_read_only_int32_array(d8):
 def test_connection_set_rejects_a_transversal_of_another_pair(d8):
     # a transversal of <7> is no transversal of the trivial subgroup
     T = codes.find_inverse_closed_transversal(d8, st.subgroup_generated(d8, [7]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="number"):
         codes.connection_set_from_transversal(d8, st.trivial_subgroup(d8), T)
-    # nor of the same subgroup of another copy of the group
-    other = build_family("D(8)")
-    H = st.subgroup_generated(other, [7])
-    with pytest.raises(PreconditionError):
-        codes.connection_set_from_transversal(other, H, T)
+    # nor is one of a subgroup of index 8 in D(16), whose representatives
+    # reach past D(8)'s elements
+    d16 = build_family("D(16)")
+    T = codes.find_inverse_closed_transversal(d16, st.subgroup_generated(d16, [d16.witness["b"]]))
+    assert T.size == 8 and T.max() >= d8.order
+    with pytest.raises(PreconditionError, match="range"):
+        codes.connection_set_from_transversal(d8, st.trivial_subgroup(d8), T)
+
+
+def test_verify_cayley_rejects_evidence_of_another_group(d8):
+    # a connection set and a subgroup are read as indices of the group they
+    # were made in: C(8) is not asked about D(8)'s elements, and D(16)'s set
+    # is not gathered from D(8)'s table
+    hb = st.subgroup_generated(d8, [d8.witness["b"]])
+    a = d8.witness["a"]
+    S = codes.ConnectionSet(d8, [d8.power(a, k) for k in (1, 2, 3)])
+    assert codes.verify_perfect_code_in_cayley(d8, S, hb)
+    c8 = build_family("C(8)")
+    for G, C in ((c8, hb), (c8, st.trivial_subgroup(c8)), (d8, st.trivial_subgroup(c8))):
+        with pytest.raises(PreconditionError, match="different group"):
+            codes.verify_perfect_code_in_cayley(G, S, C)
+    d16 = build_family("D(16)")
+    S16 = codes.ConnectionSet(d16, range(1, 16))
+    with pytest.raises(PreconditionError, match="different group"):
+        codes.verify_perfect_code_in_cayley(d8, S16, hb)
 
 
 def test_connection_set_matches_the_tuple_reference_on_the_catalog(catalog):

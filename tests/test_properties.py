@@ -104,7 +104,7 @@ def test_cayley_route_accepts_exactly_the_inverse_closed_transversals(spec, data
     # self-inverse rep in H, is the whole test that T is a transversal
     G = get_group(spec)
     H, T = data.draw(stst.sampled_from(_positive_pairs(spec)))
-    reps = T.reps.tolist()
+    reps = T.tolist()
     k = data.draw(stst.integers(0, len(reps) - 1))
     g = data.draw(stst.integers(0, G.order - 1))
     reps = data.draw(stst.sampled_from([
@@ -113,13 +113,12 @@ def test_cayley_route_accepts_exactly_the_inverse_closed_transversals(spec, data
         reps[:k] + [int(G.inv[reps[k]])] + reps[k + 1:],  # invert one
         reps + [g],  # add one
     ]))
-    corrupted = codes.Transversal(G, H, reps)
     try:
-        validate_transversal(corrupted)
+        validate_transversal(G, H, reps)
         valid = True
     except PreconditionError:
         valid = False
-    assert cayley_verdict(G, H, corrupted) == valid
+    assert cayley_verdict(G, H, reps) == valid
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,8 +249,8 @@ def test_transversal_search_matches_the_reference_outside_the_catalog(spec):
     for S in st.all_subgroups(g):
         found = codes.find_inverse_closed_transversal(g, S)
         expected = reference_transversal_search(g, S)
-        assert (None if found is None else found.reps.tolist()) == \
-            (None if expected is None else expected.reps.tolist()), (spec, S.members.tolist())
+        assert (None if found is None else found.tolist()) == \
+            (None if expected is None else expected.tolist()), (spec, S.members.tolist())
 
 
 @settings(max_examples=25, deadline=None)

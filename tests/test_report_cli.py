@@ -103,7 +103,7 @@ def _corrupted_transversals(G, H):
     """The search's transversal of H with one rep swapped for another element
     of its coset, and with one rep swapped for an element of another rep's
     coset, so that two reps share it."""
-    reps = codes.find_inverse_closed_transversal(G, H).reps.tolist()
+    reps = codes.find_inverse_closed_transversal(G, H).tolist()
     coset = lambda t: sorted(int(G.mult[h, t]) for h in H.members.tolist())
     k = next(k for k, t in enumerate(reps) if t not in H)
     swapped = next(g for g in coset(reps[k]) if g != reps[k])
@@ -120,7 +120,7 @@ def test_cayley_method_refutes_a_corrupted_transversal(tmp_path, monkeypatch, ca
     H = structure.subgroup_generated(entry.group, [b])
     reps = _corrupted_transversals(entry.group, H)[case]
     monkeypatch.setattr(codes, "find_inverse_closed_transversal",
-                        lambda G, K: codes.Transversal(G, K, reps))
+                        lambda G, K: np.array(reps, dtype=np.int32))
     search = lambda: codes.find_inverse_closed_transversal(entry.group, H)
     assert report.ROUTES["cayley"](entry, H, search)["is_code"] is False
     record = report.record_for(entry, H)
@@ -256,6 +256,35 @@ def test_matrix_parallel_workers_match_serial():
     parallel, parallel_records = run_matrix(entries, workers=2)
     assert canonical(serial_records) == canonical(parallel_records)
     assert serial["rows"] == parallel["rows"]
+
+
+def test_worker_pool_never_exceeds_the_entry_count(monkeypatch):
+    # a stand-in executor records the pool size asked for and runs each job
+    # in this process, so no worker is started; a forking pool starts every
+    # worker it is given at its first submit
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    entries = [("Q8", "Q8"), ("C(6)", "C(6)")]
+    serial, serial_records = run_matrix(entries, workers=1)
+    pooled, pooled_records = run_matrix(entries, workers=5000)
+    assert asked == [2]
+    assert canonical(pooled_records) == canonical(serial_records)
+    assert pooled["rows"] == serial["rows"]
+    run_matrix(entries[:1], workers=5000)  # one entry needs no pool
+    assert asked == [2]
 
 
 def test_matrix_rejects_unknown_method():
@@ -408,7 +437,7 @@ def test_cli_classify_findings_do_not_fail_the_run(tmp_path):
 
 def test_cli_classify_route_split_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(codes, "criterion4",
-                        lambda G, H: codes.Verdict(True, "criterion4"))
+                        lambda G, H: codes.Verdict(True))
     assert main(["classify", "C(4)", "--methods", "criterion3,criterion4",
                  "--out", str(tmp_path / "r.jsonl")]) == 1
 
