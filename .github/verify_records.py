@@ -1,15 +1,13 @@
 """Run `pcl verify` on one catalog, then check its peak RSS and the digest of
 its record content.
 
-    python3 verify_records.py CATALOG [--max-rss-mb MB] [--sha256 HEX] [--workers N]
+    python3 verify_records.py CATALOG [--max-rss-mb MB] [--sha256 HEX]
 
 CATALOG is a JSON file listing group specs, or ``default`` for the default
 catalog.  The records are written next to it as CATALOG's stem plus
 ``.jsonl``.  The peak is the largest resident set of the `pcl` process; the
 digest is the sha256 of the records, one sorted-key JSON line each with
 every verdict's ``time_ms`` dropped, the content that must not change.
-``--workers`` is passed on to `pcl verify`; the pooled records must have the
-serial digest.
 Exits nonzero when `pcl verify` fails, the peak reaches the bound, or the
 digest differs.
 """
@@ -39,11 +37,9 @@ def main() -> int:
     parser.add_argument("catalog")
     parser.add_argument("--max-rss-mb", type=float)
     parser.add_argument("--sha256")
-    parser.add_argument("--workers")
     args = parser.parse_args()
     out = Path(args.catalog).with_suffix(".jsonl")
-    workers = [] if args.workers is None else ["--workers", args.workers]
-    subprocess.run(["pcl", "verify", "--catalog", args.catalog, "--out", str(out), *workers],
+    subprocess.run(["pcl", "verify", "--catalog", args.catalog, "--out", str(out)],
                    stdout=subprocess.DEVNULL, check=True)
     mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(f"{args.catalog} verify peak RSS {mb:.1f} MB")

@@ -177,8 +177,7 @@ def _family_table(n2: int, m2: int):
 
 
 def _family_candidates(G: Group, rec: FamilyRecognition):
-    """((label, params) of each candidate, g1 array, g2 array, g1 g2 array),
-    cached."""
+    """((label, params) of each candidate, g1 array, g2 array), cached."""
     return G.memo("family_candidates", lambda: _build_family_candidates(G, rec))
 
 
@@ -192,8 +191,7 @@ def _build_family_candidates(G: Group, rec: FamilyRecognition):
         factors.append(powers[exps[..., i]])
     mult = G.mult
     gens = mult[mult[factors[0], factors[1]], factors[2]]
-    g1, g2 = gens[:, 0], gens[:, 1]
-    return [(label, params) for label, params, _ in table], g1, g2, mult[g1, g2]
+    return [(label, params) for label, params, _ in table], gens[:, 0], gens[:, 1]
 
 
 def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:
@@ -215,9 +213,9 @@ def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | N
     phi = _squares(H)
     if H.order != 4 * np.count_nonzero(phi):
         return None
-    entries, g1, g2, g1g2 = _family_candidates(G, rec)
+    entries, g1, g2 = _family_candidates(G, rec)
     outside_phi = H.mask & ~phi
-    hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[g1g2])
+    hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
     if hits.size == 0:
         return None
     i = int(hits[0])

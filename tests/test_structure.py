@@ -482,8 +482,7 @@ A1_COPIES = [
     ("perm:(1 2 3 4),(1 3)", "metacyclic", (2, 1), (1, 2)),
     ("SD(C(8);C(2);1->3)", "not_a1_or_a0", None, ()),
     ("Q8xC(2)", "not_a1_or_a0", None, ()),
-    # D8 and Q8 as the recognition's order-8 branch gave them, before the
-    # number of solutions of x^2 = 1 (6 and 2) alone sent them to theirs
+    # order 8: the counts of solutions of x^2 = 1 (6 and 2) choose the branch
     ("D(8)", "metacyclic", (2, 1), (2, 1)),
     ("Q8", "q8", None, (1, 2)),
 ]
