@@ -98,9 +98,14 @@ def criterion4(G: Group, H: Subgroup) -> Verdict:
 
 def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
     """The x, ascending, whose coset Hx holds no y with y^2 = 1: the x outside
-    H * I for the solutions I of y^2 = 1, one |H| x |I| gather."""
-    hi = gather(G.mult, H.members, involutions(G))
-    return (~index_mask(hi, G.order)).nonzero()[0]
+    H * I for the solutions I of y^2 = 1, gathered in blocks of H's rows of
+    at most _KEY_BLOCK_CELLS entries."""
+    solutions = involutions(G)
+    rows = max(1, _KEY_BLOCK_CELLS // solutions.size)
+    covered = np.zeros(G.order, dtype=bool)
+    for start in range(0, H.order, rows):
+        covered[gather(G.mult, H.members[start:start + rows], solutions)] = True
+    return (~covered).nonzero()[0]
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
@@ -114,12 +119,22 @@ def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.nda
 
 def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
     """A criterion's verdict from ``xs``, ascending, the x that its other
-    tests leave: the least x with odd |H| / |H meet H^x| violates."""
+    tests leave: the least x with odd |H| / |H meet H^x| violates.
+
+    An x normalizing H has H^x = H, index 1, so it violates, and that is
+    read from H's d generators: the least normalizing x bounds the search,
+    and only the x before it, none normalizing H, read their |H| conjugates.
+    """
     if xs.size:
-        meet = H.mask.take(gather(G.conj_table, xs, H.members)).sum(axis=1)
-        violating = xs[(H.order // meet) % 2 == 1]
+        normalizing = H.mask.take(G.conjugates(xs, H.generators)).all(axis=1)
+        first = int(normalizing.argmax()) if normalizing.any() else xs.size
+        rest = xs[:first]
+        meet = H.mask.take(G.conjugates(rest, H.members)).sum(axis=1)
+        violating = rest[(H.order // meet) % 2 == 1]
         if violating.size:
             return Verdict(False, {"violating_x": int(violating[0])})
+        if first < xs.size:
+            return Verdict(False, {"violating_x": int(xs[first])})
     return Verdict(True)
 
 
@@ -159,7 +174,7 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
     return _transversal_search(G, H)
 
 
-_KEY_BLOCK_CELLS = 1 << 20  # entries of G.mult read at once for the coset keys
+_KEY_BLOCK_CELLS = 1 << 20  # entries of G.mult read at once for coset keys and H * I
 
 
 def _transversal_search(G: Group, H: Subgroup) -> np.ndarray | None:
@@ -211,26 +226,6 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
         if p != k or i == t:
             table[k].append((t, p))
 
-    def backtrack(component: list[int]) -> bool:
-        # both ends of a pair are written at once, so a partner not yet
-        # assigned is free
-        best_key, best = None, None
-        for key in (k for k in component if k not in assignment):
-            cands = [(t, p) for t, p in table[key] if p == key or p not in assignment]
-            if best is None or len(cands) < len(best):
-                best_key, best = key, cands
-                if not cands:
-                    return False
-        if best_key is None:
-            return True
-        for t, p in best:
-            assignment[best_key], assignment[p] = t, inv[t]
-            if backtrack(component):
-                return True
-            del assignment[best_key]
-            assignment.pop(p, None)
-        return False
-
     for root, cands in table.items():  # the least key of its component
         if root in assignment:
             continue
@@ -247,9 +242,34 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
                 if p not in component:
                     component.add(p)
                     stack.append(p)
-        if not backtrack(sorted(component)):
+        if not _backtrack(table, inv, sorted(component), assignment):
             return False
     return True
+
+
+def _backtrack(table, inv, component: list[int], assignment: dict[int, int]) -> bool:
+    """Extend ``assignment`` to the cosets of ``component``, fewest viable
+    candidates first.  A module function, not a closure over the search's
+    table: a closure that calls itself is a reference cycle, which keeps the
+    table alive until the cycle collector runs."""
+    # both ends of a pair are written at once, so a partner not yet
+    # assigned is free
+    best_key, best = None, None
+    for key in (k for k in component if k not in assignment):
+        cands = [(t, p) for t, p in table[key] if p == key or p not in assignment]
+        if best is None or len(cands) < len(best):
+            best_key, best = key, cands
+            if not cands:
+                return False
+    if best_key is None:
+        return True
+    for t, p in best:
+        assignment[best_key], assignment[p] = t, inv[t]
+        if _backtrack(table, inv, component, assignment):
+            return True
+        del assignment[best_key]
+        assignment.pop(p, None)
+    return False
 
 
 def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:

@@ -68,9 +68,10 @@ class Group:
 
     ``mult[i, j]`` is the index of the product of elements i and j, and
     ``inv[i]`` the index of the inverse of i.  Instances are safe to share
-    between threads for reads; derived data (element orders, conjugation
-    table, subgroup lattice) is memoised on first use by ``memo`` and
-    recomputation is idempotent.
+    between threads for reads; derived data (element orders, squares,
+    subgroup lattice) is memoised on first use by ``memo`` and recomputation
+    is idempotent.  ``mult`` is the only |G| x |G| array a group keeps:
+    conjugates are read from it on demand by ``conjugates``.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "witness", "_cache")
@@ -87,8 +88,7 @@ class Group:
         idx = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
             raise ValueError("element 0 is not a two-sided identity")
-        if not ((np.sort(table, axis=1) == idx).all()
-                and (np.sort(table, axis=0) == idx[:, None]).all()):
+        if not _is_latin(table):
             raise ValueError("multiplication table is not a Latin square")
         # each row of a Latin square holds exactly one 0, its least entry
         inv = table.argmin(axis=1).astype(np.int32)
@@ -130,10 +130,10 @@ class Group:
     def memo(self, key, compute):
         """The value of ``compute()``, computed once per group and ``key``.
 
-        Every derived value of a group (element orders, conjugation table,
-        squares, lattice, Sylow subgroups keyed on ``("sylow", p)``) is
-        memoised here, and no key names a subgroup; a pair's transversal
-        and Frattini masks live only while it is decided.
+        Every derived value of a group (element orders, squares, lattice,
+        Sylow subgroups keyed on ``("sylow", p)``) is memoised here, and no
+        key names a subgroup; a pair's transversal and Frattini masks live
+        only while it is decided.  No value is a |G| x |G| array.
         """
         try:
             return self._cache[key]
@@ -152,14 +152,17 @@ class Group:
         return self.memo("square_mask",
                          lambda: _readonly(index_mask(self.squares, self.order)))
 
-    @property
-    def conj_table(self) -> np.ndarray:
-        """Table ct[x, h] = x^-1 h x."""
-        return self.memo("conj", self._conj_table)
-
-    def _conj_table(self) -> np.ndarray:
-        left = self.mult[self.inv, :]
-        return _readonly(self.mult[left, np.arange(self.order, dtype=np.int32)[:, None]])
+    def conjugates(self, xs, hs) -> np.ndarray:
+        """Table c[i, j] = xs[i]^-1 hs[j] xs[i] as int32: the products h x,
+        read from ``mult`` in the rows hs and columns xs, then x^-1 (h x),
+        read through the flat table.  So |hs| x |xs| entries are read twice,
+        and no |G| x |G| table is built or kept."""
+        xs = np.asarray(xs, dtype=np.int32)
+        flat = gather(self.mult, np.asarray(hs, dtype=np.int32), xs)  # h x at [j, i]
+        if self.order ** 2 > 1 << 31:  # flat indices past the int32 range
+            flat = flat.astype(np.int64)
+        flat += self.inv.take(xs).astype(flat.dtype, copy=False) * self.order
+        return self.mult.ravel().take(flat).T
 
     def element_orders(self) -> np.ndarray:
         return self.memo("orders", self._element_orders)
@@ -184,7 +187,9 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return self.memo("abelian", lambda: bool(np.array_equal(self.mult, self.mult.T)))
+        return self.memo("abelian", lambda: all(
+            np.array_equal(self.mult[rows], self.mult[:, rows].T)
+            for rows in _blocks(self.order)))
 
     def closure(self, elems: Iterable[int]) -> np.ndarray:
         """Sorted member indices of the subgroup generated by ``elems``."""
@@ -246,6 +251,26 @@ class Group:
             column = t[:, g]
             if not np.array_equal(column[t], t[:, column]):
                 raise ValueError(f"associativity fails in {self.label}")
+
+
+CHECK_BLOCK_CELLS = 1 << 18
+
+
+def _blocks(n: int) -> list[slice]:
+    """Slices of range(n) for blocks of rows, or of columns, of an n x n
+    table of at most CHECK_BLOCK_CELLS entries each: the whole-table checks
+    copy one block at a time, not the table."""
+    step = max(1, CHECK_BLOCK_CELLS // n)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _is_latin(table: np.ndarray) -> bool:
+    """Whether every row and every column of the n x n ``table`` is a
+    permutation of range(n), by sorting blocks of rows and of columns."""
+    idx = np.arange(len(table), dtype=np.int32)
+    return all((np.sort(table[block], axis=1) == idx).all()
+               and (np.sort(table[:, block], axis=0) == idx[:, None]).all()
+               for block in _blocks(len(table)))
 
 
 def index_mask(values, n: int) -> np.ndarray:
@@ -310,7 +335,9 @@ def cyclic(n: int, label: str | None = None) -> Group:
 def _cyclic_table(n: int) -> np.ndarray:
     """Table of C(n), index = exponent of the generator."""
     idx = np.arange(n, dtype=np.int32)
-    return np.add.outer(idx, idx) % n
+    table = np.add.outer(idx, idx)
+    table %= n
+    return table
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
@@ -443,8 +470,8 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
     ``phi`` is an automorphism of ``normal`` as an index map; unless it is
     the identity, ``top`` is C(m), whose index y is the generator's exponent
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
-    In int32, with one temporary |top| times smaller than the table; ``take``
-    keeps that temporary, and so the sum, in C order: the table is a view.
+    In int32: the products with one y1 are written into one preallocated
+    table, so beside it only one |top|^2 times smaller buffer is held.
     """
     k, m = len(normal), len(top)
     _check_order(k * m)
@@ -454,12 +481,18 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
         powers[y + 1] = phi[powers[y]]
     if not np.array_equal(powers[m], powers[0]):
         raise GroupSpecError(f"SD action order does not divide the acting order {m}")
-    left = np.take(normal, powers[:m], axis=1)[..., None]  # x1 * phi^y1(x2) at [x1, y1, x2, 0]
-    if wrap:  # carry[y1, 0, y2]: y1 + y2 >= m
-        carry = np.add.outer(np.arange(m), np.arange(m))[:, None, :] >= m
-        left = np.where(carry, normal[left, wrap], left)
-    left *= m
-    return (left + top[:, None, :]).reshape(k * m, k * m)
+    table = np.empty((k, m, k, m), dtype=np.int32)  # (x1, y1)(x2, y2) at [x1, y1, x2, y2]
+    left = np.empty((k, k), dtype=np.int32)
+    for y1 in range(m):
+        # x1 * phi^y1(x2) at [x1, x2]; with mode="raise", take would buffer ``out``
+        np.take(normal, powers[y1], axis=1, out=left, mode="clip")
+        cut = m - y1 if wrap else m  # y2 >= cut carries: y1 + y2 >= m
+        if cut < m:
+            carried = normal[:, wrap].take(left) * m
+            np.add(carried[..., None], top[y1, cut:], out=table[:, y1, :, cut:])
+        left *= m
+        np.add(left[..., None], top[y1, :cut], out=table[:, y1, :, :cut])
+    return table.reshape(k * m, k * m)
 
 
 def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarray:

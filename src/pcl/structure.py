@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, gather, max_order, prime_power, sorted_distinct, _readonly
+from .groups import Group, max_order, prime_power, sorted_distinct, _readonly
 
 
 class Subgroup:
@@ -176,12 +176,10 @@ def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],
     union of the p cosets V z^i: z lies outside V, has z^p in V and
     normalizes V.  As conjugation by z is an automorphism, z normalizes V
     exactly when it maps each generator into V, so only the generators'
-    columns of the memoised conjugation table are read, and only in the rows
-    that pass the first two tests."""
+    conjugates are read, and only by the z that pass the first two tests."""
     _, pth_power = _prime_powers(G)
     allowed = allowed[~mask.take(allowed) & mask.take(pth_power.take(allowed))]
-    cols = np.array(gens, dtype=np.int32)
-    return allowed[mask.take(gather(G.conj_table, allowed, cols)).all(axis=1)]
+    return allowed[mask.take(G.conjugates(allowed, gens)).all(axis=1)]
 
 
 def _grown(G: Group, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
@@ -237,12 +235,12 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
     each new subgroup with all its conjugates, reaches the whole lattice.
     """
     orders = G.element_orders()
-    ct = G.conj_table
-    rows = np.arange(G.order)[:, None]
+    everything = np.arange(G.order)
+    rows = everything[:, None]
 
     def conjugates(mask: np.ndarray) -> np.ndarray:
         out = np.zeros((G.order, G.order), dtype=bool)
-        out[rows, ct[:, mask]] = True
+        out[rows, G.conjugates(everything, mask.nonzero()[0])] = True
         return out
 
     cyclic = [m for m in masks if (orders[m] == m.sum()).any()]
@@ -315,10 +313,10 @@ def _derived_subgroup(G: Group) -> Subgroup:
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
     """N_G(H): the x with x^-1 g x in H for every canonical generator g of
-    H, which is x^-1 H x = H, read from |G| x d entries of the conjugation
-    table for d generators, not |G| x |H|."""
-    cols = np.array(H.generators, dtype=np.int32)
-    return Subgroup(G, H.mask.take(G.conj_table.take(cols, 1)).all(axis=1))
+    H, which is x^-1 H x = H, read from |G| x d conjugates for d
+    generators, not |G| x |H|."""
+    conjugates = G.conjugates(np.arange(G.order), H.generators)
+    return Subgroup(G, H.mask.take(conjugates).all(axis=1))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -476,13 +474,13 @@ def _least_generating_pair(G: Group, order_a: int, order_b: int,
 def _quaternion_pair(G: Group) -> tuple[int, int] | None:
     """a, b of order 4 with b^2 = a^2 and a^b = a^-1."""
     return _least_generating_pair(G, 4, 4, lambda a, b: (
-        (G.squares[b] == G.squares[a]) & (G.conj_table[b, a] == G.inv[a])))
+        (G.squares[b] == G.squares[a]) & (G.conjugates(b, [a])[:, 0] == G.inv[a])))
 
 
 def _metacyclic_pair(G: Group, n1: int, m1: int) -> tuple[int, int] | None:
     """a of order 2^n1, b of order 2^m1 with a^b = a^(1 + 2^(n1-1))."""
     return _least_generating_pair(G, 2 ** n1, 2 ** m1, lambda a, b: (
-        G.conj_table[b, a] == G.power(a, 1 + 2 ** (n1 - 1))))
+        G.conjugates(b, [a])[:, 0] == G.power(a, 1 + 2 ** (n1 - 1))))
 
 
 def _nonmetacyclic_triple(G: Group, n2: int, m2: int) -> tuple[int, int, int] | None:
@@ -491,7 +489,7 @@ def _nonmetacyclic_triple(G: Group, n2: int, m2: int) -> tuple[int, int, int] | 
     mult = G.mult
 
     def relation(a, b):
-        c = mult[G.inv[a], G.conj_table[b, a]]
+        c = mult[G.inv[a], G.conjugates(b, [a])[:, 0]]
         return ((c != 0) & (G.squares[c] == 0) & (mult[a, c] == mult[c, a])
                 & (mult[b, c] == mult[c, b]))
 
@@ -505,7 +503,7 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
     if G.order % 2 != 0:
         return None
     return G.memo("dihedral_witness", lambda: _least_generating_pair(
-        G, G.order // 2, 2, lambda a, b: G.conj_table[b, a] == G.inv[a]))
+        G, G.order // 2, 2, lambda a, b: G.conjugates(b, [a])[:, 0] == G.inv[a]))
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:

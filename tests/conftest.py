@@ -34,6 +34,13 @@ def group(spec: str):
     return build_family(spec)
 
 
+def reference_conj_table(G) -> np.ndarray:
+    """The full table ct[x, h] = x^-1 h x, built from ``mult`` and ``inv``
+    by the definition, as ``Group.conj_table`` held it before it went."""
+    idx = np.arange(G.order)
+    return G.mult[G.mult[G.inv[:, None], idx], idx[:, None]]
+
+
 def brute_force_subgroups(G) -> list[frozenset[int]]:
     """All subgroups by filtering every subset containing the identity.
 
@@ -174,7 +181,8 @@ def reference_criterion4(G, H) -> Verdict:
 
 def _odd_and_no_involution(G, H, x) -> bool:
     """|H| / |H meet H^x| is odd and no y in Hx has y^2 = 1."""
-    intersection = int(H.mask[G.conj_table[x, H.members]].sum())
+    conjugates = G.mult[G.mult[G.inv[x], H.members], x]
+    intersection = int(H.mask[conjugates].sum())
     if (H.order // intersection) % 2 == 0:
         return False
     return not (G.squares[G.mult[H.members, x]] == 0).any()
@@ -203,7 +211,7 @@ def _coset_criterion(G: Group, H: Subgroup, selected: np.ndarray) -> Verdict:
     """The coset condition of both criteria, over all x at once: every
     selected x with odd |H| / |H meet H^x| needs a y in Hx with y^2 = 1."""
     members = H.members
-    odd = (H.order // H.mask[G.conj_table[:, members]].sum(axis=1)) % 2 == 1
+    odd = (H.order // H.mask[reference_conj_table(G)[:, members]].sum(axis=1)) % 2 == 1
     has_involution = (G.squares[G.mult[members, :]] == 0).any(axis=0)
     violating = np.flatnonzero(selected & odd & ~has_involution)
     if violating.size:
@@ -392,7 +400,7 @@ def reference_frattini(H: Subgroup) -> np.ndarray:
 def reference_normalizer(G, H: Subgroup) -> Subgroup:
     """``structure.normalizer`` as the library computed it before it read
     H's generators only: the x with x^-1 h x in H for every member h."""
-    ct = G.conj_table
+    ct = reference_conj_table(G)
     mask = H.mask[ct[:, H.members]].all(axis=1)
     return Subgroup(G, mask)
 
@@ -469,7 +477,7 @@ def reference_class_counts(G, is_code) -> tuple[int, int]:
     """(classes, code classes) of the subgroups of G, as the library counted
     them before orbit counting: list every conjugate of each new subgroup
     and ask ``is_code(H)`` of one subgroup per class."""
-    ct = G.conj_table
+    ct = reference_conj_table(G)
     seen: set[bytes] = set()
     classes = code_classes = 0
     for H in all_subgroups(G):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from pcl.catalog import CatalogEntry
 from pcl.errors import PreconditionError
 from pcl.specs import build_family
 
-from conftest import (cayley_verdict, inverse_closed_subsets, reference_coset_criterion,
+from conftest import (cayley_verdict, inverse_closed_subsets, reference_conj_table,
+                      reference_coset_criterion,
                       reference_criterion3, reference_criterion3_on_pair,
                       reference_cayley_check, reference_criterion4,
                       reference_connection_set, reference_exhaustive_search,
@@ -154,6 +156,53 @@ def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
         for H in st.all_subgroups(G):
             assert reps(codes.find_inverse_closed_transversal(G, H)) == \
                 reps(reference_transversal_search(G, H)), (spec, H)
+
+
+def test_criteria_read_in_row_blocks_match_the_reference(monkeypatch):
+    # blocks of 64 entries: 6 rows of H against D(16)'s 10 solutions of
+    # y^2 = 1, 16 against A4's 4 and 5 against M2(2,2,1)'s 12, so every
+    # subgroup of order 8 or more spans several blocks
+    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 64)
+    for spec in ("D(16)", "perm:(1 2 3),(1 2)(3 4)", "M2(2,2,1)"):
+        G = build_family(spec)
+        for H in st.all_subgroups(G):
+            for method, route in (("criterion3", codes.criterion3),
+                                  ("criterion4", codes.criterion4)):
+                assert route(G, H) == reference_coset_criterion(G, H, method), (spec, H)
+
+
+def test_criteria_on_the_whole_group_of_order_2048_peak_under_5_mb(monkeypatch):
+    # every coset of H = G holds a solution of y^2 = 1, found by reading
+    # H * I in row blocks of 4 MB: the D(2048) table itself is 16 MB, and
+    # the one |H| x |I| gather was 8.1 MB
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family("D(2048)")
+    H = st.full_subgroup(G)
+    for route in (codes.criterion3, codes.criterion4):
+        tracemalloc.start()
+        try:
+            assert route(G, H).is_code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 << 20, (route.__name__, peak)
+
+
+def test_transversal_search_leaves_no_reference_cycles():
+    # a cycle would keep each search's table of candidates alive until the
+    # cycle collector reached it; the backtracking is reached on S4 and A5
+    for spec in ("D(16)", "perm:(1 2 3 4),(1 2)", "perm:(1 2 3 4 5),(1 2 3)"):
+        G = build_family(spec)
+        lattice = st.all_subgroups(G)
+        gc.collect()
+        gc.disable()
+        try:
+            # a comprehension: a loop variable would keep a subgroup of the
+            # last group alive, and with it that group's lattice and memo
+            [codes.find_inverse_closed_transversal(G, H) for H in lattice]
+            assert gc.collect() == 0, spec
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("spec", ["D(256)", "M2(3,4,1)", "C(8)xC(4)xC(4)",
@@ -514,10 +563,11 @@ def test_criterion_is_conjugation_invariant():
     for spec in ["D(8)", "Q8", "M2(1,2,1)", "perm:(1 2 3),(1 2)",
                  "perm:(1 2 3),(1 2)(3 4)", "SD(C(5);C(4);1->2)"]:
         g = build_family(spec)
+        ct = reference_conj_table(g)
         for H in st.all_subgroups(g):
             verdict = codes.criterion3(g, H).is_code
             for x in range(g.order):
-                conj = st.Subgroup(g, H.mask[g.conj_table[g.inv[x]]])
+                conj = st.Subgroup(g, H.mask[ct[g.inv[x]]])
                 assert codes.criterion3(g, conj).is_code == verdict, (spec, x)
 
 

@@ -10,7 +10,7 @@ from pcl import groups
 from pcl.errors import GroupSpecError, SizeLimitError
 from pcl.specs import build_family
 
-from conftest import (reference_dihedral, reference_direct_product,
+from conftest import (reference_conj_table, reference_dihedral, reference_direct_product,
                       reference_from_permutations, reference_metacyclic_m2,
                       reference_nonmetacyclic_m2, reference_quaternion,
                       reference_semidirect_product)
@@ -294,8 +294,12 @@ def test_extension_kernel_matches_the_direct_product_formula(left, right):
 
 @pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)", "M2(4,5,1)", "EA(2,10)",
                                   "C(16)xC(8)xC(4)xC(2)"])
-def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
-    # the table itself is 4 MB
+def test_order_1024_builds_peak_under_7_mb(spec, monkeypatch):
+    # the table itself is 4 MB; beside it the extension holds its normal
+    # factor's table and one buffer of a y1 block, 1 MB each for D(1024),
+    # and the Latin check sorts blocks of rows and columns, not copies of
+    # the table (9.0 MB when the extension held a (k, m, k) temporary and
+    # the check sorted the whole table twice)
     monkeypatch.setenv("PCL_MAX_ORDER", "1024")
     tracemalloc.start()
     try:
@@ -303,7 +307,41 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 << 20, (spec, peak)
+    assert peak <= 7 << 20, (spec, peak)
+
+
+@pytest.mark.parametrize("spec", ["D(16)", "perm:(1 2 3 4 5),(1 2 3)", "M2(2,2,1)", "D(2048)"])
+def test_conjugates_equal_the_reference_table(spec, monkeypatch):
+    # empty, repeated and full element lists, as lists and as arrays, on
+    # both sides of the read
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family(spec)
+    ct = reference_conj_table(G)
+    n = G.order
+    lists = [[], [3, 3, 0, n - 1, 3], np.arange(n), np.array([], dtype=np.int64),
+             np.array([n - 1, 1, 1], dtype=np.int64)]
+    for xs in lists:
+        for hs in lists:
+            got = G.conjugates(xs, hs)
+            expected = ct[np.ix_(np.asarray(xs, dtype=int), np.asarray(hs, dtype=int))]
+            assert got.dtype == np.int32
+            assert got.shape == expected.shape == (len(xs), len(hs))
+            assert np.array_equal(got, expected), (spec, len(xs), len(hs))
+
+
+@pytest.mark.parametrize("spec", ["C(4)xC(6)", "D(16)", "perm:(1 2 3 4),(1 2)", "M2(2,2,1)"])
+def test_blocked_table_checks_match_the_whole_table(spec, monkeypatch):
+    # blocks of 120 entries: 5 rows or columns of the order-24 groups and 7
+    # of the order-16 ones, each with a last short block
+    G = build_family(spec)
+    monkeypatch.setattr(groups, "CHECK_BLOCK_CELLS", 120)
+    assert groups._is_latin(G.mult)
+    assert groups.Group(G.mult).is_abelian == bool(np.array_equal(G.mult, G.mult.T))
+    broken = G.mult.copy()
+    broken[-1, -1] = broken[-1, -2]  # the last row and column repeat a value
+    assert not groups._is_latin(broken)
+    with pytest.raises(ValueError, match="Latin"):
+        groups.Group(broken)
 
 
 @pytest.mark.parametrize("spec", ["D(16)", "D(1024)", "D(2048)"])
@@ -326,7 +364,7 @@ def test_gather_equals_the_broadcast_index(spec, monkeypatch):
                 rng.integers(0, n, limit).astype(np.int32),
                 rng.integers(0, n, limit + 1).astype(np.int32),
                 np.arange(n, dtype=np.int32)]
-    for table in (G.mult, G.conj_table):
+    for table in (G.mult, reference_conj_table(G)):
         for rows in row_sets:
             for cols in col_sets:
                 got = groups.gather(table, rows, cols)

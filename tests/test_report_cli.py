@@ -250,6 +250,24 @@ def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
     assert not hasattr(type(G), "extend")
 
 
+@pytest.mark.parametrize("spec", ["D(64)", "M2(2,2,1)"])
+def test_group_memo_holds_no_square_table(spec):
+    # mult is the only |G| x |G| array of a group: conjugates are read from
+    # it on demand, so after the lattice and every pair's record no memo
+    # value, nor an array inside a tuple or list, has |G|^2 entries
+    entry = build_entry(spec, spec)
+    G = entry.group
+    for H in structure.all_subgroups(G):
+        report.record_for(entry, H)
+
+    def square(value):
+        if isinstance(value, (tuple, list)):
+            return any(square(v) for v in value)
+        return isinstance(value, np.ndarray) and value.size >= G.order ** 2
+
+    assert [key for key, value in G._cache.items() if square(value)] == []
+
+
 def test_matrix_parallel_workers_match_serial():
     entries = [("Q8", "Q8"), ("D(10)", "D(10)"), ("C(8)", "C(8)")]
     serial, serial_records = run_matrix(entries, workers=1)
