@@ -126,10 +126,10 @@ def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
     and only the x before it, none normalizing H, read their |H| conjugates.
     """
     if xs.size:
-        normalizing = H.mask.take(G.conjugates(xs, H.generators)).all(axis=1)
+        normalizing = H.mask.take(G.conjugates(H.generators, xs)).all(axis=0)
         first = int(normalizing.argmax()) if normalizing.any() else xs.size
         rest = xs[:first]
-        meet = H.mask.take(G.conjugates(rest, H.members)).sum(axis=1)
+        meet = H.mask.take(G.conjugates(H.members, rest)).sum(axis=0)
         violating = rest[(H.order // meet) % 2 == 1]
         if violating.size:
             return Verdict(False, {"violating_x": int(violating[0])})

@@ -71,7 +71,7 @@ class Group:
     between threads for reads; derived data (element orders, squares,
     subgroup lattice) is memoised on first use by ``memo`` and recomputation
     is idempotent.  ``mult`` is the only |G| x |G| array a group keeps:
-    conjugates are read from it on demand by ``conjugates``.
+    ``conjugates`` reads conjugates from it on demand.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "witness", "_cache")
@@ -130,8 +130,9 @@ class Group:
     def memo(self, key, compute):
         """The value of ``compute()``, computed once per group and ``key``.
 
-        Every derived value of a group (element orders, squares, lattice,
-        Sylow subgroups keyed on ``("sylow", p)``) is memoised here, and no
+        Every derived value of a group (element orders, squares, the start
+        of each inverse's row for ``conjugates``, lattice, Sylow subgroups
+        keyed on ``("sylow", p)``) is memoised here, and no
         key names a subgroup; a pair's transversal and Frattini masks live
         only while it is decided.  No value is a |G| x |G| array.
         """
@@ -152,17 +153,18 @@ class Group:
         return self.memo("square_mask",
                          lambda: _readonly(index_mask(self.squares, self.order)))
 
-    def conjugates(self, xs, hs) -> np.ndarray:
-        """Table c[i, j] = xs[i]^-1 hs[j] xs[i] as int32: the products h x,
-        read from ``mult`` in the rows hs and columns xs, then x^-1 (h x),
-        read through the flat table.  So |hs| x |xs| entries are read twice,
-        and no |G| x |G| table is built or kept."""
-        xs = np.asarray(xs, dtype=np.int32)
-        flat = gather(self.mult, np.asarray(hs, dtype=np.int32), xs)  # h x at [j, i]
-        if self.order ** 2 > 1 << 31:  # flat indices past the int32 range
-            flat = flat.astype(np.int64)
-        flat += self.inv.take(xs).astype(flat.dtype, copy=False) * self.order
-        return self.mult.ravel().take(flat).T
+    def conjugates(self, hs, xs) -> np.ndarray:
+        """Table c[j, i] = xs[i]^-1 hs[j] xs[i] of the conjugates of ``hs``
+        by ``xs``: the products h x, read from ``mult`` in the rows hs and
+        columns xs, then x^-1 (h x), read through the flat table from the
+        start of row x^-1, memoised per x.  So |hs| x |xs| entries are read
+        twice, and no |G| x |G| table is built or kept.  Indices are intp,
+        which ``take`` reads without converting them."""
+        xs = np.asarray(xs, dtype=np.intp)
+        starts = self.memo("inverse_row_starts",
+                           lambda: _readonly(self.inv.astype(np.intp) * self.order))
+        flat = gather(self.mult, np.asarray(hs, dtype=np.intp), xs) + starts.take(xs)
+        return self.mult.ravel().take(flat)
 
     def element_orders(self) -> np.ndarray:
         return self.memo("orders", self._element_orders)

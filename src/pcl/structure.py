@@ -179,7 +179,7 @@ def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],
     conjugates are read, and only by the z that pass the first two tests."""
     _, pth_power = _prime_powers(G)
     allowed = allowed[~mask.take(allowed) & mask.take(pth_power.take(allowed))]
-    return allowed[mask.take(G.conjugates(allowed, gens)).all(axis=1)]
+    return allowed[mask.take(G.conjugates(gens, allowed)).all(axis=0)]
 
 
 def _grown(G: Group, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
@@ -236,11 +236,10 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
     """
     orders = G.element_orders()
     everything = np.arange(G.order)
-    rows = everything[:, None]
 
     def conjugates(mask: np.ndarray) -> np.ndarray:
         out = np.zeros((G.order, G.order), dtype=bool)
-        out[rows, G.conjugates(everything, mask.nonzero()[0])] = True
+        out[everything, G.conjugates(mask.nonzero()[0], everything)] = True
         return out
 
     cyclic = [m for m in masks if (orders[m] == m.sum()).any()]
@@ -315,8 +314,8 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
     """N_G(H): the x with x^-1 g x in H for every canonical generator g of
     H, which is x^-1 H x = H, read from |G| x d conjugates for d
     generators, not |G| x |H|."""
-    conjugates = G.conjugates(np.arange(G.order), H.generators)
-    return Subgroup(G, H.mask.take(conjugates).all(axis=1))
+    conjugates = G.conjugates(H.generators, np.arange(G.order))
+    return Subgroup(G, H.mask.take(conjugates).all(axis=0))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -474,13 +473,13 @@ def _least_generating_pair(G: Group, order_a: int, order_b: int,
 def _quaternion_pair(G: Group) -> tuple[int, int] | None:
     """a, b of order 4 with b^2 = a^2 and a^b = a^-1."""
     return _least_generating_pair(G, 4, 4, lambda a, b: (
-        (G.squares[b] == G.squares[a]) & (G.conjugates(b, [a])[:, 0] == G.inv[a])))
+        (G.squares[b] == G.squares[a]) & (G.conjugates([a], b)[0] == G.inv[a])))
 
 
 def _metacyclic_pair(G: Group, n1: int, m1: int) -> tuple[int, int] | None:
     """a of order 2^n1, b of order 2^m1 with a^b = a^(1 + 2^(n1-1))."""
     return _least_generating_pair(G, 2 ** n1, 2 ** m1, lambda a, b: (
-        G.conjugates(b, [a])[:, 0] == G.power(a, 1 + 2 ** (n1 - 1))))
+        G.conjugates([a], b)[0] == G.power(a, 1 + 2 ** (n1 - 1))))
 
 
 def _nonmetacyclic_triple(G: Group, n2: int, m2: int) -> tuple[int, int, int] | None:
@@ -489,7 +488,7 @@ def _nonmetacyclic_triple(G: Group, n2: int, m2: int) -> tuple[int, int, int] | 
     mult = G.mult
 
     def relation(a, b):
-        c = mult[G.inv[a], G.conjugates(b, [a])[:, 0]]
+        c = mult[G.inv[a], G.conjugates([a], b)[0]]
         return ((c != 0) & (G.squares[c] == 0) & (mult[a, c] == mult[c, a])
                 & (mult[b, c] == mult[c, b]))
 
@@ -503,7 +502,7 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
     if G.order % 2 != 0:
         return None
     return G.memo("dihedral_witness", lambda: _least_generating_pair(
-        G, G.order // 2, 2, lambda a, b: G.conjugates(b, [a])[:, 0] == G.inv[a]))
+        G, G.order // 2, 2, lambda a, b: G.conjugates([a], b)[0] == G.inv[a]))
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:

@@ -320,13 +320,13 @@ def test_conjugates_equal_the_reference_table(spec, monkeypatch):
     n = G.order
     lists = [[], [3, 3, 0, n - 1, 3], np.arange(n), np.array([], dtype=np.int64),
              np.array([n - 1, 1, 1], dtype=np.int64)]
-    for xs in lists:
-        for hs in lists:
-            got = G.conjugates(xs, hs)
-            expected = ct[np.ix_(np.asarray(xs, dtype=int), np.asarray(hs, dtype=int))]
+    for hs in lists:
+        for xs in lists:
+            got = G.conjugates(hs, xs)
+            expected = ct[np.ix_(np.asarray(xs, dtype=int), np.asarray(hs, dtype=int))].T
             assert got.dtype == np.int32
-            assert got.shape == expected.shape == (len(xs), len(hs))
-            assert np.array_equal(got, expected), (spec, len(xs), len(hs))
+            assert got.shape == expected.shape == (len(hs), len(xs))
+            assert np.array_equal(got, expected), (spec, len(hs), len(xs))
 
 
 @pytest.mark.parametrize("spec", ["C(4)xC(6)", "D(16)", "perm:(1 2 3 4),(1 2)", "M2(2,2,1)"])
