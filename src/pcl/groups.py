@@ -130,11 +130,11 @@ class Group:
     def memo(self, key, compute):
         """The value of ``compute()``, computed once per group and ``key``.
 
-        Every derived value of a group (element orders, squares, the start
-        of each inverse's row for ``conjugates``, lattice, Sylow subgroups
-        keyed on ``("sylow", p)``) is memoised here, and no
-        key names a subgroup; a pair's transversal and Frattini masks live
-        only while it is decided.  No value is a |G| x |G| array.
+        Every derived value of a group (element orders, squares, the flat
+        index where each inverse's row starts, lattice, Sylow subgroups
+        keyed on ``("sylow", p)``) is memoised here, and no key names a
+        subgroup; a pair's transversal and Frattini masks live only while
+        it is decided.  No value is a |G| x |G| array.
         """
         try:
             return self._cache[key]
@@ -157,9 +157,9 @@ class Group:
         """Table c[j, i] = xs[i]^-1 hs[j] xs[i] of the conjugates of ``hs``
         by ``xs``: the products h x, read from ``mult`` in the rows hs and
         columns xs, then x^-1 (h x), read through the flat table from the
-        start of row x^-1, memoised per x.  So |hs| x |xs| entries are read
-        twice, and no |G| x |G| table is built or kept.  Indices are intp,
-        which ``take`` reads without converting them."""
+        memoised flat index where row x^-1 starts.  So |hs| x |xs| entries
+        are read twice, and no |G| x |G| table is built or kept.  Indices
+        are intp, which ``take`` reads without converting them."""
         xs = np.asarray(xs, dtype=np.intp)
         starts = self.memo("inverse_row_starts",
                            lambda: _readonly(self.inv.astype(np.intp) * self.order))
