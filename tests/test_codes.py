@@ -159,10 +159,11 @@ def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
 
 
 def test_criteria_read_in_row_blocks_match_the_reference(monkeypatch):
-    # blocks of 64 entries: 6 rows of H against D(16)'s 10 solutions of
-    # y^2 = 1, 16 against A4's 4 and 5 against M2(2,2,1)'s 12, so every
-    # subgroup of order 8 or more spans several blocks
-    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 64)
+    # blocks of 8 entries: one row of H against the 10 solutions of y^2 = 1
+    # in D(16) and the 8 in M2(2,2,1), two against A4's 4, so every
+    # subgroup of order 3 or more spans several blocks, some with a short
+    # last one
+    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 8)
     for spec in ("D(16)", "perm:(1 2 3),(1 2)(3 4)", "M2(2,2,1)"):
         G = build_family(spec)
         for H in st.all_subgroups(G):
