@@ -332,8 +332,8 @@ def test_conjugates_equal_the_reference_table(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["C(4)xC(6)", "D(16)", "perm:(1 2 3 4),(1 2)", "M2(2,2,1)"])
 def test_blocked_table_checks_match_the_whole_table(spec, monkeypatch):
-    # blocks of 120 entries: 5 rows or columns of the order-24 groups and 7
-    # of the order-16 ones, each with a last short block
+    # blocks of 120 entries: 5 rows or columns of the order-24 groups, 7 of
+    # D(16) and 3 of M2(2,2,1), each with a last short block
     G = build_family(spec)
     monkeypatch.setattr(groups, "CHECK_BLOCK_CELLS", 120)
     assert groups._is_latin(G.mult)
