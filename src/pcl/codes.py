@@ -21,7 +21,11 @@ Four independent routes are implemented and cross-checked elsewhere:
   vertices in the subgroup.  It uses neither the transversal lemma nor the
   criteria, and the set it finds is re-verified like any other positive.
 
-Every sub-table a route reads per pair goes through ``groups.gather``.
+Every sub-table of chosen rows and columns a route reads per pair goes
+through ``groups.gather``; the coset keys, from H's whole rows of the table,
+are read with ``take``.  The coset keys, the products H * I, criterion4's
+products xs * H and the odd-index test's conjugates are read in the row
+blocks of ``groups._blocks``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .groups import Group, _readonly, gather, index_mask, sorted_distinct
+from .groups import Group, _blocks, _readonly, gather, index_mask, sorted_distinct
 from .structure import Subgroup, involutions, normalizer, _sylow_within
 
 
@@ -98,23 +102,35 @@ def criterion4(G: Group, H: Subgroup) -> Verdict:
 
 def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
     """The x, ascending, whose coset Hx holds no y with y^2 = 1: the x outside
-    H * I for the solutions I of y^2 = 1, gathered in blocks of H's rows of
-    at most _KEY_BLOCK_CELLS entries."""
+    H * I for the solutions I of y^2 = 1, gathered in blocks of H's rows."""
     solutions = involutions(G)
-    rows = max(1, _KEY_BLOCK_CELLS // solutions.size)
     covered = np.zeros(G.order, dtype=bool)
-    for start in range(0, H.order, rows):
-        covered[gather(G.mult, H.members[start:start + rows], solutions)] = True
+    for rows in _blocks(H.order, solutions.size):
+        covered[gather(G.mult, H.members[rows], solutions)] = True
     return (~covered).nonzero()[0]
 
 
 def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
     """Mask over ``xs`` of the x with x^-1 in HxH.  HxH is the union of the
-    right cosets Hxh, so that holds exactly when the key of Hx^-1, its least
-    element, is the key of some Hxh: one |xs| x |H| gather."""
-    coset_min = G.mult.take(H.members, 0).min(axis=0)
-    right = coset_min.take(gather(G.mult, xs, H.members))
-    return (right == coset_min.take(G.inv.take(xs))[:, None]).any(axis=1)
+    right cosets Hxh, so that holds exactly when the key of Hx^-1 is the key
+    of some Hxh, read in blocks of the rows xs of the |xs| x |H| products."""
+    key = _coset_keys(G, H)
+    inverse_key = key.take(G.inv.take(xs))
+    mask = np.empty(xs.size, dtype=bool)
+    for rows in _blocks(xs.size, H.order):
+        right = key.take(gather(G.mult, xs[rows], H.members))
+        np.any(right == inverse_key[rows, None], axis=1, out=mask[rows])
+    return mask
+
+
+def _coset_keys(G: Group, H: Subgroup) -> np.ndarray:
+    """The key of each right coset Hg, its least element, at every g: the
+    column minima of H's rows of the table, read in row blocks."""
+    blocks = iter(_blocks(H.order, G.order))
+    key = G.mult.take(H.members[next(blocks)], 0).min(axis=0)
+    for rows in blocks:
+        np.minimum(key, G.mult.take(H.members[rows], 0).min(axis=0), out=key)
+    return key
 
 
 def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
@@ -123,16 +139,18 @@ def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
 
     An x normalizing H has H^x = H, index 1, so it violates, and that is
     read from H's d generators: the least normalizing x bounds the search,
-    and only the x before it, none normalizing H, read their |H| conjugates.
+    and only the x before it, none normalizing H, read their |H| conjugates,
+    in ascending blocks of x.
     """
     if xs.size:
         normalizing = H.mask.take(G.conjugates(H.generators, xs)).all(axis=0)
         first = int(normalizing.argmax()) if normalizing.any() else xs.size
-        rest = xs[:first]
-        meet = H.mask.take(G.conjugates(H.members, rest)).sum(axis=0)
-        violating = rest[(H.order // meet) % 2 == 1]
-        if violating.size:
-            return Verdict(False, {"violating_x": int(violating[0])})
+        for rows in _blocks(first, H.order):
+            rest = xs[rows]
+            meet = H.mask.take(G.conjugates(H.members, rest)).sum(axis=0)
+            violating = rest[(H.order // meet) % 2 == 1]
+            if violating.size:
+                return Verdict(False, {"violating_x": int(violating[0])})
         if first < xs.size:
             return Verdict(False, {"violating_x": int(xs[first])})
     return Verdict(True)
@@ -174,14 +192,8 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
     return _transversal_search(G, H)
 
 
-_KEY_BLOCK_CELLS = 1 << 20  # entries of G.mult read at once for coset keys and H * I
-
-
 def _transversal_search(G: Group, H: Subgroup) -> np.ndarray | None:
-    rows = max(1, _KEY_BLOCK_CELLS // G.order)
-    key = G.mult.take(H.members[:rows], 0).min(axis=0)  # least element of Hg
-    for start in range(rows, H.order, rows):
-        np.minimum(key, G.mult.take(H.members[start:start + rows], 0).min(axis=0), out=key)
+    key = _coset_keys(G, H)
     partner = key.take(G.inv)  # the coset of g^-1
     keys = (key == np.arange(G.order, dtype=np.int32)).nonzero()[0]  # ascending
     # Hk is split when some g in it has g^-1 outside the coset of k^-1

@@ -191,7 +191,7 @@ class Group:
     def is_abelian(self) -> bool:
         return self.memo("abelian", lambda: all(
             np.array_equal(self.mult[rows], self.mult[:, rows].T)
-            for rows in _blocks(self.order)))
+            for rows in _blocks(self.order, self.order)))
 
     def closure(self, elems: Iterable[int]) -> np.ndarray:
         """Sorted member indices of the subgroup generated by ``elems``."""
@@ -255,24 +255,29 @@ class Group:
                 raise ValueError(f"associativity fails in {self.label}")
 
 
-CHECK_BLOCK_CELLS = 1 << 18
+BLOCK_CELLS = 1 << 18
 
 
-def _blocks(n: int) -> list[slice]:
-    """Slices of range(n) for blocks of rows, or of columns, of an n x n
-    table of at most CHECK_BLOCK_CELLS entries each: the whole-table checks
-    copy one block at a time, not the table."""
-    step = max(1, CHECK_BLOCK_CELLS // n)
-    return [slice(i, i + step) for i in range(0, n, step)]
+def _blocks(count: int, width: int) -> Sequence[slice]:
+    """Slices of range(count) for the row blocks of a table ``width``
+    entries wide, each of at most BLOCK_CELLS entries and at least one row:
+    every blocked read of the table, or of a gather from it, copies one such
+    block at a time.  One block, the common case, is one slice, with no list
+    built."""
+    if count * width <= BLOCK_CELLS:
+        return (slice(0, count),)
+    step = max(1, BLOCK_CELLS // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _is_latin(table: np.ndarray) -> bool:
     """Whether every row and every column of the n x n ``table`` is a
     permutation of range(n), by sorting blocks of rows and of columns."""
-    idx = np.arange(len(table), dtype=np.int32)
+    n = len(table)
+    idx = np.arange(n, dtype=np.int32)
     return all((np.sort(table[block], axis=1) == idx).all()
                and (np.sort(table[:, block], axis=0) == idx[:, None]).all()
-               for block in _blocks(len(table)))
+               for block in _blocks(n, n))
 
 
 def index_mask(values, n: int) -> np.ndarray:
@@ -583,16 +588,17 @@ def from_raw_table_text(text: str, label: str = "table") -> Group:
     if not rows:
         raise GroupSpecError("raw table is empty")
     try:
-        table = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+        entries = [[int(x) for x in row] for row in rows]
     except ValueError as exc:
         raise GroupSpecError(f"raw table has a non-integer entry: {exc}")
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise GroupSpecError("raw table is not square")
-    if table.min() < 0 or table.max() >= n:
+    # checked as Python ints: the cast to int64 overflows past 2^63
+    if min(map(min, entries)) < 0 or max(map(max, entries)) >= n:
         raise GroupSpecError(f"raw table entries must lie in 0..{n - 1}")
     try:
-        group = Group(table, label=label)
+        group = Group(np.array(entries, dtype=np.int64), label=label)
         group.check_axioms()
     except ValueError as exc:
         raise GroupSpecError(f"raw table is not a group table: {exc}")

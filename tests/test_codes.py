@@ -150,7 +150,7 @@ def test_normal_subgroups_build_no_table(monkeypatch):
 def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
     # blocks of 64 entries: 4 rows of D(16), 5 of A4 (a last block of 2 rows
     # when H = A4) and 1 of C(8)xC(4)xC(2)
-    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 64)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 64)
     for spec in ("D(16)", "perm:(1 2 3),(1 2)(3 4)", "C(8)xC(4)xC(2)"):
         G = build_family(spec)
         for H in st.all_subgroups(G):
@@ -159,11 +159,16 @@ def test_coset_keys_read_in_row_blocks_match_the_reference(monkeypatch):
 
 
 def test_criteria_read_in_row_blocks_match_the_reference(monkeypatch):
-    # blocks of 8 entries: one row of H against the 10 solutions of y^2 = 1
-    # in D(16) and the 8 in M2(2,2,1), two against A4's 4, so every
-    # subgroup of order 3 or more spans several blocks, some with a short
-    # last one
-    monkeypatch.setattr(codes, "_KEY_BLOCK_CELLS", 8)
+    # blocks of 40 entries, so each read spans several blocks for some H,
+    # some with a short last one: the coset keys read 2 rows of D(16), 3 of
+    # A4 (3 and 1 for a Klein four H) and 1 of M2(2,2,1); H * I reads 4 rows
+    # of H against the 10 solutions of y^2 = 1 in D(16), 10 against A4's 4
+    # (10 and 2 for H = A4) and 5 against M2(2,2,1)'s 8 (5 and 3 for
+    # |H| = 8); criterion4 reads 40 // |H| of its x against H (20 and 4 for
+    # the 24 x left by some H of order 2 of M2(2,2,1)), and the odd-index
+    # test as many of their conjugates (5 and 3 for 8 x left by some H of
+    # order 8 of M2(2,2,1))
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 40)
     for spec in ("D(16)", "perm:(1 2 3),(1 2)(3 4)", "M2(2,2,1)"):
         G = build_family(spec)
         for H in st.all_subgroups(G):
@@ -174,8 +179,8 @@ def test_criteria_read_in_row_blocks_match_the_reference(monkeypatch):
 
 def test_criteria_on_the_whole_group_of_order_2048_peak_under_5_mb(monkeypatch):
     # every coset of H = G holds a solution of y^2 = 1, found by reading
-    # H * I in row blocks of 4 MB: the D(2048) table itself is 16 MB, and
-    # the one |H| x |I| gather was 8.1 MB
+    # H * I in row blocks of 2^18 entries, 1 MB: the D(2048) table itself is
+    # 16 MB, and the one |H| x |I| gather was 8.1 MB
     monkeypatch.setenv("PCL_MAX_ORDER", "2048")
     G = build_family("D(2048)")
     H = st.full_subgroup(G)
@@ -187,6 +192,25 @@ def test_criteria_on_the_whole_group_of_order_2048_peak_under_5_mb(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 5 << 20, (route.__name__, peak)
+
+
+def test_routes_on_large_subgroups_of_order_2048_peak_under_6_mb(monkeypatch):
+    # the coset keys, criterion4's products xs * H and the odd-index test's
+    # conjugates are read in row blocks of 2^18 entries: criterion4 traced
+    # 16 MB with the keys and the products each one gather, and the oracle
+    # 4 MB with its keys in blocks of 2^20 entries
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family("M2(5,5,1)")
+    large = [H for H in st.all_subgroups(G) if H.order >= 256]
+    for route in (codes.criterion3, codes.criterion4, codes.find_inverse_closed_transversal):
+        for H in large:
+            tracemalloc.start()
+            try:
+                route(G, H)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 << 20, (route.__name__, H.order, peak)
 
 
 def test_transversal_search_leaves_no_reference_cycles():

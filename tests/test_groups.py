@@ -232,6 +232,13 @@ def test_raw_table_rejects_bad_input():
         groups.from_raw_table_text(loop)
 
 
+def test_raw_table_rejects_entries_past_int64():
+    # the entries are range-checked as Python ints: the int64 cast overflows
+    for entry in ("99999999999999999999999", "-99999999999999999999999"):
+        with pytest.raises(GroupSpecError, match=r"must lie in 0\.\.1"):
+            groups.from_raw_table_text(f"0 1\n1 {entry}")
+
+
 def test_raw_table_rejects_a_swapped_intercalate_above_order_64():
     # rows 1, 2 and columns 4, 7 of EA(2,7) hold the Latin subsquare
     # [[5, 6], [6, 5]]; swapping it keeps a Latin square with identity 0 and
@@ -335,7 +342,7 @@ def test_blocked_table_checks_match_the_whole_table(spec, monkeypatch):
     # blocks of 120 entries: 5 rows or columns of the order-24 groups, 7 of
     # D(16) and 3 of M2(2,2,1), each with a last short block
     G = build_family(spec)
-    monkeypatch.setattr(groups, "CHECK_BLOCK_CELLS", 120)
+    monkeypatch.setattr(groups, "BLOCK_CELLS", 120)
     assert groups._is_latin(G.mult)
     assert groups.Group(G.mult).is_abelian == bool(np.array_equal(G.mult, G.mult.T))
     broken = G.mult.copy()
