@@ -7,9 +7,15 @@ a canonical element enumeration (normal forms a^i b^j c^k in lexicographic
 order of the exponent tuple) so that the presentation generators are
 addressable by index; they are exposed on ``Group.witness``.  One extension
 formula, ``_extension``, builds D, Q8, M2(n1,m1), EA, SD and direct products
-from int32 tables, so a constructor validates only the group it returns;
+from uint16 tables, so a constructor validates only the group it returns;
 ``nonmetacyclic_m2`` keeps its own, as its normal form puts no normal subgroup
 in the high coordinates.
+
+Every table is uint16 (``TABLE_DTYPE``), written so by its constructor: no
+order the program holds passes TABLE_MAX_ORDER = 65,536, whatever
+PCL_MAX_ORDER says, so the |G| x |G| table, the only array of that size,
+takes two bytes an entry.  Every other index array (inverses, members,
+transversals, connection sets, evidence) is int32.
 """
 
 from __future__ import annotations
@@ -19,14 +25,18 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GroupSpecError, SizeLimitError
 
 DEFAULT_MAX_ORDER = 512
+TABLE_DTYPE = np.uint16
+TABLE_MAX_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1  # 65,536
 
 
 def max_order() -> int:
-    """Group-order cap, read from PCL_MAX_ORDER (default 512)."""
+    """Group-order cap: PCL_MAX_ORDER (default 512), but never above
+    TABLE_MAX_ORDER, the most elements a uint16 table indexes."""
     raw = os.environ.get("PCL_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
@@ -36,13 +46,21 @@ def max_order() -> int:
         raise GroupSpecError(f"PCL_MAX_ORDER must be an integer, got {raw!r}")
     if value < 1:
         raise GroupSpecError(f"PCL_MAX_ORDER must be positive, got {value}")
-    return value
+    return min(value, TABLE_MAX_ORDER)
+
+
+def _size_limit(what: str, cap: int) -> SizeLimitError:
+    """The error for ``what`` passing the cap ``cap`` of ``max_order``, which
+    names the limit that set the cap."""
+    limit = (f"{TABLE_MAX_ORDER}, the most elements a uint16 table indexes"
+             if cap == TABLE_MAX_ORDER else f"the cap PCL_MAX_ORDER={cap}")
+    return SizeLimitError(f"{what} exceeds {limit}")
 
 
 def _check_order(n: int) -> None:
     cap = max_order()
     if n > cap:
-        raise SizeLimitError(f"group order {_named(n)} exceeds the cap PCL_MAX_ORDER={cap}")
+        raise _size_limit(f"group order {_named(n)}", cap)
 
 
 def _check_power_order(p: int, k: int) -> None:
@@ -53,8 +71,7 @@ def _check_power_order(p: int, k: int) -> None:
     for _ in range(k):
         n *= p
         if n > cap:
-            raise SizeLimitError(f"group order {_named(p)}^{_named(k)} exceeds the cap "
-                                 f"PCL_MAX_ORDER={cap}")
+            raise _size_limit(f"group order {_named(p)}^{_named(k)}", cap)
 
 
 def _named(n: int) -> str:
@@ -70,21 +87,30 @@ class Group:
     ``inv[i]`` the index of the inverse of i.  Instances are safe to share
     between threads for reads; derived data (element orders, squares,
     subgroup lattice) is memoised on first use by ``memo`` and recomputation
-    is idempotent.  ``mult`` is the only |G| x |G| array a group keeps:
-    ``conjugates`` reads conjugates from it on demand.
+    is idempotent.  ``mult`` is the only |G| x |G| array a group keeps, in
+    uint16: ``conjugates`` reads conjugates from it on demand.  A table of
+    any integer dtype is taken, once its entries are checked to lie in
+    range(n); a uint16 one is kept without a copy.
     """
 
     __slots__ = ("order", "mult", "inv", "label", "witness", "_cache")
 
     def __init__(self, mult: np.ndarray, label: str = "G",
                  witness: dict[str, int] | None = None):
-        table = np.ascontiguousarray(mult, dtype=np.int32)
+        table = np.asarray(mult)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
         n = table.shape[0]
         if n == 0:
             raise ValueError("a group has at least one element")
         _check_order(n)
+        # checked in the given dtype: narrowed first, 65,536 would wrap to 0
+        # and a float would be truncated
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"multiplication table entries must be integers, not {table.dtype}")
+        if table.min() < 0 or table.max() >= n:
+            raise ValueError(f"multiplication table entries must lie in range({n})")
+        table = np.ascontiguousarray(table, dtype=TABLE_DTYPE)  # no copy when uint16
         idx = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
             raise ValueError("element 0 is not a two-sided identity")
@@ -145,7 +171,7 @@ class Group:
     @property
     def squares(self) -> np.ndarray:
         """Vector of g*g for every g."""
-        return self.memo("squares", lambda: _readonly(self.mult.diagonal().copy()))
+        return self.memo("squares", lambda: _readonly(self.mult.diagonal().astype(np.int32)))
 
     @property
     def square_mask(self) -> np.ndarray:
@@ -159,7 +185,8 @@ class Group:
         columns xs, then x^-1 (h x), read through the flat table from the
         memoised flat index where row x^-1 starts.  So |hs| x |xs| entries
         are read twice, and no |G| x |G| table is built or kept.  Indices
-        are intp, which ``take`` reads without converting them."""
+        are intp, which ``take`` reads without converting them; the
+        conjugates are uint16, as read from the table."""
         xs = np.asarray(xs, dtype=np.intp)
         starts = self.memo("inverse_row_starts",
                            lambda: _readonly(self.inv.astype(np.intp) * self.order))
@@ -275,9 +302,19 @@ def _is_latin(table: np.ndarray) -> bool:
     permutation of range(n), by sorting blocks of rows and of columns."""
     n = len(table)
     idx = np.arange(n, dtype=np.int32)
-    return all((np.sort(table[block], axis=1) == idx).all()
-               and (np.sort(table[:, block], axis=0) == idx[:, None]).all()
+    return all((_sorted_int32(table[block], 1) == idx).all()
+               and (_sorted_int32(table[:, block], 0) == idx[:, None]).all()
                for block in _blocks(n, n))
+
+
+def _sorted_int32(cells: np.ndarray, axis: int) -> np.ndarray:
+    """``cells`` sorted along ``axis``, in one int32 copy.  The program's
+    other sorts are of int32 too: numpy's uint16 sort is a second kernel,
+    whose code pages added about 0.2 MB to the resident peak of one-group
+    `pcl verify` of EA(2,7) (x86-64, numpy 2.4)."""
+    copy = cells.astype(np.int32)
+    copy.sort(axis=axis)
+    return copy
 
 
 def index_mask(values, n: int) -> np.ndarray:
@@ -340,11 +377,11 @@ def cyclic(n: int, label: str | None = None) -> Group:
 
 
 def _cyclic_table(n: int) -> np.ndarray:
-    """Table of C(n), index = exponent of the generator."""
-    idx = np.arange(n, dtype=np.int32)
-    table = np.add.outer(idx, idx)
-    table %= n
-    return table
+    """Table of C(n), index = exponent of the generator: row i is range(n)
+    rotated left by i, a window of range(n) twice over.  No sum i + j is
+    formed, which would pass 65,535 in uint16 once n > 32,768."""
+    twice = np.tile(np.arange(n, dtype=TABLE_DTYPE), 2)
+    return sliding_window_view(twice, n)[:n].copy()
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
@@ -357,8 +394,7 @@ def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"EA(p,k) requires k >= 0, got k={k}")
     _check_power_order(p, k)
     if p > cap:
-        raise SizeLimitError(
-            f"EA(p,k) parameter p={_named(p)} exceeds the cap PCL_MAX_ORDER={cap}")
+        raise _size_limit(f"EA(p,k) parameter p={_named(p)}", cap)
     table = _cyclic_table(1)
     for _ in range(k):
         table = _extension(table, _cyclic_table(p), np.arange(len(table)))
@@ -422,7 +458,7 @@ def nonmetacyclic_m2(n2: int, m2: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"M2(n2,m2,1) requires n2 + m2 >= 3, got ({n2},{m2})")
     _check_power_order(2, n2 + m2 + 1)
     na, nb = 2 ** n2, 2 ** m2
-    idx = np.arange(na * nb * 2, dtype=np.int32)
+    idx = np.arange(na * nb * 2, dtype=TABLE_DTYPE)  # the in-place ops below need uint16
     i, u, k = idx // (2 * nb), idx // 2, idx % 2  # u = i * nb + j, the index in C(na) x C(nb)
     # a^i1 b^j1 c^k1 a^i2 b^j2 c^k2 = a^(i1+i2) b^(j1+j2) c^(k1+k2+j1*i2), as
     # b^j a^i = a^i b^j c^(ij); the c exponent is the low bit, so its sum is an xor
@@ -477,19 +513,23 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
     ``phi`` is an automorphism of ``normal`` as an index map; unless it is
     the identity, ``top`` is C(m), whose index y is the generator's exponent
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
-    In int32: the products with one y1 are written into one preallocated
-    table, so beside it only one |top|^2 times smaller buffer is held.
+    In uint16, as ``normal`` and ``top`` are: the products with one y1 are
+    written into one preallocated table, so beside it only one |top|^2
+    times smaller buffer is held.  Every entry x * |top| + y lies below
+    k * m, at most TABLE_MAX_ORDER.
     """
     k, m = len(normal), len(top)
     _check_order(k * m)
-    powers = np.empty((m + 1, k), dtype=np.int32)  # row y is phi^y
+    if k == 1:  # top itself; ``left *= m`` below needs m < 65,536
+        return top
+    powers = np.empty((m + 1, k), dtype=TABLE_DTYPE)  # row y is phi^y
     powers[0] = np.arange(k)
     for y in range(m):
         powers[y + 1] = phi[powers[y]]
     if not np.array_equal(powers[m], powers[0]):
         raise GroupSpecError(f"SD action order does not divide the acting order {m}")
-    table = np.empty((k, m, k, m), dtype=np.int32)  # (x1, y1)(x2, y2) at [x1, y1, x2, y2]
-    left = np.empty((k, k), dtype=np.int32)
+    table = np.empty((k, m, k, m), dtype=TABLE_DTYPE)  # (x1, y1)(x2, y2) at [x1, y1, x2, y2]
+    left = np.empty((k, k), dtype=TABLE_DTYPE)
     for y1 in range(m):
         # x1 * phi^y1(x2) at [x1, x2]; with mode="raise", take would buffer ``out``
         np.take(normal, powers[y1], axis=1, out=left, mode="clip")
@@ -561,15 +601,14 @@ def from_permutations(perms: Sequence[Sequence[int]], label: str | None = None) 
             y = tuple(g[p] for p in u)
             if y not in index:
                 if len(elems) + 1 > cap:
-                    raise SizeLimitError(
-                        f"permutation closure exceeds the cap PCL_MAX_ORDER={cap}")
+                    raise _size_limit("permutation closure", cap)
                 index[y] = len(elems)
                 elems.append(y)
                 found.append((x, s))
             right.append(index[y])
     n = len(elems)
-    right_mult = np.array(right, dtype=np.int32).reshape(n, len(gens))
-    table = np.empty((n, n), dtype=np.int32)
+    right_mult = np.array(right, dtype=TABLE_DTYPE).reshape(n, len(gens))
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     table[:, 0] = np.arange(n)
     # z * y = (z * x) * gens[s] for every z, and x was found, so filled, before y
     for y, (x, s) in enumerate(found, start=1):
@@ -587,18 +626,19 @@ def from_raw_table_text(text: str, label: str = "table") -> Group:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise GroupSpecError("raw table is empty")
+    n = len(rows)
+    _check_order(n)
     try:
         entries = [[int(x) for x in row] for row in rows]
     except ValueError as exc:
         raise GroupSpecError(f"raw table has a non-integer entry: {exc}")
-    n = len(rows)
     if any(len(row) != n for row in rows):
         raise GroupSpecError("raw table is not square")
-    # checked as Python ints: the cast to int64 overflows past 2^63
+    # checked as Python ints: the uint16 cast raises OverflowError past 65,535
     if min(map(min, entries)) < 0 or max(map(max, entries)) >= n:
         raise GroupSpecError(f"raw table entries must lie in 0..{n - 1}")
     try:
-        group = Group(np.array(entries, dtype=np.int64), label=label)
+        group = Group(np.array(entries, dtype=TABLE_DTYPE), label=label)
         group.check_axioms()
     except ValueError as exc:
         raise GroupSpecError(f"raw table is not a group table: {exc}")

@@ -198,6 +198,40 @@ def test_size_limit_names_a_power_order_briefly(spec, order, monkeypatch):
     assert str(caught.value) == f"group order {order} exceeds the cap PCL_MAX_ORDER=512"
 
 
+@pytest.mark.parametrize("table, message", [
+    (np.array([[0, 2**32 + 1], [2**32 + 1, 0]]), "range"),  # 1 in int32
+    (np.array([[0, 65537], [65537, 0]], dtype=np.uint32), "range"),  # 1 in uint16
+    (np.array([[0, 2**64 - 1], [2**64 - 1, 0]], dtype=np.uint64), "range"),
+    (np.array([[0, -1], [-1, 0]]), "range"),
+    (np.array([[0, 1.7], [1.2, 0]]), "integers"),  # [[0, 1], [1, 0]] truncated
+    (np.array([[False, True], [True, False]]), "integers")])
+def test_a_table_is_checked_before_it_is_narrowed(table, message):
+    with pytest.raises(ValueError, match=message):
+        groups.Group(table)
+
+
+def test_every_constructor_writes_a_read_only_uint16_table(monkeypatch):
+    # each constructor hands Group a table it wrote in uint16, which Group
+    # keeps without a copy
+    given = []
+
+    class Recording(groups.Group):
+        __slots__ = ()
+
+        def __init__(self, mult, *args, **kwargs):
+            given.append(mult)
+            super().__init__(mult, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "Group", Recording)
+    built = [build_family(spec) for spec in [
+        "C(12)", "EA(3,2)", "D(14)", "Q8", "M2(3,2)", "M2(1,2,1)", "SD(C(5);C(4);1->2)",
+        "C(4)xD(6)", "C(1)xQ8", "perm:(1 2 3 4),(1 2)"]]
+    built.append(groups.from_raw_table_text("0 1 2\n1 2 0\n2 0 1"))
+    for g in built:
+        assert any(g.mult is table for table in given), g.label
+        assert g.mult.dtype == np.uint16 and not g.mult.flags.writeable, g.label
+
+
 @pytest.mark.parametrize("rows", [
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 1]],
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 1, 1]]])
@@ -302,12 +336,13 @@ def test_extension_kernel_matches_the_direct_product_formula(left, right):
 @pytest.mark.parametrize("spec", ["D(1024)", "M2(5,5)", "M2(4,5,1)", "EA(2,10)",
                                   "C(16)xC(8)xC(4)xC(2)"])
 def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
-    # bounded at 7 MB, though the name keeps its first bound: the table
-    # itself is 4 MB, beside it the extension holds its normal factor's
-    # table and one buffer of a y1 block, 1 MB each for D(1024), and the
-    # Latin check sorts blocks of rows and columns, not copies of the table
-    # (9.0 MB when the extension held a (k, m, k) temporary and the check
-    # sorted the whole table twice)
+    # bounded at 4 MB, though the name keeps its first bound: the uint16
+    # table itself is 2 MB, beside it the extension holds its normal
+    # factor's table and one buffer of a y1 block, 0.5 MB each for D(1024),
+    # and the Latin check sorts blocks of rows and columns, not copies of
+    # the table: 2.8-3.1 MB (5.3-6.1 MB with int32 tables, 9.0 MB when the
+    # extension held a (k, m, k) temporary and the check sorted the whole
+    # table twice)
     monkeypatch.setenv("PCL_MAX_ORDER", "1024")
     tracemalloc.start()
     try:
@@ -315,7 +350,7 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 << 20, (spec, peak)
+    assert peak <= 4 << 20, (spec, peak)
 
 
 @pytest.mark.parametrize("spec", ["D(16)", "perm:(1 2 3 4 5),(1 2 3)", "M2(2,2,1)", "D(2048)"])
@@ -332,7 +367,7 @@ def test_conjugates_equal_the_reference_table(spec, monkeypatch):
         for xs in lists:
             got = G.conjugates(hs, xs)
             expected = ct[np.ix_(np.asarray(xs, dtype=int), np.asarray(hs, dtype=int))].T
-            assert got.dtype == np.int32
+            assert got.dtype == G.mult.dtype
             assert got.shape == expected.shape == (len(hs), len(xs))
             assert np.array_equal(got, expected), (spec, len(hs), len(xs))
 

@@ -360,6 +360,21 @@ def test_cli_build_huge_prime_with_k_zero_is_refused_at_the_size_limit():
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("C(65537)", "65537"), ("EA(2,17)", "2^17"), ("C(256)xC(257)", "65792")])
+def test_cli_build_past_the_uint16_range_exits_before_any_table(spec, order):
+    # PCL_MAX_ORDER does not lift the limit past 65,536.  The child may map
+    # 1 GiB, an eighth of one such uint16 table, so a build that allocated
+    # its table before the check would fail with MemoryError, not exit 3
+    limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from pcl.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", limited, "build", spec], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PCL_MAX_ORDER": "100000"})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"size limit: group order {order} exceeds 65536, the most "
+                           "elements a uint16 table indexes\n")
+
+
 def test_cli_build_size_limit_message_is_short():
     code, _, err = run_cli("build", "C(" + "9" * 4000 + ")", env={"PCL_MAX_ORDER": "512"})
     assert code == 3 and err.startswith("size limit: group order <4000-digit number>")
