@@ -153,16 +153,16 @@ def _run_entry(job: tuple[str, str, tuple[str, ...]]):
 
 
 def _tallied_records(entry: CatalogEntry, subgroups, methods, row: dict):
-    """Each subgroup's record, made as it is read and then counted into
-    ``row``, which is whole when the generator is.  A split among the
-    equivalence routes is a disagreement; a theorem verdict against their
-    agreed answer is a finding about the classification.  A class of
+    """Each subgroup's record as its JSON line, made as it is read and then
+    counted into ``row``, which is whole when the generator is.  A split
+    among the equivalence routes is a disagreement; a theorem verdict against
+    their agreed answer is a finding about the classification.  A class of
     conjugate subgroups is all codes or none, and each subgroup H adds
     |N_G(H)| / |G| to the count of its class."""
     G = entry.group
     for H in subgroups:
         record = record_for(entry, H, methods)
-        yield record
+        yield json.dumps(record, sort_keys=True) + "\n"
         verdicts = record["verdicts"]
         truth = {v["is_code"] for m, v in verdicts.items()
                  if m in GROUND_TRUTH_METHODS and "is_code" in v}
@@ -181,14 +181,14 @@ def _tallied_records(entry: CatalogEntry, subgroups, methods, row: dict):
 
 
 def _run_entry_to_end(job):
-    """``_run_entry`` in a pool worker: the whole row and its records' list."""
+    """``_run_entry`` in a pool worker: the whole row and its records' lines."""
     result = _run_entry(job)
     return result if isinstance(result, PclError) else (result[0], list(result[1]))
 
 
-def _write_records(out, records) -> None:
-    """Write each record to ``out`` as one JSON line once it is made; flush."""
-    out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+def _write_records(out, lines) -> None:
+    """Write each record's JSON line to ``out`` once it is made; flush."""
+    out.writelines(lines)
     out.flush()
 
 
@@ -236,10 +236,10 @@ def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
                 summary["spec_errors"] += isinstance(result, GroupSpecError)
                 summary["rows"].append(_blank_row(label, "") | {"error": str(result)})
                 continue
-            row, records = result
+            row, lines = result
             if out is not None:
-                _write_records(out, records)
-            for _ in records:  # the pairs no writer read still count in the row
+                _write_records(out, lines)
+            for _ in lines:  # the pairs no writer read still count in the row
                 pass
             summary["disagreements"] += row["disagreements"]
             summary["findings"] += row["findings"]

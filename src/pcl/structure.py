@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import Group, max_order, prime_power, sorted_distinct, _readonly
+from .groups import (Group, gather, index_mask, max_order, prime_power, sorted_distinct,
+                     _blocks, _readonly)
 
 
 class Subgroup:
@@ -132,7 +133,7 @@ def _lattice(G: Group) -> list[Subgroup]:
         raise SizeLimitError(
             f"subgroup enumeration of order {G.order} exceeds PCL_MAX_ORDER={max_order()}")
     masks = _cyclic_extensions(G)
-    if not any(mask.all() for mask in masks):
+    if not masks[-1].all():  # the last layer is {G} exactly when G is solvable
         masks = _join_completion(G, masks)
     lattice = []
     while masks:  # each mask goes as its Subgroup copies it: no two copies held
@@ -141,18 +142,21 @@ def _lattice(G: Group) -> list[Subgroup]:
 
 
 def _cyclic_extensions(G: Group) -> list[np.ndarray]:
-    """Membership masks of every subgroup reachable by cyclic extension.
-    Each subgroup carries the generating set it was made with, its parent's
-    and the z that grew it, for the normality test of ``_extenders``."""
+    """Membership masks of every subgroup reachable by cyclic extension, in
+    layers by the number of prime factors of the order: each layer is deduped
+    by its own dict, dropped once the layer is made, and a finished layer
+    keeps only its masks.  Each subgroup carries the generating set it was
+    made with, its parent's and the z that grew it, for ``_extenders``."""
     prime, _ = _prime_powers(G)
     candidates = prime.nonzero()[0]
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
-    found = {trivial.tobytes(): trivial}
+    masks = []
     layer = [(trivial, ())]
     while layer:
-        next_layer = []
+        grown = {}
         for V, gens in layer:
+            masks.append(V)
             members = V.nonzero()[0]
             # z inside an extension V<y> already made gives V<z> = V<y>
             covered = V.copy()
@@ -161,12 +165,9 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
                     continue
                 U = _grown(G, V, members, z)
                 covered |= U
-                key = U.tobytes()
-                if key not in found:
-                    found[key] = U
-                    next_layer.append((U, gens + (z,)))
-        layer = next_layer
-    return list(found.values())
+                grown.setdefault(U.tobytes(), (U, gens + (z,)))
+        layer = list(grown.values())
+    return masks
 
 
 def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],
@@ -506,18 +507,17 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:
-    """Re-index a subgroup as a standalone group; map inner subgroups along."""
+    """Re-index a subgroup as a standalone group; map inner subgroups along.
+    Its uint16 table is read through a uint16 position map, by row blocks."""
+    if not all(Q.issubset(P) for Q in inner):
+        raise PreconditionError("inner subgroup is not contained in the restriction")
     G = P.parent
     members = P.members
-    position = np.full(G.order, -1, dtype=np.int32)
-    position[members] = np.arange(members.size, dtype=np.int32)
-    table = position[G.mult[np.ix_(members, members)]]
+    position = np.zeros(G.order, dtype=G.mult.dtype)
+    position[members] = np.arange(members.size)
+    table = np.empty((members.size, members.size), dtype=G.mult.dtype)
+    for rows in _blocks(members.size, members.size):
+        table[rows] = position.take(gather(G.mult, members[rows], members))
     group = Group(table, label=f"{G.label}|{P.order}")
-    mapped = []
-    for Q in inner:
-        if not Q.issubset(P):
-            raise PreconditionError("inner subgroup is not contained in the restriction")
-        mask = np.zeros(members.size, dtype=bool)
-        mask[position[Q.members]] = True
-        mapped.append(Subgroup(group, mask))
-    return group, mapped
+    return group, [Subgroup(group, index_mask(position.take(Q.members), members.size))
+                   for Q in inner]

@@ -276,6 +276,15 @@ def test_matrix_parallel_workers_match_serial():
     assert serial["rows"] == parallel["rows"]
 
 
+def test_pool_worker_returns_its_row_and_the_serial_json_lines():
+    # a worker sends the lines the parent writes, not record dicts to encode
+    row, lines = report._run_entry_to_end(("D(8)", "D(8)", report.METHODS))
+    assert all(isinstance(line, str) and line.endswith("\n") for line in lines)
+    summary, serial_records = run_matrix([("D(8)", "D(8)")])
+    assert row == summary["rows"][0]
+    assert canonical(json.loads(line) for line in lines) == canonical(serial_records)
+
+
 def test_worker_pool_never_exceeds_the_entry_count(monkeypatch):
     # a stand-in executor records the pool size asked for and runs each job
     # in this process, so no worker is started; a forking pool starts every

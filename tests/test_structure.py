@@ -117,6 +117,39 @@ def test_order_1024_lattice_peak_under_10_mb(spec, monkeypatch):
     assert peak <= 10 << 20, (spec, peak)
 
 
+def test_order_2048_lattice_peak_under_7_mb(monkeypatch):
+    # cyclic extension dedups each layer by its own dict of mask bytes,
+    # dropped once the layer is made: 5.5 MB, where the one dict over every
+    # layer, 2 KB of key per subgroup, traced 8.9 MB
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family("D(2048)")
+    G.element_orders()
+    tracemalloc.start()
+    try:
+        st.all_subgroups(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 20, peak
+
+
+@pytest.mark.parametrize("spec,joined", [
+    ("perm:(1 2 3 4 5),(1 2 3)", True),    # A5
+    ("perm:(1 2 3 4 5),(1 2)", True),      # S5
+    ("perm:(1 2 3 4),(1 2)", False),       # S4
+    ("perm:(1 2 3),(1 2)(3 4)", False),    # A4
+    ("SD(Q8;C(3);1->2,2->3)", False),      # SL(2,3)
+    ("SD(C(7);C(3);1->2)", False),         # C7:C3
+    ("C(1)", False),
+])
+def test_join_pass_runs_exactly_when_the_last_layer_is_not_the_group(spec, joined, monkeypatch):
+    calls = []
+    join = st._join_completion
+    monkeypatch.setattr(st, "_join_completion", lambda G, masks: calls.append(G) or join(G, masks))
+    st.all_subgroups(build_family(spec))
+    assert len(calls) == joined
+
+
 def test_lattice_generators_are_canonical():
     for spec in ["D(8)", "Q8", "M2(2,2,1)", "C(4)xC(2)", "D(12)",
                  "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)"]:
@@ -467,6 +500,26 @@ def test_subgroup_as_group_restriction():
     assert group.order == 4 and mapped.order == 2
     with pytest.raises(PreconditionError):
         st.subgroup_as_group(two, v4)
+
+
+def test_restriction_of_order_2048_to_its_rotations_peaks_under_6_mb(monkeypatch):
+    # the 2 MB uint16 table is written through a uint16 position map, one
+    # row block at a time: 5.0 MB, where an int32 map and one int32 gather of
+    # every product traced 7.3 MB
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family("D(2048)")
+    rotations = st.subgroup_generated(G, [st.recognize_dihedral(G)[0]])
+    members = rotations.members
+    tracemalloc.start()
+    try:
+        group, _ = st.subgroup_as_group(rotations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
+    assert group.mult.dtype == np.uint16 and group.is_abelian
+    position = np.searchsorted(members, G.mult[np.ix_(members, members)])
+    assert np.array_equal(group.mult, position)
 
 
 # isomorphic copies of the minimal nonabelian families and two near misses;
