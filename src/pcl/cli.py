@@ -64,7 +64,7 @@ def _cmd_subgroups(args) -> int:
         "label": group.label,
         "order": group.order,
         "count": len(subgroups),
-        "subgroups": [report._subgroup_json(s) for s in subgroups],
+        "subgroups": [report.subgroup_json(s) for s in subgroups],
     }
     _write(json.dumps(payload, sort_keys=True), args.out)
     return EXIT_OK
@@ -85,9 +85,8 @@ def _cmd_classify(args) -> int:
         targets = [subgroup_generated(entry.group, gens)]
     else:
         targets = all_subgroups(entry.group)
-    row = report._blank_row(entry.label, entry.group.order)
     with _output(args.out) as out:
-        report._write_records(out, report._tallied_records(entry, targets, methods, row))
+        row = report.write_records(entry, targets, methods, out)
     return EXIT_DISAGREEMENT if row["disagreements"] else EXIT_OK
 
 

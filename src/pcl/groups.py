@@ -21,6 +21,7 @@ transversals, connection sets, evidence) is int32.
 from __future__ import annotations
 
 import os
+from itertools import product
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -157,10 +158,9 @@ class Group:
         """The value of ``compute()``, computed once per group and ``key``.
 
         Every derived value of a group (element orders, squares, the flat
-        index where each inverse's row starts, lattice, Sylow subgroups
-        keyed on ``("sylow", p)``) is memoised here, and no key names a
-        subgroup; a pair's transversal and Frattini masks live only while
-        it is decided.  No value is a |G| x |G| array.
+        index where each inverse's row starts, lattice) is memoised here,
+        and no key names a subgroup; a pair's transversal and Frattini
+        masks live only while it is decided.  No value is a |G| x |G| array.
         """
         try:
             return self._cache[key]
@@ -514,9 +514,9 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
     the identity, ``top`` is C(m), whose index y is the generator's exponent
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005).
     In uint16, as ``normal`` and ``top`` are: the products with one y1 are
-    written into one preallocated table, so beside it only one |top|^2
-    times smaller buffer is held.  Every entry x * |top| + y lies below
-    k * m, at most TABLE_MAX_ORDER.
+    written into one preallocated table, one ``_blocks`` row block of x1 at
+    a time, so beside it only a block of BLOCK_CELLS entries is held.  Every
+    entry x * |top| + y lies below k * m, at most TABLE_MAX_ORDER.
     """
     k, m = len(normal), len(top)
     _check_order(k * m)
@@ -529,16 +529,14 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
     if not np.array_equal(powers[m], powers[0]):
         raise GroupSpecError(f"SD action order does not divide the acting order {m}")
     table = np.empty((k, m, k, m), dtype=TABLE_DTYPE)  # (x1, y1)(x2, y2) at [x1, y1, x2, y2]
-    left = np.empty((k, k), dtype=TABLE_DTYPE)
-    for y1 in range(m):
-        # x1 * phi^y1(x2) at [x1, x2]; with mode="raise", take would buffer ``out``
-        np.take(normal, powers[y1], axis=1, out=left, mode="clip")
+    for y1, rows in product(range(m), _blocks(k, k)):
+        left = normal[rows].take(powers[y1], axis=1)  # x1 * phi^y1(x2) at [x1, x2]
         cut = m - y1 if wrap else m  # y2 >= cut carries: y1 + y2 >= m
         if cut < m:
             carried = normal[:, wrap].take(left) * m
-            np.add(carried[..., None], top[y1, cut:], out=table[:, y1, :, cut:])
+            np.add(carried[..., None], top[y1, cut:], out=table[rows, y1, :, cut:])
         left *= m
-        np.add(left[..., None], top[y1, :cut], out=table[:, y1, :, :cut])
+        np.add(left[..., None], top[y1, :cut], out=table[rows, y1, :, :cut])
     return table.reshape(k * m, k * m)
 
 

@@ -10,8 +10,10 @@ order.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 import time
-from contextlib import closing
 
 from . import catalog, codes, theorems
 from .catalog import CatalogEntry
@@ -109,7 +111,7 @@ def _timed_payload(entry: CatalogEntry, H: Subgroup, method: str, search) -> dic
     return payload
 
 
-def _subgroup_json(H: Subgroup) -> dict:
+def subgroup_json(H: Subgroup) -> dict:
     """The JSON form of a subgroup in records and ``pcl subgroups``."""
     return {"elements": H.members.tolist(), "order": H.order,
             "generators": list(H.generators)}
@@ -128,7 +130,7 @@ def record_for(entry: CatalogEntry, H: Subgroup, methods=METHODS) -> dict:
     votes = {v["is_code"] for v in verdicts.values() if "is_code" in v}
     return {
         "group": entry.label,
-        "subgroup": _subgroup_json(H),
+        "subgroup": subgroup_json(H),
         "verdicts": verdicts,
         "agreement": len(votes) <= 1,
     }
@@ -139,30 +141,18 @@ def _blank_row(label: str, order) -> dict:
             "classes": 0, "code_classes": 0, "disagreements": 0, "findings": 0}
 
 
-def _run_entry(job: tuple[str, str, tuple[str, ...]]):
-    """Build one catalog entry and its lattice: its summary row and the generator
-    of its records, which fills the row in; a bad or too-large spec's error."""
-    label, spec_text, methods = job
-    try:
-        entry = catalog.build_entry(label, spec_text)
-        lattice = all_subgroups(entry.group)
-    except (GroupSpecError, SizeLimitError) as exc:
-        return exc.with_traceback(None)
-    row = _blank_row(label, entry.group.order)
-    return row, _tallied_records(entry, lattice, methods, row)
-
-
-def _tallied_records(entry: CatalogEntry, subgroups, methods, row: dict):
-    """Each subgroup's record as its JSON line, made as it is read and then
-    counted into ``row``, which is whole when the generator is.  A split
-    among the equivalence routes is a disagreement; a theorem verdict against
-    their agreed answer is a finding about the classification.  A class of
-    conjugate subgroups is all codes or none, and each subgroup H adds
-    |N_G(H)| / |G| to the count of its class."""
+def write_records(entry: CatalogEntry, subgroups, methods, out) -> dict:
+    """Write each subgroup's record to the text stream ``out`` as one JSON
+    line once it is made, then flush; the entry's summary row, where only
+    each record's counts outlive it.  A split among the equivalence routes is
+    a disagreement; a theorem verdict against their agreed answer is a
+    finding about the classification.  A class of conjugate subgroups is all
+    codes or none, and each subgroup H adds |N_G(H)| / |G| to its count."""
     G = entry.group
+    row = _blank_row(entry.label, G.order)
     for H in subgroups:
         record = record_for(entry, H, methods)
-        yield json.dumps(record, sort_keys=True) + "\n"
+        out.write(json.dumps(record, sort_keys=True) + "\n")
         verdicts = record["verdicts"]
         truth = {v["is_code"] for m, v in verdicts.items()
                  if m in GROUND_TRUTH_METHODS and "is_code" in v}
@@ -178,35 +168,48 @@ def _tallied_records(entry: CatalogEntry, subgroups, methods, row: dict):
                             and theorem["is_code"] not in truth)
     row["classes"] //= G.order
     row["code_classes"] //= G.order
-
-
-def _run_entry_to_end(job):
-    """``_run_entry`` in a pool worker: the whole row and its records' lines."""
-    result = _run_entry(job)
-    return result if isinstance(result, PclError) else (result[0], list(result[1]))
-
-
-def _write_records(out, lines) -> None:
-    """Write each record's JSON line to ``out`` once it is made; flush."""
-    out.writelines(lines)
     out.flush()
+    return row
 
 
-def _entry_results(jobs: list, workers: int):
-    """Each job's result of ``_run_entry``, in job order, as each arrives.
-    Closing the generator early cancels the jobs no worker has taken up.
-    The pool machinery is imported only here, so a serial run never loads it,
-    and it forks no more workers than there are jobs."""
+def _run_entry(job: tuple[str, str, tuple[str, ...]], out):
+    """Build one entry and its lattice and write its records to ``out``, a
+    text stream or a file name: its row, or a bad or too-large spec's error."""
+    if isinstance(out, str):
+        with open(out, "w", encoding="utf-8") as fh:
+            return _run_entry(job, fh)
+    label, spec_text, methods = job
+    try:
+        entry = catalog.build_entry(label, spec_text)
+        lattice = all_subgroups(entry.group)
+    except (GroupSpecError, SizeLimitError) as exc:
+        return exc.with_traceback(None)
+    return write_records(entry, lattice, methods, out)
+
+
+def _entry_results(jobs: list, workers: int, out):
+    """Each job's result of ``_run_entry`` in job order, its records written
+    to ``out``, by a pool worker through a file in one temporary directory,
+    which goes however the run ends.  A failing write cancels the jobs no
+    worker has taken up.  The pool is imported only here, so a serial run
+    never loads it, and forks no more workers than there are jobs."""
     workers = min(workers, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        yield from (_run_entry(job, out) for job in jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    with tempfile.TemporaryDirectory(prefix="pcl-") as tmp:
+        paths = [os.path.join(tmp, f"{i}.jsonl") for i in range(len(jobs))]
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            yield from pool.map(_run_entry_to_end, jobs)
+            for path, result in zip(paths, pool.map(_run_entry, jobs, paths)):
+                with open(path, encoding="utf-8") as fh:
+                    shutil.copyfileobj(fh, out)
+                out.flush()
+                os.remove(path)
+                yield result
         finally:
             pool.shutdown(cancel_futures=True)
-    else:
-        yield from map(_run_entry, jobs)
 
 
 def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
@@ -216,34 +219,29 @@ def run_verification_matrix(entries: list[tuple[str, str]], methods=METHODS,
 
     Each entry is built in the process that runs it, so a malformed or
     too-large spec surfaces in that entry's row instead of aborting the run.
-    Entries run in catalog order (or across ``workers`` processes, results
-    still taken in catalog order).  Serially each record goes to the text
-    stream ``out`` as one JSON line once its pair is decided, and only its
-    counts in the entry's row outlive it; ``out`` is flushed per entry.  A
-    record disagrees when two applicable methods return different verdicts.
-    A row counts its subgroups and codes both one by one and up to
-    conjugacy (``classes``, ``code_classes``).
+    Each record goes to the text stream ``out`` (default: nowhere) as one
+    JSON line once its pair is decided; ``out`` is flushed per entry.  Under
+    ``workers`` processes an entry's lines wait in a file under the system
+    temporary directory, not in memory, until ``out`` takes them in catalog
+    order.  A record disagrees when two applicable methods return different
+    verdicts.  A row counts its subgroups and codes both one by one and up
+    to conjugacy (``classes``, ``code_classes``).
     """
     methods = parse_methods(methods)
+    if out is None:
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            return run_verification_matrix(entries, methods, null, workers)
     jobs = [(label, spec, methods) for label, spec in entries]
     summary = {"rows": [], "disagreements": 0, "findings": 0,
                "size_limited": 0, "spec_errors": 0}
-    # closed on the way out, so a failing write cancels the jobs not started
-    with closing(_entry_results(jobs, workers)) as results:
-        for (label, _, _), result in zip(jobs, results):
-            if isinstance(result, PclError):
-                summary["size_limited"] += isinstance(result, SizeLimitError)
-                summary["spec_errors"] += isinstance(result, GroupSpecError)
-                summary["rows"].append(_blank_row(label, "") | {"error": str(result)})
-                continue
-            row, lines = result
-            if out is not None:
-                _write_records(out, lines)
-            for _ in lines:  # the pairs no writer read still count in the row
-                pass
-            summary["disagreements"] += row["disagreements"]
-            summary["findings"] += row["findings"]
-            summary["rows"].append(row)
+    for (label, _, _), result in zip(jobs, _entry_results(jobs, workers, out)):
+        if isinstance(result, PclError):
+            summary["size_limited"] += isinstance(result, SizeLimitError)
+            summary["spec_errors"] += isinstance(result, GroupSpecError)
+            result = _blank_row(label, "") | {"error": str(result)}
+        summary["disagreements"] += result["disagreements"]
+        summary["findings"] += result["findings"]
+        summary["rows"].append(result)
     return summary
 
 

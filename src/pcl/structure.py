@@ -330,7 +330,7 @@ def sylow(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup of G, grown as in ``_sylow_within``."""
     if prime_power(p) != (p, 1):
         raise PreconditionError(f"sylow requires a prime, got {p}")
-    return G.memo(("sylow", p), lambda: _sylow_within(G, full_subgroup(G), p, None))
+    return _sylow_within(G, full_subgroup(G), p, None)
 
 
 def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:

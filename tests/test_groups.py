@@ -353,6 +353,20 @@ def test_order_1024_builds_peak_under_20_mb(spec, monkeypatch):
     assert peak <= 4 << 20, (spec, peak)
 
 
+def test_d2048_build_holds_one_row_block_beside_the_table(monkeypatch):
+    # the 8 MB uint16 table, its 2 MB cyclic normal factor's table and one
+    # row block of x1 * phi^y1(x2): 11.0 MB traced (12.1 MB when the
+    # extension held that product for every x1 at once)
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    tracemalloc.start()
+    try:
+        build_family("D(2048)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * (1 << 20), peak
+
+
 @pytest.mark.parametrize("spec", ["D(16)", "perm:(1 2 3 4 5),(1 2 3)", "M2(2,2,1)", "D(2048)"])
 def test_conjugates_equal_the_reference_table(spec, monkeypatch):
     # empty, repeated and full element lists, as lists and as arrays, on

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -276,13 +277,52 @@ def test_matrix_parallel_workers_match_serial():
     assert serial["rows"] == parallel["rows"]
 
 
-def test_pool_worker_returns_its_row_and_the_serial_json_lines():
-    # a worker sends the lines the parent writes, not record dicts to encode
-    row, lines = report._run_entry_to_end(("D(8)", "D(8)", report.METHODS))
-    assert all(isinstance(line, str) and line.endswith("\n") for line in lines)
+def test_pool_worker_writes_the_serial_row_and_lines_to_its_file(tmp_path):
+    # a worker is the serial runner with its output named as a file, so the
+    # parent copies lines from disk and holds no entry's records in memory
+    path = tmp_path / "D(8).jsonl"
+    row = report._run_entry(("D(8)", "D(8)", report.METHODS), str(path))
     summary, serial_records = run_matrix([("D(8)", "D(8)")])
     assert row == summary["rows"][0]
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert canonical(json.loads(line) for line in lines) == canonical(serial_records)
+
+
+class ClosedPipe:
+    """An output whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+
+def _failing_record_for(entry, H, methods):
+    raise RuntimeError("route failed")
+
+
+@pytest.mark.parametrize("case", ["normal", "closed-pipe", "worker-error", "bad-spec"])
+def test_pooled_run_leaves_no_temporary_file(tmp_path, monkeypatch, case):
+    # each pooled entry's lines go through a file in one temporary directory,
+    # which goes however the run ends; the forked workers inherit the
+    # patched record_for
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    entries = [("Q8", "Q8"), ("D(8)", "D(8)"), ("C(6)", "C(6)")]
+    if case == "normal":
+        pooled, records = run_matrix(entries, workers=2)
+        assert len(records) == sum(row["subgroups"] for row in pooled["rows"]) == 20
+    elif case == "closed-pipe":
+        with pytest.raises(BrokenPipeError):
+            report.run_verification_matrix(entries, out=ClosedPipe(), workers=2)
+    elif case == "worker-error":
+        monkeypatch.setattr(report, "record_for", _failing_record_for)
+        with pytest.raises(RuntimeError, match="route failed"):
+            run_matrix(entries, workers=2)
+    else:
+        pooled, _ = run_matrix([("bad", "M2(1,1)"), *entries], workers=2)
+        assert pooled["spec_errors"] == 1 and "error" in pooled["rows"][0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_worker_pool_never_exceeds_the_entry_count(monkeypatch):
@@ -297,8 +337,8 @@ def test_worker_pool_never_exceeds_the_entry_count(monkeypatch):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
         def shutdown(self, cancel_futures=False):
             pass
@@ -532,13 +572,6 @@ def test_matrix_stops_queued_entries_when_its_output_breaks(tmp_path, monkeypatc
     def spy(label, spec):
         (tmp_path / label).touch()
         return build(label, spec)
-
-    class ClosedPipe:
-        def writelines(self, lines):
-            raise BrokenPipeError
-
-        def flush(self):
-            pass
 
     monkeypatch.setattr(pcl.catalog, "build_entry", spy)
     entries = [(f"entry{i}", "D(256)") for i in range(30)]
