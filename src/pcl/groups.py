@@ -15,7 +15,8 @@ Every table is uint16 (``TABLE_DTYPE``), written so by its constructor: no
 order the program holds passes TABLE_MAX_ORDER = 65,536, whatever
 PCL_MAX_ORDER says, so the |G| x |G| table, the only array of that size,
 takes two bytes an entry.  Every other index array (inverses, members,
-transversals, connection sets, evidence) is int32.
+transversals, connection sets, evidence) is int32.  A cyclic factor is a
+read-only window of 2n entries, and ``commute`` reads a generators' block.
 """
 
 from __future__ import annotations
@@ -216,9 +217,15 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return self.memo("abelian", lambda: all(
-            np.array_equal(self.mult[rows], self.mult[:, rows].T)
-            for rows in _blocks(self.order, self.order)))
+        return self.memo("abelian", lambda: self.commute(self.generate(range(self.order))[1]))
+
+    def commute(self, elems) -> bool:
+        """Whether the elements ``elems`` commute pairwise: whether their
+        d x d block of the table is symmetric.  Read from the generators of
+        a subgroup, it tells whether the subgroup is abelian."""
+        elems = np.asarray(elems, dtype=np.intp)
+        block = gather(self.mult, elems, elems)
+        return bool(np.array_equal(block, block.T))
 
     def closure(self, elems: Iterable[int]) -> np.ndarray:
         """Sorted member indices of the subgroup generated by ``elems``."""
@@ -373,15 +380,16 @@ def cyclic(n: int, label: str | None = None) -> Group:
         raise GroupSpecError(f"C(n) requires n >= 1, got n={n}")
     _check_order(n)
     witness = {"a": 1} if n > 1 else {"a": 0}
-    return Group(_cyclic_table(n), label=label or f"C({n})", witness=witness)
+    return Group(_cyclic_table(n).copy(), label=label or f"C({n})", witness=witness)
 
 
 def _cyclic_table(n: int) -> np.ndarray:
     """Table of C(n), index = exponent of the generator: row i is range(n)
-    rotated left by i, a window of range(n) twice over.  No sum i + j is
-    formed, which would pass 65,535 in uint16 once n > 32,768."""
+    rotated left by i, a read-only window of range(n) twice over, which
+    holds 2n entries, not n^2.  No sum i + j is formed, which would pass
+    65,535 in uint16 once n > 32,768."""
     twice = np.tile(np.arange(n, dtype=TABLE_DTYPE), 2)
-    return sliding_window_view(twice, n)[:n].copy()
+    return sliding_window_view(twice, n)[:n]
 
 
 def elementary_abelian(p: int, k: int, label: str | None = None) -> Group:

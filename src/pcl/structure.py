@@ -6,7 +6,8 @@ an element of prime-power order that normalizes it, as a union of cosets of
 V), which is complete for solvable groups; a group that is not solvable gets
 one join pass against its cyclic subgroups on top.  The lattice is cached on
 the parent; Frattini and Sylow subgroups and the minimal nonabelian test come
-from p-group identities and never build it.
+from p-group identities and never build it.  The derived and Frattini
+subgroups are one normal closure each, read from canonical generators.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class Subgroup:
 
     @property
     def is_abelian(self) -> bool:
-        sub = self.parent.mult[np.ix_(self.members, self.members)]
-        return bool(np.array_equal(sub, sub.T))
+        return self.parent.commute(self.generators)
 
     @property
     def is_cyclic(self) -> bool:
@@ -220,12 +220,6 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(prime), _readonly(pth_power)
 
 
-def _commutators(G: Group, members: np.ndarray) -> np.ndarray:
-    """Sorted distinct commutators a^-1 b^-1 a b over members a, b."""
-    a, b = members[:, None], members[None, :]
-    return sorted_distinct(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]], G.order)
-
-
 def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
     """Close the conjugation-closed ``masks`` under joins with their cyclic
     subgroups.
@@ -275,40 +269,36 @@ def maximal_subgroups(H: Subgroup) -> list[Subgroup]:
 
 
 def frattini(H: Subgroup) -> Subgroup:
-    """Phi(H) of the p-group H: by Burnside, the subgroup generated by the
-    p-th powers and commutators of H, or by the squares alone when p = 2.
-    Trivial H gives H itself; H of order divisible by two primes raises
+    """Phi(H) of the p-group H: by Burnside, H^p [H, H], the normal closure
+    in H of the p-th powers of its members.  Trivial H gives the trivial
+    subgroup; H of order divisible by two primes raises
     ``PreconditionError``."""
-    if H.order == 1:
-        return H
-    if prime_power(H.order) is None:
+    if H.order > 1 and prime_power(H.order) is None:
         raise PreconditionError(f"frattini requires a p-group, got order {H.order}")
-    G = H.parent
-    _, pth_power = _prime_powers(G)
-    gens = pth_power[H.members]
-    # for p = 2 the squares suffice: [a, b] = a^-2 (ab^-1)^2 b^2
-    if H.order % 2:
-        gens = sorted_distinct(np.concatenate((gens, _commutators(G, H.members))),
-                               G.order)
-    return subgroup_generated(G, gens.tolist())
+    _, pth_power = _prime_powers(H.parent)
+    return _normal_closure(H, pth_power.take(H.members).tolist())
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    """Subgroup generated by all commutators: the normal closure N of those of
-    G's canonical generators (their images commute in G/N), grown by their
-    conjugates under the generators until conjugation keeps it."""
-    return G.memo("derived", lambda: _derived_subgroup(G))
+    """Subgroup generated by all commutators: the normal closure of those
+    of G's canonical generators."""
+    return G.memo("derived", lambda: _normal_closure(full_subgroup(G)))
 
 
-def _derived_subgroup(G: Group) -> Subgroup:
-    xs = full_subgroup(G).generators
-    gens = tuple(G.commutator(a, b) for a in xs for b in xs)
+def _normal_closure(H: Subgroup, gens=()) -> Subgroup:
+    """The least subgroup N that H normalizes holding ``gens`` and the
+    commutators of H's canonical generators xs: the images of the xs commute
+    in H/N, so N holds [H, H].  N is grown by the conjugates of its greedy
+    generators under the xs until conjugation keeps it."""
+    G = H.parent
+    xs = H.generators
+    gens = [*gens, *(G.commutator(a, b) for a in xs for b in xs)]
     while True:
         mask, gens = G.generate(gens)
-        conjugates = tuple(G.conjugate(g, x) for g in gens for x in xs)
-        if mask[list(conjugates)].all():
+        conjugates = G.conjugates(gens, xs)
+        if mask.take(conjugates).all():
             return Subgroup(G, mask)
-        gens += conjugates
+        gens += tuple(conjugates.ravel().tolist())
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:

@@ -423,15 +423,25 @@ def reference_squares_set(G) -> np.ndarray:
 
 
 def reference_commutators(G, members: np.ndarray) -> np.ndarray:
-    """``structure._commutators`` as the library computed it with np.unique."""
+    """Sorted distinct commutators a^-1 b^-1 a b over members a, b, with
+    np.unique: the commutator set the library once read G' and odd-p
+    Frattini subgroups from."""
     a, b = members[:, None], members[None, :]
     return np.unique(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+
+
+def reference_is_abelian(G, members: np.ndarray) -> bool:
+    """``Subgroup.is_abelian`` and ``Group.is_abelian`` as the library
+    computed them before reading generators only: whether the |H| x |H|
+    sub-table of the members is symmetric."""
+    sub = G.mult[np.ix_(members, members)]
+    return bool(np.array_equal(sub, sub.T))
 
 
 def reference_derived_subgroup(G) -> Subgroup:
     """G' as ``structure.derived_subgroup`` computed it before the normal
     closure: the subgroup generated by all |G|^2 commutators."""
-    return st.subgroup_generated(G, st._commutators(G, np.arange(G.order)).tolist())
+    return st.subgroup_generated(G, reference_commutators(G, np.arange(G.order)).tolist())
 
 
 def reference_center(G) -> Subgroup:

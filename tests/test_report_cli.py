@@ -452,8 +452,8 @@ from pcl import cli, codes, structure
 from pcl.specs import build_family
 catalog, out = sys.argv[1:]
 code = cli.main(["verify", "--catalog", catalog, "--out", out, "--workers", "1"])
-# the index-set sites a verify run does not reach: the odd-p Frattini union
-# and a sweep that finds a connection set
+# the sites a verify run does not reach: the Frattini subgroup of an odd-p
+# group and a sweep that finds a connection set
 c9 = build_family("C(9)")
 structure.frattini(structure.full_subgroup(c9))
 c4 = build_family("C(4)")
