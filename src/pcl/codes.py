@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groups import Group, _blocks, _readonly, gather, index_mask, sorted_distinct
-from .structure import Subgroup, involutions, normalizer, _sylow_within
+from .structure import (Subgroup, involutions, normalizer, _require_subgroup_of,
+                        _sylow_within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +75,6 @@ def _element_indices(G: Group, values) -> np.ndarray:
 class Verdict:
     is_code: bool
     evidence: dict | None = None
-
-
-def _require_subgroup_of(G: Group, H: Subgroup) -> None:
-    if H.parent is not G:
-        raise PreconditionError("subgroup belongs to a different group object")
 
 
 def criterion3(G: Group, H: Subgroup) -> Verdict:
@@ -177,16 +173,16 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
     coset's admissible (t, partner) pairs, t ascending: a t whose inverse is
     another element of its own coset never is one.  Cosets linked by
     t -> partner form components, and no choice in one changes another's
-    candidates, so each component is searched alone.
+    candidates, so each component is decided alone.  A split coset always
+    has a candidate that crosses to another coset, so every component has
+    two or more; one of exactly two gets the search's answer in closed form
+    from ``_coset_pair_choice``.
 
-    Cosets are extended fewest-viable-candidates first (ties broken by least
-    element), so a coset with no admissible representative fails the branch
-    immediately; with a fixed canonical order instead, such a coset deep in
-    the order makes refutations exponential.  A split coset always has a
-    candidate that crosses to another coset, so every component has two or
-    more, and one of exactly two gets that search's answer in closed form
-    from ``_coset_pair_choice``.  The search is exact and deterministic, and
-    its result is not kept.
+    Larger components are extended fewest-viable-candidates first (ties
+    broken by least element), so a coset with no admissible representative
+    fails the branch immediately; with a fixed canonical order instead, such
+    a coset deep in the order makes refutations exponential.  The search is
+    exact and deterministic, and its result is not kept.
     """
     _require_subgroup_of(G, H)
     return _transversal_search(G, H)
@@ -228,7 +224,9 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
                         assignment: dict[int, int]) -> bool:
     """Extend ``assignment`` to the split cosets, whose ``elements`` are
     given ascending, with ``coset`` the key of every element: False when
-    some component of them has no choice."""
+    some component of them has no choice.  Each component is found by one
+    walk from its least key and then decided by its size: two cosets by
+    ``_coset_pair_choice``, more by ``_backtrack``."""
     table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
     for t in elements:
         k, i = coset[t], inv[t]
@@ -238,23 +236,18 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
         if p != k or i == t:
             table[k].append((t, p))
 
-    for root, cands in table.items():  # the least key of its component
+    for root in table:  # the least key of its component
         if root in assignment:
             continue
-        linked = {p for _, p in cands}  # never empty: some t crosses
-        linked.discard(root)
-        if len(linked) == 1:
-            (other,) = linked
-            if {p for _, p in table[other]} <= {root, other}:
-                assignment.update(_coset_pair_choice(table, inv, root, other))
-                continue
         component, stack = {root}, [root]
         while stack:
             for _, p in table[stack.pop()]:
                 if p not in component:
                     component.add(p)
                     stack.append(p)
-        if not _backtrack(table, inv, sorted(component), assignment):
+        if len(component) == 2:
+            assignment.update(_coset_pair_choice(table, inv, *sorted(component)))
+        elif not _backtrack(table, inv, sorted(component), assignment):
             return False
     return True
 

@@ -348,21 +348,13 @@ def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     While the copy of the whole rows is small (at most GATHER_TAKE_CELLS
     entries) it is read as two ``take`` calls, rows and then columns, which
     skip the broadcast index's fixed cost: 1.7-3.6 µs against 3.0-11.5 µs
-    for 16x8 to 64x16 reads of order-64 and order-128 tables.  Copying
-    whole rows of a large table costs more than it saves (753 µs against
-    55 µs for 1,024x8 of an order-2048 table).  Whole columns are copied
-    about three times as fast per entry as the broadcast index reads, so a
-    read spanning at least a third of the table's rows, whose whole columns
-    are small, takes the columns first: 33.6 µs against 46.1 µs for the
-    1,023x2 read of D(2048)'s Cayley check, where 512x2 would take 29.6 µs
-    against 22.2 µs.  Otherwise the broadcast index is kept.  Timed on a
-    2-core Xeon, Python 3.11, numpy 2.4.
+    for 16x8 to 64x16 reads of order-64 and order-128 tables.  Past that,
+    copying whole rows costs more than it saves (753 µs against 55 µs for
+    1,024x8 of an order-2048 table), so the broadcast index is read.  Timed
+    on a 2-core Xeon, Python 3.11, numpy 2.4.
     """
-    n = table.shape[1]
-    if len(rows) * n <= GATHER_TAKE_CELLS:
+    if len(rows) * table.shape[1] <= GATHER_TAKE_CELLS:
         return table.take(rows, 0).take(cols, 1)
-    if len(cols) * n <= GATHER_TAKE_CELLS and 3 * len(rows) >= n:
-        return table.take(cols, 1).take(rows, 0)
     return table[rows[:, None], cols]
 
 
@@ -549,7 +541,10 @@ def _extension(normal: np.ndarray, top: np.ndarray, phi: np.ndarray, wrap: int =
 
 
 def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Extend generator images to a full automorphism of ``normal``."""
+    """Extend generator images to a full automorphism of ``normal``: phi is
+    grown breadth first by phi(x g) = phi(x) h for every element x and pair
+    (g, h), which gives phi(x w) = phi(x) phi(w) for every word w in the g.
+    So once the g generate, phi is an automorphism iff it is a bijection."""
     n = normal.order
     pairs = [(int(g), int(h)) for g, h in action]
     for g, h in pairs:
@@ -574,8 +569,6 @@ def _extend_action(normal: Group, action: Sequence[tuple[int, int]]) -> np.ndarr
         raise GroupSpecError("SD action generators do not generate the normal factor")
     if not index_mask(phi, n).all():
         raise GroupSpecError("SD action is not a bijection")
-    if not np.array_equal(phi[normal.mult], normal.mult[np.ix_(phi, phi)]):
-        raise GroupSpecError("SD action is not an automorphism")
     return phi
 
 

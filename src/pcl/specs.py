@@ -38,6 +38,9 @@ _FAMILIES = {"C(": (groups.cyclic, 1), "EA(": (groups.elementary_abelian, 2),
              "D(": (groups.dihedral, 1), "M2(": (groups.metacyclic_m2, 2)}
 
 
+_DIGITS = frozenset("0123456789")  # not str.isdigit, true of "³"; a set holds no ""
+
+
 def _call(label: str, constructor, *params) -> Parsed:
     return label, lambda: constructor(*params, label=label)
 
@@ -74,7 +77,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -129,7 +132,7 @@ class _Parser:
             self.expect(";")
             acting_label, acting = self.parse_spec()
             self.expect(";")
-            action = self.parse_list(self.parse_action_pair, lambda: self.peek().isdigit())
+            action = self.parse_list(self.parse_action_pair, lambda: self.peek() in _DIGITS)
             self.expect(")")
             pairs = ",".join(f"{g}->{h}" for g, h in action)
             label = f"SD({normal_label};{acting_label};{pairs})"

@@ -69,7 +69,8 @@ class Subgroup:
         return f"<Subgroup of {self.parent.label}, order {self.order}>"
 
     def issubset(self, other: "Subgroup") -> bool:
-        return bool(other.mask.take(self.members).all())
+        """Whether every member lies in ``other`` of the same group object."""
+        return self.parent is other.parent and bool(other.mask.take(self.members).all())
 
     @property
     def is_trivial(self) -> bool:
@@ -92,6 +93,12 @@ class Subgroup:
         member tuple): where two member sets of one order first differ, the
         set holding that element sorts first, and its complement bit is clear."""
         return (self.order, np.packbits(~self.mask).tobytes())
+
+
+def _require_subgroup_of(G: Group, H: Subgroup) -> None:
+    """Every public (G, H) entry point refuses H of another group object."""
+    if H.parent is not G:
+        raise PreconditionError("subgroup belongs to a different group object")
 
 
 def trivial_subgroup(G: Group) -> Subgroup:
@@ -305,6 +312,7 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
     """N_G(H): the x with x^-1 g x in H for every canonical generator g of
     H, which is x^-1 H x = H, read from |G| x d conjugates for d
     generators, not |G| x |H|."""
+    _require_subgroup_of(G, H)
     conjugates = G.conjugates(H.generators, np.arange(G.order))
     return Subgroup(G, H.mask.take(conjugates).all(axis=0))
 
@@ -325,6 +333,7 @@ def sylow(G: Group, p: int) -> Subgroup:
 
 def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
     """A Sylow p-subgroup of G containing the p-group Q, grown from Q."""
+    _require_subgroup_of(G, Q)
     if prime_power(p) != (p, 1):
         raise PreconditionError(f"sylow_containing requires a prime, got {p}")
     if Q.order != 1:
@@ -497,8 +506,8 @@ def recognize_dihedral(G: Group) -> tuple[int, int] | None:
 
 
 def subgroup_as_group(P: Subgroup, *inner: Subgroup) -> tuple[Group, list[Subgroup]]:
-    """Re-index a subgroup as a standalone group; map inner subgroups along.
-    Its uint16 table is read through a uint16 position map, by row blocks."""
+    """Re-index a subgroup as a standalone group; map inner subgroups of P's
+    group object along, read through a uint16 position map by row blocks."""
     if not all(Q.issubset(P) for Q in inner):
         raise PreconditionError("inner subgroup is not contained in the restriction")
     G = P.parent

@@ -23,7 +23,7 @@ from .errors import WrongClassifierError
 from .groups import Group, index_mask
 from .structure import (FamilyRecognition, Subgroup, full_subgroup,
                         recognize_a1_family, recognize_dihedral,
-                        subgroup_generated, _is_2group)
+                        subgroup_generated, _is_2group, _require_subgroup_of)
 
 CLAUSE_TRIVIAL = "trivial-subgroup"
 CLAUSE_FRATTINI = "frattini-containment"
@@ -68,6 +68,7 @@ def classify(G: Group, H: Subgroup) -> ClassificationOutcome | None:
 
 def classify_abelian_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     """Abelian 2-group rule: H is a perfect code iff H meet Phi(G) <= Phi(H)."""
+    _require_subgroup_of(G, H)
     if not (G.is_abelian and _is_2group(G)):
         raise WrongClassifierError(
             f"classify_abelian_2group requires an abelian 2-group, got {G.label}")
@@ -99,6 +100,7 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
     nonmetacyclic family, where membership in an explicit list of
     two-generator shapes decides.
     """
+    _require_subgroup_of(G, H)
     rec = recognize_a1_family(G) if _is_2group(G) else None
     if rec is None or rec.tag not in ("q8", "metacyclic", "nonmetacyclic"):
         raise WrongClassifierError(
@@ -226,6 +228,7 @@ def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | N
 def dihedral_classify(G: Group, H: Subgroup) -> ClassificationOutcome:
     """Dihedral rule: subgroups of the rotation subgroup <a> are codes iff
     |H| or n/|H| is odd; everything else is a code."""
+    _require_subgroup_of(G, H)
     witness = recognize_dihedral(G)
     if witness is None:
         raise WrongClassifierError(f"{G.label} is not dihedral")

@@ -8,13 +8,13 @@ import pytest
 
 from pcl import report, structure as st
 from pcl.catalog import CatalogEntry, default_catalog
-from pcl.codes import ConnectionSet, Verdict, criterion3, _require_subgroup_of
+from pcl.codes import ConnectionSet, Verdict, criterion3
 from pcl.errors import PreconditionError, WrongClassifierError
 from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
-                           _sylow_within)
+                           _require_subgroup_of, _sylow_within)
 from pcl.theorems import (CLAUSE_SYLOW2, ClassificationOutcome, FamilyMatch,
                           _family_table)
 
@@ -32,6 +32,15 @@ def catalog_by_label(catalog):
 
 def group(spec: str):
     return build_family(spec)
+
+
+def foreign_subgroups() -> list[Subgroup]:
+    """Subgroups of freshly built group objects, for the ownership rule: a
+    cyclic subgroup of order 4 of a Q8, and the reflection subgroup <b> of
+    a D(8), whose table equals that of any other D(8)."""
+    q8, d8 = build_family("Q8"), build_family("D(8)")
+    return [st.subgroup_generated(q8, [q8.witness["a"]]),
+            st.subgroup_generated(d8, [d8.witness["b"]])]
 
 
 def reference_conj_table(G) -> np.ndarray:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -170,6 +172,33 @@ def test_semidirect_action_validation():
     f20 = groups.semidirect_product(c5, c4, [(1, 2)])
     assert f20.order == 20
     f20.check_axioms()
+
+
+def test_every_action_the_breadth_first_test_accepts_is_an_automorphism():
+    # every action of one pair (g, h), or of two with g1 < g2, g > 0, on
+    # nine small groups: the breadth-first test phi(x g) = phi(x) h over
+    # every x and listed g, with the bijection test, is the whole check, so
+    # each map it accepts is checked on the whole table here
+    outcomes = Counter()
+    for spec in ["C(4)", "C(6)", "C(2)xC(4)", "Q8", "D(8)", "EA(2,3)",
+                 "perm:(1 2 3),(1 2)", "C(3)xC(3)", "D(12)"]:
+        N = build_family(spec)
+        images = range(N.order)
+        actions = [[(g, h)] for g in range(1, N.order) for h in images]
+        actions += [[(g1, h1), (g2, h2)] for g1, g2 in combinations(range(1, N.order), 2)
+                    for h1 in images for h2 in images]
+        for action in actions:
+            try:
+                phi = groups._extend_action(N, action)
+            except GroupSpecError as exc:
+                outcomes[str(exc)] += 1
+                continue
+            assert np.array_equal(phi[N.mult], N.mult[np.ix_(phi, phi)]), (spec, action)
+            outcomes["accepted"] += 1
+    assert outcomes == {"accepted": 1934,
+                        "SD action is not a homomorphism": 9449,
+                        "SD action is not a bijection": 2490,
+                        "SD action generators do not generate the normal factor": 2959}
 
 
 def test_semidirect_requires_cyclic_acting_factor():
@@ -401,9 +430,8 @@ def test_blocked_table_checks_match_the_whole_table(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["D(16)", "D(1024)", "D(2048)"])
 def test_gather_equals_the_broadcast_index(spec, monkeypatch):
     # row and column counts at and just past the size rule (rows repeat in
-    # D(16)), a tall, narrow read (1,023 x 2, as in D(2048)'s Cayley check,
-    # which takes the columns first) and a short, wide one, and empty rows
-    # and columns
+    # D(16)), a tall, narrow read (1,023 x 2, as in D(2048)'s Cayley check)
+    # and a short, wide one, and empty rows and columns
     monkeypatch.setenv("PCL_MAX_ORDER", "2048")
     G = build_family(spec)
     n = G.order

@@ -111,6 +111,11 @@ def test_constraint_violations_name_the_constraint():
 SPEC_ERRORS = [
     ("C(4)xC(", 2, "input error: expected an integer (at position 7)"),
     ("D(100000)xC(", 2, "input error: expected an integer (at position 12)"),
+    # digits are ASCII: another script's digit or a superscript is no integer
+    ("C(\u0663)", 2, "input error: expected an integer (at position 2)"),
+    ("C(\u00b2)", 2, "input error: expected an integer (at position 2)"),
+    ("EA(2,\u00b3)", 2, "input error: expected an integer (at position 5)"),
+    ("SD(C(5);C(4);1->2,\u0663->1)", 2, "input error: expected ')' (at position 17)"),
     ("M2(1,1)", 2, "input error: M2(n1,m1) requires n1 >= 2, got n1=1"),
     ("M2(0,3,1)", 2, "input error: M2(n2,m2,1) requires n2 >= 1, got n2=0"),
     ("M2(1,1,1)", 2, "input error: M2(n2,m2,1) requires n2 + m2 >= 3, got (1,1)"),

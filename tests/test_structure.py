@@ -15,6 +15,7 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       assert_structure_matches_references,
                       assert_witnesses_match_references,
                       brute_force_min_generators, brute_force_subgroups,
+                      foreign_subgroups,
                       join_closure_subgroups, reference_center,
                       reference_derived_subgroup,
                       reference_frattini, reference_greedy_generators,
@@ -585,3 +586,27 @@ def test_sylow_requires_a_prime():
     with pytest.raises(PreconditionError,
                        match="^sylow_containing requires a prime, got 1$"):
         st.sylow_containing(g, 1, st.trivial_subgroup(g))
+
+
+# the ownership rule: a subgroup of another group object, even one with an
+# equal table, is refused, not read as indices of G's table
+
+
+def test_normalizer_refuses_a_subgroup_of_another_group(d8):
+    for H in foreign_subgroups():
+        with pytest.raises(PreconditionError, match="different group"):
+            st.normalizer(d8, H)
+
+
+def test_sylow_containing_refuses_a_subgroup_of_another_group(d8):
+    for H in foreign_subgroups():
+        with pytest.raises(PreconditionError, match="different group"):
+            st.sylow_containing(d8, 2, H)
+
+
+def test_issubset_is_false_across_group_objects(d8):
+    whole = st.full_subgroup(d8)
+    for H in foreign_subgroups():
+        assert not H.issubset(whole)
+        with pytest.raises(PreconditionError, match="not contained"):
+            st.subgroup_as_group(whole, H)

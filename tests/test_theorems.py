@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from pcl import codes, structure as st, theorems as th
-from pcl.errors import WrongClassifierError
+from pcl.errors import PreconditionError, WrongClassifierError
 from pcl.groups import Group
 from pcl.specs import build_family
 
-from conftest import (reference_abelian_sylow2, reference_center,
+from conftest import (foreign_subgroups, reference_abelian_sylow2, reference_center,
                       reference_criterion3_on_pair, reference_family_match)
 
 
@@ -31,8 +31,9 @@ def test_abelian_classifier_examples():
 
 
 def test_abelian_classifier_rejects_wrong_groups():
+    q8 = build_family("Q8")
     with pytest.raises(WrongClassifierError):
-        th.classify_abelian_2group(build_family("Q8"), st.trivial_subgroup(build_family("Q8")))
+        th.classify_abelian_2group(q8, st.trivial_subgroup(q8))
     s3 = build_family("perm:(1 2 3),(1 2)")
     with pytest.raises(WrongClassifierError):
         th.classify_abelian_2group(s3, st.trivial_subgroup(s3))
@@ -249,8 +250,9 @@ def test_dihedral_rule_examples():
     d8 = build_family("D(8)")
     assert not th.dihedral_classify(d8, st.subgroup_generated(d8, [d8.power(d8.witness["a"], 2)])).is_code
     assert th.dihedral_classify(d8, st.subgroup_generated(d8, [d8.witness["b"]])).is_code
+    q8 = build_family("Q8")
     with pytest.raises(WrongClassifierError):
-        th.dihedral_classify(build_family("Q8"), st.trivial_subgroup(build_family("Q8")))
+        th.dihedral_classify(q8, st.trivial_subgroup(q8))
 
 
 def test_dihedral_rule_differential():
@@ -365,3 +367,15 @@ def test_sylow_choice_invariance_of_reduction():
                         verdicts.add(reference_criterion3_on_pair(P, Q).is_code)
             assert len(verdicts) == 1, (spec, H.members)
             assert verdicts == {codes.criterion3(g, H).is_code}
+
+
+@pytest.mark.parametrize("rule", [th.classify, th.classify_abelian_2group,
+                                  th.classify_a1_2group, th.dihedral_classify,
+                                  th.classify_abelian_sylow2])
+def test_classifiers_refuse_a_subgroup_of_another_group(rule):
+    # the ownership rule comes before each classifier's own guard: D(8) is
+    # no abelian 2-group, yet a foreign H is refused, not sent on
+    d8 = build_family("D(8)")
+    for H in foreign_subgroups():
+        with pytest.raises(PreconditionError, match="different group"):
+            rule(d8, H)
