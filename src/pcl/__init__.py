@@ -32,7 +32,6 @@ from .structure import (FamilyRecognition, Subgroup, all_subgroups,
                         sylow_containing, trivial_subgroup)
 from .theorems import (ClassificationOutcome, FamilyMatch, classify,
                        classify_a1_2group, classify_abelian_2group,
-                       classify_abelian_sylow2, dihedral_classify,
-                       match_theorem_family)
+                       classify_abelian_sylow2, dihedral_classify)
 
 __version__ = "0.1.0"

@@ -9,12 +9,13 @@ Four independent routes are implemented and cross-checked elsewhere:
   such a transversal is equivalent to the subgroup being a perfect code.
 * ``verify_perfect_code_in_cayley``: the graph definition itself, checked
   vertex by vertex against an explicit connection set: each vertex's count of
-  code neighbours is read off the products s c of S by the subgroup, one
-  |S| x |H| gather, about |G| entries, not |G| x |H|.  This is the single
-  source of definitional truth; positive verdicts from the other routes are
-  turned into a connection set and re-verified here, which alone proves a
-  transversal one, and for small groups an exhaustive sweep over all
-  inverse-closed connection sets refutes negatives.
+  code elements at distance at most 1 is read off the products of S and the
+  identity by the subgroup, one (|S| + 1) x |H| gather, about |G| entries,
+  not |G| x |H|.  This is the single source of definitional truth; positive
+  verdicts from the other routes are turned into a connection set and
+  re-verified here, which alone proves a transversal one, and for small
+  groups an exhaustive sweep over all inverse-closed connection sets refutes
+  negatives.
   The sweep checks every set, in a fixed order, against the definition, many
   sets per array operation: a set's domination counts are the sum of its
   blocks' rows in one table of per-block counts (``hits``), plus one for the
@@ -43,18 +44,19 @@ from .structure import (Subgroup, involutions, normalizer, _require_subgroup_of,
 @dataclass(frozen=True, eq=False)
 class ConnectionSet:
     """An inverse-closed, identity-free set without repeats, read-only int32
-    ascending."""
+    ascending, each rule read off the set's one mask over G."""
 
     parent: Group
     members: np.ndarray
 
     def __post_init__(self):
         G = self.parent
-        members = np.sort(_element_indices(G, self.members))
-        if members.size and members[0] == 0:
+        values = _element_indices(G, self.members)
+        mask = index_mask(values, G.order)
+        if mask[0]:
             raise PreconditionError("a connection set may not contain the identity")
-        mask = index_mask(members, G.order)
-        if np.count_nonzero(mask) != members.size:
+        members = mask.nonzero()[0].astype(np.int32)  # ascending
+        if members.size != values.size:
             raise PreconditionError("a connection set may not repeat a member")
         if not mask.take(G.inv.take(members)).all():
             raise PreconditionError("a connection set must be inverse-closed")
@@ -68,7 +70,7 @@ def _element_indices(G: Group, values) -> np.ndarray:
     if values.size and (values.dtype.kind not in "iu"
                         or values.astype(np.uint64).max() >= G.order):
         raise PreconditionError(f"evidence holds a value that is no index in range({G.order})")
-    return values.astype(np.int32)
+    return values.astype(np.int32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -109,14 +111,13 @@ def _without_involution_in_coset(G: Group, H: Subgroup) -> np.ndarray:
 def _self_inverse_double_cosets(G: Group, H: Subgroup, xs: np.ndarray) -> np.ndarray:
     """Mask over ``xs`` of the x with x^-1 in HxH.  HxH is the union of the
     right cosets Hxh, so that holds exactly when the key of Hx^-1 is the key
-    of some Hxh, read in blocks of the rows xs of the |xs| x |H| products."""
+    of some Hxh, read in blocks of the rows xs of the |xs| x |H| products.
+    ``xs`` must not be empty: no rows make no block to concatenate."""
     key = _coset_keys(G, H)
     inverse_key = key.take(G.inv.take(xs))
-    mask = np.empty(xs.size, dtype=bool)
-    for rows in _blocks(xs.size, H.order):
-        right = key.take(gather(G.mult, xs[rows], H.members))
-        np.any(right == inverse_key[rows, None], axis=1, out=mask[rows])
-    return mask
+    return np.concatenate([(key.take(gather(G.mult, xs[rows], H.members))
+                            == inverse_key[rows, None]).any(axis=1)
+                           for rows in _blocks(xs.size, H.order)])
 
 
 def _coset_keys(G: Group, H: Subgroup) -> np.ndarray:
@@ -136,11 +137,11 @@ def _odd_index_verdict(G: Group, H: Subgroup, xs: np.ndarray) -> Verdict:
     An x normalizing H has H^x = H, index 1, so it violates, and that is
     read from H's d generators: the least normalizing x bounds the search,
     and only the x before it, none normalizing H, read their |H| conjugates,
-    in ascending blocks of x.
+    in ascending blocks of x; when the least x normalizes H there are none.
     """
     if xs.size:
-        normalizing = H.mask.take(G.conjugates(H.generators, xs)).all(axis=0)
-        first = int(normalizing.argmax()) if normalizing.any() else xs.size
+        normalizing = H.mask.take(G.conjugates(H.generators, xs)).all(axis=0).nonzero()[0]
+        first = int(normalizing[0]) if normalizing.size else xs.size
         for rows in _blocks(first, H.order):
             rest = xs[rows]
             meet = H.mask.take(G.conjugates(H.members, rest)).sum(axis=0)
@@ -321,16 +322,14 @@ def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bo
     """Definition check: every vertex is at distance at most 1 from exactly
     one element of C in the Cayley graph with connection set S.  Vertex g is
     adjacent to c when g c^-1 lies in S, that is when g = s c for some s in
-    S, and at distance 0 from c when g = c.  So the counts are read from the
-    edge side: each product s c, one |S| x |C| gather, adds 1 to its vertex,
-    and each c adds 1 to itself."""
+    S, and at distance 0 from c when g = c, the product 1 c.  So the counts
+    are read from the edge side: each product of S and the identity by C,
+    one (|S| + 1) x |C| gather, adds 1 to its vertex, in one ``bincount``."""
     if S.parent is not G:
         raise PreconditionError("connection set belongs to a different group object")
     _require_subgroup_of(G, C)
-    edges = gather(G.mult, S.members, C.members)
-    counts = np.bincount(edges.ravel(), minlength=G.order)
-    counts[C.members] += 1
-    return bool((counts == 1).all())
+    products = gather(G.mult, np.concatenate(([0], S.members)), C.members)
+    return bool((np.bincount(products.ravel(), minlength=G.order) == 1).all())
 
 
 SWEEP_CHUNK_BITS = 12  # 4,096 connection sets per chunk

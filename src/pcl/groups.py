@@ -297,9 +297,9 @@ def _blocks(count: int, width: int) -> Sequence[slice]:
     entries wide, each of at most BLOCK_CELLS entries and at least one row:
     every blocked read of the table, or of a gather from it, copies one such
     block at a time.  One block, the common case, is one slice, with no list
-    built."""
+    built; no rows are no block, so a read of none makes no pass."""
     if count * width <= BLOCK_CELLS:
-        return (slice(0, count),)
+        return (slice(0, count),) if count else ()
     step = max(1, BLOCK_CELLS // width)
     return [slice(i, i + step) for i in range(0, count, step)]
 

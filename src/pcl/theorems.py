@@ -122,7 +122,7 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
                 return ClassificationOutcome(True, CLAUSE_KLEIN_D8, match)
             return ClassificationOutcome(False, CLAUSE_KLEIN_D8)
         return ClassificationOutcome(False, CLAUSE_METACYCLIC_NONCYCLIC)
-    match = match_theorem_family(rec, H)
+    match = _match_theorem_family(G, rec, H)
     return ClassificationOutcome(match is not None, CLAUSE_FAMILY, match)
 
 
@@ -196,22 +196,20 @@ def _build_family_candidates(G: Group, rec: FamilyRecognition):
     return [(label, params) for label, params, _ in table], gens[:, 0], gens[:, 1]
 
 
-def match_theorem_family(rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:
-    """First classified shape, in enumeration order, whose two generators
-    generate H, if any.
+def _match_theorem_family(G: Group, rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:
+    """First classified shape of G's nonmetacyclic family, in enumeration
+    order, whose two generators generate H, if any.  The shapes are built
+    from ``rec``, G's own recognition, so H must be a subgroup of G.
 
     By Burnside's basis theorem, g1 and g2 generate a noncyclic 2-group H
     exactly when |H : Phi(H)| = 4, both lie in H, and none of g1, g2 and
     g1 g2 lies in Phi(H).  H is a proper subgroup of a minimal nonabelian
     group, so abelian, and Phi(H) is its set of squares.  The test runs over
     every candidate pair at once and builds no subgroup.  Only noncyclic
-    proper nontrivial subgroups can match; other inputs return None.
+    proper nontrivial subgroups can match: a trivial or cyclic H fails the
+    index test, and every shape generates a proper subgroup.
     """
-    if rec.tag != "nonmetacyclic":
-        raise WrongClassifierError("match_theorem_family needs a nonmetacyclic recognition")
-    G = H.parent
-    if H.is_trivial or H.is_full or H.is_cyclic:
-        return None
+    _require_subgroup_of(G, H)
     phi = _squares(H)
     if H.order != 4 * np.count_nonzero(phi):
         return None

@@ -352,7 +352,7 @@ def reference_exhaustive_search(G, H) -> ConnectionSet | None:
 
 def reference_family_match(rec, H: Subgroup) -> FamilyMatch | None:
     """The first classified shape whose generated subgroup equals H, as
-    ``match_theorem_family`` found it before Burnside's test: each word
+    ``_match_theorem_family`` found it before Burnside's test: each word
     evaluated by ``G.power``, the closure of each distinct generator pair,
     and member sets compared."""
     G = H.parent

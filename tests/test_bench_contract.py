@@ -1,9 +1,13 @@
-"""The names and call paths that the benchmark in ``pclbench/`` relies on.
+"""The names and call paths that the benchmark in ``pclbench/`` relies on,
+and what its checker catches.
 
 Its tracer replaces the functions listed in ``pclbench/spans.py`` on their
 modules, and its catalog workload replaces
 ``pcl.catalog.default_catalog_specs``; both only work while the program
-looks those names up on the module at call time.
+looks those names up on the module at call time.  Its checker,
+``pclbench/check.py``, imports no ``pcl``, so it must fail a pair that a bug
+in a helper shared by every exact route decides wrongly, even where the
+routes agree.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from pcl import catalog, cli, codes, report
 from pcl.structure import all_subgroups
 
-SPANS = Path(__file__).resolve().parents[1] / "pclbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "pclbench" / "spans.py"
 
 
 def _wrapped() -> dict:
@@ -55,3 +62,32 @@ def test_verify_reads_default_catalog_specs_at_call_time(monkeypatch, tmp_path):
     assert cli.main(["verify", "--out", str(out)]) == 0
     groups = [json.loads(line)["group"] for line in out.read_text().splitlines()]
     assert groups == ["Q8"] * 6
+
+
+def test_checker_fails_pairs_that_a_shared_helper_bug_moves_every_route_on(monkeypatch):
+    # with ``involutions`` giving only the identity, every exact route reads
+    # the same wrong solutions of y^2 = 1, so on some pairs all four agree
+    # on a wrong verdict; the checker's certificates still fail them.  The
+    # checker and the tables come from ``.github/check_records.py``, as in CI
+    monkeypatch.syspath_prepend(str(ROOT / ".github"))
+    wrapper = importlib.import_module("check_records")
+    check = wrapper.load_check()
+    specs, entries = [], []
+    for label, spec in catalog.default_catalog_specs():
+        entry = catalog.build_entry(label, spec)
+        if entry.group.order <= 16:
+            specs.append((label, spec))
+            entries.append(entry)
+    tables = wrapper.tables(specs)
+
+    def run():
+        records = [report.record_for(e, H) for e in entries for H in all_subgroups(e.group)]
+        return records, check.check_records(specs, tables, records)
+
+    records, outcome = run()
+    assert len(records) > 300 and outcome.failed == 0 and not outcome.group_problems
+    monkeypatch.setattr(codes, "involutions", lambda G: np.zeros(1, dtype=np.int32))
+    records, outcome = run()
+    agreeing = [i for i in outcome.failed_pairs
+                if len({records[i]["verdicts"][m].get("is_code") for m in check.ROUTES}) == 1]
+    assert agreeing, outcome.failed

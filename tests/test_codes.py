@@ -248,8 +248,11 @@ def test_criterion4_examples(c4):
     i = st.subgroup_generated(q8, [q8.witness["a"]])
     assert i.order == 4
     assert not codes.criterion4(q8, i).is_code
+    # every coset of EA(2,2) holds an involution, so no x is left for the
+    # double-coset test, which criterion4 then skips: it takes no empty xs
     ea = build_family("EA(2,2)")
     for S in st.all_subgroups(ea):
+        assert codes._without_involution_in_coset(ea, S).size == 0
         assert codes.criterion4(ea, S).is_code
 
 
@@ -353,8 +356,34 @@ def test_connection_set_invariants(d8):
         codes.ConnectionSet(d8, (2,))  # a alone is not inverse-closed
     with pytest.raises(PreconditionError):  # -2 would wrap round to a^-1 = 6
         codes.ConnectionSet(d8, (-2, 2))
+    # the errors keep their order, range, identity, repeat, inverse-closure:
+    # a set breaking the last three names the identity, and one breaking
+    # the last two the repeat
+    with pytest.raises(PreconditionError, match="range"):
+        codes.ConnectionSet(d8, (0, 8))
+    with pytest.raises(PreconditionError, match="identity"):
+        codes.ConnectionSet(d8, (2, 0, 2))
+    with pytest.raises(PreconditionError, match="repeat"):
+        codes.ConnectionSet(d8, (2, 2))
     ok = codes.ConnectionSet(d8, (2, 6))
     assert ok.members.tolist() == [2, 6]
+
+
+def test_odd_index_test_reads_no_block_when_the_least_x_normalizes(c4, monkeypatch):
+    # C(4) is abelian, so every x normalizes H = <a^2>: the least x left, a,
+    # violates by H's generators alone, with no pass over an empty block of
+    # the x before it
+    H = st.subgroup_generated(c4, [2])
+    calls = []
+    original = groups.Group.conjugates
+
+    def counted(self, hs, xs):
+        calls.append(len(xs))
+        return original(self, hs, xs)
+
+    monkeypatch.setattr(groups.Group, "conjugates", counted)
+    assert codes.criterion3(c4, H) == codes.Verdict(False, {"violating_x": 1})
+    assert calls == [2]
 
 
 def test_evidence_is_a_read_only_int32_array(d8):
@@ -367,6 +396,9 @@ def test_evidence_is_a_read_only_int32_array(d8):
     for array in (s.members, from_reps.members, codes.find_inverse_closed_transversal(d8, hb)):
         assert array.dtype == np.int32 and not array.flags.writeable
     assert given.flags.writeable  # the caller's array is copied, not frozen
+    given32 = np.array([6, 2], dtype=np.int32)  # no cast, still not frozen
+    assert codes.ConnectionSet(d8, given32).members.tolist() == [2, 6]
+    assert given32.flags.writeable and given32.tolist() == [6, 2]
 
 
 def test_connection_set_rejects_a_transversal_of_another_pair(d8):

@@ -161,6 +161,13 @@ def test_direct_product_order():
     g.check_axioms()
 
 
+def test_no_rows_make_no_block():
+    # a blocked read of no rows makes no pass, however wide the table
+    for width in (1, 64, groups.BLOCK_CELLS, 4 * groups.BLOCK_CELLS):
+        assert list(groups._blocks(0, width)) == []
+    assert list(groups._blocks(3, 64)) == [slice(0, 3)]
+
+
 def test_semidirect_action_validation():
     c5, c4 = groups.cyclic(5), groups.cyclic(4)
     with pytest.raises(GroupSpecError):

@@ -106,22 +106,32 @@ def test_match_theorem_family_examples():
     rec = st.recognize_a1_family(g)
     a, b, c = rec.witness
     H = st.subgroup_generated(g, [a, g.power(b, 2)])
-    m = th.match_theorem_family(rec, H)
+    m = th._match_theorem_family(g, rec, H)
     assert m is not None and m.family == "<a c^s, b^2>" and m.params == {"s": 0}
-    assert th.match_theorem_family(rec, st.subgroup_generated(g, [c])) is None
+    assert th._match_theorem_family(g, rec, st.subgroup_generated(g, [c])) is None
 
     g = build_family("M2(2,2,1)")
     rec = st.recognize_a1_family(g)
     a, b, c = rec.witness
     H = st.subgroup_generated(g, [g.mul(a, b), c])
-    m = th.match_theorem_family(rec, H)
+    m = th._match_theorem_family(g, rec, H)
     assert m is not None
     assert m.family in ("<a^d b^t, c>", "<a^t b^d, c>")
     assert m.params in ({"d": 1, "t": 1}, {"t": 1, "d": 1})
     H2 = st.subgroup_generated(g, [g.mul(g.mul(a, b), c), g.mul(a, a)])
-    m2 = th.match_theorem_family(rec, H2)
+    m2 = th._match_theorem_family(g, rec, H2)
     assert m2 is not None and m2.family == "<a^t b^d c^s, a^2>"
     assert (m2.params["t"], m2.params["d"], m2.params["s"]) == (1, 1, 1)
+
+
+def test_family_match_refuses_a_subgroup_of_another_group():
+    # the shapes come from G's own recognition: M2(1,3,1)'s witnesses read
+    # in a subgroup of M2(2,2,1) once gave a bare IndexError
+    g, other = build_family("M2(1,3,1)"), build_family("M2(2,2,1)")
+    a, b, c = st.recognize_a1_family(other).witness
+    H = st.subgroup_generated(other, [other.mul(a, b), c])
+    with pytest.raises(PreconditionError, match="different group"):
+        th._match_theorem_family(g, st.recognize_a1_family(g), H)
 
 
 def test_family_table_digest_is_pinned():
@@ -152,7 +162,7 @@ def test_family_match_equals_the_closure_reference(catalog):
     for g in groups:
         rec = st.recognize_a1_family(g)
         for S in st.all_subgroups(g):
-            assert th.match_theorem_family(rec, S) == reference_family_match(rec, S), \
+            assert th._match_theorem_family(g, rec, S) == reference_family_match(rec, S), \
                 (g.label, S.members.tolist())
 
 
@@ -167,7 +177,7 @@ def test_family_match_builds_no_closure(monkeypatch):
         raise AssertionError(f"Group.closure was called on {self.label}")
 
     monkeypatch.setattr(Group, "closure", no_closure)
-    assert [th.match_theorem_family(rec, S) for S in subs] == expected
+    assert [th._match_theorem_family(g, rec, S) for S in subs] == expected
 
 
 def test_family_match_implies_code():
@@ -178,7 +188,7 @@ def test_family_match_implies_code():
         for S in st.all_subgroups(g):
             if S.is_cyclic or S.is_trivial or S.is_full:
                 continue
-            if th.match_theorem_family(rec, S) is not None:
+            if th._match_theorem_family(g, rec, S) is not None:
                 assert codes.criterion3(g, S).is_code, (spec, S.members)
 
 
@@ -196,7 +206,7 @@ def test_family_matcher_gap_is_exactly_the_central_q8_quotient_shape():
         for S in st.all_subgroups(g):
             if S.is_cyclic or S.is_trivial or S.is_full:
                 continue
-            matched = th.match_theorem_family(rec, S) is not None
+            matched = th._match_theorem_family(g, rec, S) is not None
             is_code = codes.criterion3(g, S).is_code
             if matched:
                 assert is_code
