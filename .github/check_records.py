@@ -1,13 +1,14 @@
-"""Certify the `pcl verify` records of the default catalog with the checker
-that shares no code with `pcl`, ``pclbench/check.py``.
+"""Certify the `pcl verify` records of one catalog with the checker that
+shares no code with `pcl`, ``pclbench/check.py``.
 
-    python3 check_records.py RECORDS
+    python3 check_records.py CATALOG FINDINGS
 
-RECORDS is the JSON-lines output of `pcl verify` on the default catalog, as
-``verify_records.py default`` writes it.  The labels and specs come from
-``pcl.catalog.default_catalog_specs()`` and the tables from `pcl build`.
-Exits nonzero on a failed pair, on a group problem, or when the theorem
-findings are not the known ones.
+CATALOG is a JSON file listing group specs, or ``default`` for the default
+catalog, as ``verify_records.py`` takes it; the records are read from the
+file it writes, CATALOG's stem plus ``.jsonl``.  The labels and specs come
+from the catalog and the tables from `pcl build`.  FINDINGS is the number of
+theorem findings the catalog is known to have.  Exits nonzero on a failed
+pair, on a group problem, or when the theorem findings are not that many.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import tempfile
 from pathlib import Path
 
 from pcl import cli
-from pcl.catalog import default_catalog_specs
+from pcl.catalog import default_catalog_specs, load_catalog_pairs
 
 CHECK = Path(__file__).resolve().parents[1] / "pclbench" / "check.py"
-KNOWN_FINDINGS = 4  # the M2(n2,m2,1) family-list findings
 
 
 def load_check():
@@ -47,10 +47,12 @@ def tables(groups) -> dict:
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) != 3 or not sys.argv[2].isdigit():
         sys.exit(__doc__)
-    groups = default_catalog_specs()
-    records = [json.loads(line) for line in Path(sys.argv[1]).read_text().splitlines()]
+    catalog, known_findings = sys.argv[1], int(sys.argv[2])
+    groups = default_catalog_specs() if catalog == "default" else load_catalog_pairs(catalog)
+    path = Path(catalog).with_suffix(".jsonl")
+    records = [json.loads(line) for line in path.read_text().splitlines()]
     outcome = load_check().check_records(groups, tables(groups), records)
     print(f"{len(records)} records: {outcome.failed} failed pairs, "
           f"{len(outcome.group_problems)} group problems, {len(outcome.findings)} findings")
@@ -58,7 +60,7 @@ def main() -> int:
         print(f"pair {i}: {'; '.join(problems)}")
     for line in outcome.group_problems[:5] + outcome.findings:
         print(line)
-    if outcome.failed or outcome.group_problems or len(outcome.findings) != KNOWN_FINDINGS:
+    if outcome.failed or outcome.group_problems or len(outcome.findings) != known_findings:
         return 1
     return 0
 

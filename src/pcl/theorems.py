@@ -5,16 +5,16 @@ differentially tested against the coset criterion.  All rules are evaluated
 against a recognition witness (explicit generators inside the concrete
 group), never against an abstract presentation; membership in the classified
 two-generator shapes is decided by Burnside's basis theorem against the
-Frattini subgroup.  Those shapes form one flat table, ``_family_table``: one
-row per shape and parameter values, each with the exponent words of its two
-generators in the witness, in a fixed enumeration order.  ``classify``
-chooses the rule that applies to a group.
+Frattini subgroup.  Those shapes form one table, ``_family_table``: per shape,
+an array of parameter values with one row per candidate and an array of the
+exponent words of each candidate's two generators in the witness, in a fixed
+enumeration order.  ``classify`` chooses the rule that applies to a group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -127,9 +127,10 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
 
 
 def _family_table(n2: int, m2: int):
-    """Shape table for the nonmetacyclic group with parameters (n2, m2):
-    (label, params, (word1, word2)) for every candidate, where a word is the
-    exponent triple (x, y, z) of a generator a^x b^y c^z.
+    """Shape table for the nonmetacyclic group with parameters (n2, m2),
+    yielded shape by shape as (label, names, values, words): one parameter
+    per letter of names, one row of values per candidate, and in words, per
+    candidate and generator, the exponent triple (x, y, z) of a^x b^y c^z.
 
     Exponent parameters range over residues modulo the relevant element
     orders, so every subgroup the unbounded shapes describe is produced:
@@ -143,13 +144,13 @@ def _family_table(n2: int, m2: int):
         return [(k, r) for k in range(1, top + 1) for r in range(1, 2 ** (m2 - k), 2)]
 
     l_r = [(l, r) for l in range(1, n2) for r in range(1, 2 ** (n2 - l), 2)]
-    # (label, one letter per parameter, parameter values, generator words)
+    # (label, one letter per parameter, parameter values, words of value columns)
     if n2 == 1:
         shapes = [
             ("<a c^s, b^2>", "s", product(S),
              lambda s: ((1, 0, s), (0, 2, 0))),
             ("<a b^2j c^s, b^(2^k r) c>", "jskr",
-             [(j, s, k, r) for j, s in product(range(qb // 2), S) for k, r in k_r(j)],
+             ((j, s, k, r) for j, s in product(range(qb // 2), S) for k, r in k_r(j)),
              lambda j, s, k, r: ((1, 2 * j, s), (0, 2 ** k * r, 1))),
             ("<a b^t, c>", "t", product(range(qb)),
              lambda t: ((1, t, 0), (0, 0, 1))),
@@ -161,39 +162,35 @@ def _family_table(n2: int, m2: int):
             ("<a^d c^s, b^2>", "ds", product(odd_a, S),
              lambda d, s: ((d, 0, s), (0, 2, 0))),
             ("<a^d b^2j c^s, b^(2^k r) c>", "djskr",
-             [(d, j, s, k, r) for d, j, s in product(odd_a, range(qb // 2), S)
-              for k, r in k_r(j)],
+             ((d, j, s, k, r) for d, j, s in product(odd_a, range(qb // 2), S)
+              for k, r in k_r(j)),
              lambda d, j, s, k, r: ((d, 2 * j, s), (0, 2 ** k * r, 1))),
             ("<a^t b^d c^s, a^2>", "tds", product(range(qa), odd_b, S),
              lambda t, d, s: ((t, d, s), (2, 0, 0))),
             ("<a^t b^d c^s, a^(2^l r) c>", "tdslr",
-             [(t, d, s, l, r) for t, d, s in product(range(qa), odd_b, S) for l, r in l_r],
+             ((t, d, s, l, r) for t, d, s in product(range(qa), odd_b, S) for l, r in l_r),
              lambda t, d, s, l, r: ((t, d, s), (2 ** l * r, 0, 1))),
             ("<a^d b^t, c>", "dt", product(odd_a, range(qb)),
              lambda d, t: ((d, t, 0), (0, 0, 1))),
             ("<a^t b^d, c>", "td", product(range(qa), odd_b),
              lambda t, d: ((t, d, 0), (0, 0, 1))),
         ]
-    return [(label, dict(zip(names, values)), words(*values))
-            for label, names, table, words in shapes for values in table]
-
-
-def _family_candidates(G: Group, rec: FamilyRecognition):
-    """((label, params) of each candidate, g1 array, g2 array), cached."""
-    return G.memo("family_candidates", lambda: _build_family_candidates(G, rec))
+    for label, names, table, words in shapes:
+        values = np.fromiter(chain.from_iterable(table), np.int32).reshape(-1, len(names))
+        columns = np.broadcast_arrays(*chain.from_iterable(words(*values.T)))
+        yield label, names, values, np.stack(columns, axis=1).reshape(-1, 2, 3)
 
 
 def _build_family_candidates(G: Group, rec: FamilyRecognition):
-    table = _family_table(*rec.params)
-    # axes: candidate, generator, witness a/b/c
-    exps = np.array([words for _, _, words in table])
-    factors = []
-    for i, g in enumerate(rec.witness):
-        powers = np.array([G.power(g, k) for k in range(G.element_order(g))])
-        factors.append(powers[exps[..., i]])
-    mult = G.mult
-    gens = mult[mult[factors[0], factors[1]], factors[2]]
-    return [(label, params) for label, params, _ in table], gens[:, 0], gens[:, 1]
+    """Each ``_family_table`` entry with its words read as g1 and g2 arrays."""
+    powers = [np.array([G.power(g, k) for k in range(G.element_order(g))]) for g in rec.witness]
+    out = []
+    for label, names, values, words in _family_table(*rec.params):
+        # axes of words: candidate, generator, witness a/b/c
+        a, b, c = (p[words[..., i]] for i, p in enumerate(powers))
+        gens = G.mult[G.mult[a, b], c]
+        out.append((label, names, values, gens[:, 0], gens[:, 1]))
+    return tuple(out)
 
 
 def _match_theorem_family(G: Group, rec: FamilyRecognition, H: Subgroup) -> FamilyMatch | None:
@@ -205,7 +202,7 @@ def _match_theorem_family(G: Group, rec: FamilyRecognition, H: Subgroup) -> Fami
     exactly when |H : Phi(H)| = 4, both lie in H, and none of g1, g2 and
     g1 g2 lies in Phi(H).  H is a proper subgroup of a minimal nonabelian
     group, so abelian, and Phi(H) is its set of squares.  The test runs over
-    every candidate pair at once and builds no subgroup.  Only noncyclic
+    each shape's candidate pairs at once and builds no subgroup.  Only noncyclic
     proper nontrivial subgroups can match: a trivial or cyclic H fails the
     index test, and every shape generates a proper subgroup.
     """
@@ -213,14 +210,15 @@ def _match_theorem_family(G: Group, rec: FamilyRecognition, H: Subgroup) -> Fami
     phi = _squares(H)
     if H.order != 4 * np.count_nonzero(phi):
         return None
-    entries, g1, g2 = _family_candidates(G, rec)
     outside_phi = H.mask & ~phi
-    hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    label, params = entries[i]
-    return FamilyMatch(label, dict(params), (int(g1[i]), int(g2[i])))
+    for label, names, values, g1, g2 in G.memo(
+            "family_candidates", lambda: _build_family_candidates(G, rec)):
+        hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
+        if hits.size:
+            i = hits[0]
+            return FamilyMatch(label, dict(zip(names, values[i].tolist())),
+                               (int(g1[i]), int(g2[i])))
+    return None
 
 
 def dihedral_classify(G: Group, H: Subgroup) -> ClassificationOutcome:

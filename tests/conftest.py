@@ -350,6 +350,15 @@ def reference_exhaustive_search(G, H) -> ConnectionSet | None:
     return None
 
 
+def family_rows(n2: int, m2: int):
+    """(label, params, words) of every candidate of ``_family_table``, in
+    enumeration order, with params a dict and words a pair of exponent
+    triples, all of Python ints."""
+    for label, names, values, words in _family_table(n2, m2):
+        for row, pair in zip(values.tolist(), words.tolist()):
+            yield label, dict(zip(names, row)), tuple(map(tuple, pair))
+
+
 def reference_family_match(rec, H: Subgroup) -> FamilyMatch | None:
     """The first classified shape whose generated subgroup equals H, as
     ``_match_theorem_family`` found it before Burnside's test: each word
@@ -375,7 +384,7 @@ def _reference_family_candidates(G, rec):
 
     candidates = []
     seen_pair: dict[tuple[int, int], bytes] = {}
-    for label, params, words in _family_table(*rec.params):
+    for label, params, words in family_rows(*rec.params):
         pair = tuple(element(word) for word in words)
         if pair not in seen_pair:
             seen_pair[pair] = G.closure(pair).tobytes()

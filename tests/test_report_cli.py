@@ -231,10 +231,11 @@ def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
         report.record_for(entry, H)
 
     def copies(value):
-        # arrays are also looked for inside tuples (the 𝒜₁ family candidates
-        # are a tuple of their labels' list and two index arrays)
+        # tuples are looked into, nested ones too: the 𝒜₁ family candidates
+        # are a tuple of one (label, names, values, g1, g2) tuple per shape,
+        # with no Python object per candidate
         if isinstance(value, tuple):
-            return any(isinstance(v, np.ndarray) and copies(v) for v in value)
+            return any(copies(v) for v in value)
         return (isinstance(value, (list, memoryview))
                 or (isinstance(value, np.ndarray) and value.size >= G.order ** 2))
 
