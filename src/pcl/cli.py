@@ -15,6 +15,7 @@ from contextlib import contextmanager
 
 from . import catalog, codes, report
 from .errors import GroupSpecError, PclError, PreconditionError, SizeLimitError
+from .groups import read_integer
 from .specs import build_family
 from .structure import all_subgroups, subgroup_generated
 
@@ -75,10 +76,8 @@ def _cmd_classify(args) -> int:
     entry = catalog.build_entry(args.spec, args.spec)
     methods = report.parse_methods(args.methods)
     if args.subgroup is not None:
-        try:
-            gens = [int(x) for x in args.subgroup.split(",") if x.strip() != ""]
-        except ValueError:
-            raise GroupSpecError(f"bad --subgroup list: {args.subgroup!r}")
+        gens = [read_integer(x, "a --subgroup generator")
+                for x in args.subgroup.split(",") if x.strip() != ""]
         for g in gens:
             if not 0 <= g < entry.group.order:
                 raise GroupSpecError(f"subgroup generator {g} out of range")
@@ -90,17 +89,15 @@ def _cmd_classify(args) -> int:
     return EXIT_DISAGREEMENT if row["disagreements"] else EXIT_OK
 
 
-def _worker_count(flag: int | None) -> int:
+def _worker_count(flag: str | None) -> int:
     """``--workers``, else PCL_WORKERS, else 1; must be a positive integer."""
     if flag is None:
-        raw = os.environ.get("PCL_WORKERS", "1")
-        try:
-            flag = int(raw)
-        except ValueError:
-            raise GroupSpecError(f"PCL_WORKERS must be an integer, got {raw!r}")
-    if flag < 1:
-        raise GroupSpecError(f"worker count must be at least 1, got {flag}")
-    return flag
+        count = read_integer(os.environ.get("PCL_WORKERS", "1"), "PCL_WORKERS")
+    else:
+        count = read_integer(flag, "--workers")
+    if count < 1:
+        raise GroupSpecError(f"worker count must be at least 1, got {count}")
+    return count
 
 
 def _cmd_verify(args) -> int:
@@ -176,7 +173,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON lines here")
     p.add_argument("--summary", choices=("table", "classes", "none"), default="none",
                    help="'classes' collapses subgroups to conjugacy classes")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", default=None,
                    help="parallel worker processes (default: PCL_WORKERS or 1)")
     p.set_defaults(func=_cmd_verify)
 

@@ -174,16 +174,14 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
     coset's admissible (t, partner) pairs, t ascending: a t whose inverse is
     another element of its own coset never is one.  Cosets linked by
     t -> partner form components, and no choice in one changes another's
-    candidates, so each component is decided alone.  A split coset always
-    has a candidate that crosses to another coset, so every component has
-    two or more; one of exactly two gets the search's answer in closed form
-    from ``_coset_pair_choice``.
+    candidates, so each component is decided alone, by one search.
 
-    Larger components are extended fewest-viable-candidates first (ties
-    broken by least element), so a coset with no admissible representative
-    fails the branch immediately; with a fixed canonical order instead, such
-    a coset deep in the order makes refutations exponential.  The search is
-    exact and deterministic, and its result is not kept.
+    Each component is extended fewest-viable-candidates first (ties broken
+    by least key, candidates tried ascending), so a coset with no admissible
+    representative fails the branch immediately; with a fixed canonical
+    order instead, such a coset deep in the order makes refutations
+    exponential.  The search is exact and deterministic, and its result is
+    not kept.
     """
     _require_subgroup_of(G, H)
     return _transversal_search(G, H)
@@ -226,8 +224,9 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
     """Extend ``assignment`` to the split cosets, whose ``elements`` are
     given ascending, with ``coset`` the key of every element: False when
     some component of them has no choice.  Each component is found by one
-    walk from its least key and then decided by its size: two cosets by
-    ``_coset_pair_choice``, more by ``_backtrack``."""
+    walk from its least key and then searched by ``_backtrack`` from its
+    first level: components are disjoint and no uniform coset partners a
+    split one, so none of its keys is assigned yet."""
     table: dict[int, list[tuple[int, int]]] = {}  # by ascending coset key
     for t in elements:
         k, i = coset[t], inv[t]
@@ -246,23 +245,27 @@ def _split_coset_search(coset: list[int], inv, elements: list[int],
                 if p not in component:
                     component.add(p)
                     stack.append(p)
-        if len(component) == 2:
-            assignment.update(_coset_pair_choice(table, inv, *sorted(component)))
-        elif not _backtrack(table, inv, sorted(component), assignment):
+        if not _backtrack(table, inv, sorted(component), assignment, True):
             return False
     return True
 
 
-def _backtrack(table, inv, component: list[int], assignment: dict[int, int]) -> bool:
+def _backtrack(table, inv, component: list[int], assignment: dict[int, int],
+               first: bool = False) -> bool:
     """Extend ``assignment`` to the cosets of ``component``, fewest viable
-    candidates first.  A module function, not a closure over the search's
-    table: a closure that calls itself is a reference cycle, which keeps the
-    table alive until the cycle collector runs."""
+    candidates first.  On the ``first`` level none of the component's keys
+    is assigned, so no candidate's partner is taken and every list in
+    ``table`` is read as it stands.  A module function, not a closure over
+    the search's table: a closure that calls itself is a reference cycle,
+    which keeps the table alive until the cycle collector runs."""
     # both ends of a pair are written at once, so a partner not yet
     # assigned is free
     best_key, best = None, None
-    for key in (k for k in component if k not in assignment):
-        cands = [(t, p) for t, p in table[key] if p == key or p not in assignment]
+    for key in component:
+        if not first and key in assignment:
+            continue
+        cands = table[key] if first else [
+            (t, p) for t, p in table[key] if p == key or p not in assignment]
         if best is None or len(cands) < len(best):
             best_key, best = key, cands
             if not cands:
@@ -276,27 +279,6 @@ def _backtrack(table, inv, component: list[int], assignment: dict[int, int]) -> 
         del assignment[best_key]
         assignment.pop(p, None)
     return False
-
-
-def _coset_pair_choice(table, inv, K: int, L: int) -> dict[int, int]:
-    """The backtracking search's choice on a component of the two cosets
-    K < L, without searching.  Such a component always has one.
-
-    The coset with fewer candidates (K on a tie) is tried first.  Its
-    candidates are each self-inverse or cross to the other coset, whose
-    inverses cross back.  If the other coset holds a self-inverse element,
-    the first coset's least candidate t succeeds: the other takes t^-1 when
-    t crosses, and its own least self-inverse element when it does not.  If
-    not, only a crossing candidate succeeds, and the least one is taken.
-    """
-    if len(table[L]) < len(table[K]):
-        K, L = L, K
-    own = next((t for t, p in table[L] if p == L), None)
-    if own is not None:
-        t, p = table[K][0]
-        return {K: t, L: inv[t] if p == L else own}
-    t = next(t for t, p in table[K] if p == L)
-    return {K: t, L: inv[t]}
 
 
 def connection_set_from_transversal(G: Group, H: Subgroup, reps) -> ConnectionSet:

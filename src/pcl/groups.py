@@ -34,6 +34,20 @@ from .errors import GroupSpecError, SizeLimitError
 DEFAULT_MAX_ORDER = 512
 TABLE_DTYPE = np.uint16
 TABLE_MAX_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1  # 65,536
+DIGITS = frozenset("0123456789")  # not str.isdigit, true of "³"; a set holds no ""
+
+
+def read_integer(raw: str, what: str) -> int:
+    """``raw``, whitespace around it aside, as an integer in ASCII digits,
+    the digits of a group spec; a GroupSpecError naming ``what`` otherwise.
+    ``int`` alone would also read "٢", "1_0" and "+2"."""
+    text = raw.strip()
+    if not text or not all(ch in DIGITS for ch in text):
+        raise GroupSpecError(f"{what} must be an integer in ASCII digits, got {raw!r}")
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's digit limit
+        raise GroupSpecError(f"{what} is too long an integer, {len(text)} digits") from None
 
 
 def max_order() -> int:
@@ -42,10 +56,7 @@ def max_order() -> int:
     raw = os.environ.get("PCL_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GroupSpecError(f"PCL_MAX_ORDER must be an integer, got {raw!r}")
+    value = read_integer(raw, "PCL_MAX_ORDER")
     if value < 1:
         raise GroupSpecError(f"PCL_MAX_ORDER must be positive, got {value}")
     return min(value, TABLE_MAX_ORDER)

@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import groups
 from .errors import GroupSpecError
-from .groups import Group
+from .groups import DIGITS, Group
 
 # a spec's canonical label and the function that builds its group
 Parsed = tuple[str, Callable[[], Group]]
@@ -36,9 +36,6 @@ Parsed = tuple[str, Callable[[], Group]]
 # atom prefix -> (constructor, parameter count); M2 takes an optional ",1"
 _FAMILIES = {"C(": (groups.cyclic, 1), "EA(": (groups.elementary_abelian, 2),
              "D(": (groups.dihedral, 1), "M2(": (groups.metacyclic_m2, 2)}
-
-
-_DIGITS = frozenset("0123456789")  # not str.isdigit, true of "³"; a set holds no ""
 
 
 def _call(label: str, constructor, *params) -> Parsed:
@@ -77,7 +74,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an integer")
@@ -132,7 +129,7 @@ class _Parser:
             self.expect(";")
             acting_label, acting = self.parse_spec()
             self.expect(";")
-            action = self.parse_list(self.parse_action_pair, lambda: self.peek() in _DIGITS)
+            action = self.parse_list(self.parse_action_pair, lambda: self.peek() in DIGITS)
             self.expect(")")
             pairs = ",".join(f"{g}->{h}" for g, h in action)
             label = f"SD({normal_label};{acting_label};{pairs})"

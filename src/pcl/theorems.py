@@ -182,14 +182,16 @@ def _family_table(n2: int, m2: int):
 
 
 def _build_family_candidates(G: Group, rec: FamilyRecognition):
-    """Each ``_family_table`` entry with its words read as g1 and g2 arrays."""
+    """Each ``_family_table`` entry with its words read as g1 and g2 arrays,
+    and beside them g1 g2, which depends on G alone, not on the subgroup."""
     powers = [np.array([G.power(g, k) for k in range(G.element_order(g))]) for g in rec.witness]
     out = []
     for label, names, values, words in _family_table(*rec.params):
         # axes of words: candidate, generator, witness a/b/c
         a, b, c = (p[words[..., i]] for i, p in enumerate(powers))
         gens = G.mult[G.mult[a, b], c]
-        out.append((label, names, values, gens[:, 0], gens[:, 1]))
+        g1, g2 = gens[:, 0], gens[:, 1]
+        out.append((label, names, values, g1, g2, G.mult[g1, g2]))
     return tuple(out)
 
 
@@ -211,9 +213,9 @@ def _match_theorem_family(G: Group, rec: FamilyRecognition, H: Subgroup) -> Fami
     if H.order != 4 * np.count_nonzero(phi):
         return None
     outside_phi = H.mask & ~phi
-    for label, names, values, g1, g2 in G.memo(
+    for label, names, values, g1, g2, g12 in G.memo(
             "family_candidates", lambda: _build_family_candidates(G, rec)):
-        hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[G.mult[g1, g2]])
+        hits = np.flatnonzero(outside_phi[g1] & outside_phi[g2] & outside_phi[g12])
         if hits.size:
             i = hits[0]
             return FamilyMatch(label, dict(zip(names, values[i].tolist())),

@@ -88,8 +88,9 @@ def component_sizes(G, H) -> list[int]:
                                   "SD(C(5);C(4);1->2)", "SD(C(7);C(3);1->2)"])
 def test_transversal_closed_form_matches_the_reference_beside_searched_components(spec):
     # A5, A4, F20 and C7:C3 have pairs whose cosets form a component of
-    # three or more, which the search backtracks over; the components of one
-    # or two cosets beside them are decided in closed form
+    # three or more, which the search backtracks over; the lone uniform
+    # cosets and uniform pairs beside them are decided in closed form, and
+    # every component of split cosets, two cosets or more, by the one search
     G = build_family(spec)
     large = 0
     for H in st.all_subgroups(G):
@@ -97,6 +98,30 @@ def test_transversal_closed_form_matches_the_reference_beside_searched_component
         assert reps(codes.find_inverse_closed_transversal(G, H)) == \
             reps(reference_transversal_search(G, H)), (spec, H)
     assert large > 0
+
+
+@pytest.mark.parametrize("spec", ["D(128)", "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)"])
+def test_each_component_search_starts_with_none_of_its_keys_assigned(spec, monkeypatch):
+    # the search reads a component's candidate lists unfiltered on its first
+    # level, which is exact only while none of the component's keys is
+    # assigned; a call that no other search made is the start of a component
+    backtrack, depth, starts = codes._backtrack, [0], []
+
+    def spy(table, inv, component, assignment, first=False):
+        if depth[0] == 0:
+            starts.append(component)
+            assert first and not [k for k in component if k in assignment], (spec, component)
+        depth[0] += 1
+        try:
+            return backtrack(table, inv, component, assignment, first)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(codes, "_backtrack", spy)
+    G = build_family(spec)
+    for H in st.all_subgroups(G):
+        codes.find_inverse_closed_transversal(G, H)
+    assert starts, spec
 
 
 def coset_kinds(G, H) -> dict[int, bool]:

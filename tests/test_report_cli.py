@@ -232,7 +232,7 @@ def test_deciding_pairs_memoises_no_copy_of_the_table(spec):
 
     def copies(value):
         # tuples are looked into, nested ones too: the 𝒜₁ family candidates
-        # are a tuple of one (label, names, values, g1, g2) tuple per shape,
+        # are a tuple of one (label, names, values, g1, g2, g1 g2) tuple per shape,
         # with no Python object per candidate
         if isinstance(value, tuple):
             return any(copies(v) for v in value)
@@ -539,8 +539,12 @@ def test_cli_classify_writes_the_records_of_verify(tmp_path, spec):
 
 
 @pytest.mark.parametrize("args", [["M2(1,1)"], ["Q8", "--subgroup", "9"],
-                                  ["Q8", "--methods", "nonsense"]],
-                         ids=["spec", "generator", "methods"])
+                                  ["Q8", "--methods", "nonsense"],
+                                  # int() would read 2 and 10, both in D(16)
+                                  ["D(16)", "--subgroup", "\u0662"],
+                                  ["D(16)", "--subgroup", "1_0"]],
+                         ids=["spec", "generator", "methods", "arabic-indic-digit",
+                              "underscore"])
 def test_cli_classify_bad_input_leaves_no_out_file(tmp_path, capsys, args):
     out_file = tmp_path / "r.jsonl"
     code = main(["classify", *args, "--out", str(out_file)])
@@ -794,12 +798,22 @@ def test_cli_verify_rejects_an_empty_catalog_label(tmp_path, capsys):
     ([], {"PCL_WORKERS": "abc"}),
     (["--workers", "0"], None),
     ([], {"PCL_WORKERS": "-3"}),
+    # digits are ASCII, as in a spec: int() would read 2 workers from these
+    (["--workers", "\u0662"], None),
+    ([], {"PCL_WORKERS": "\u0662"}),
 ])
 def test_cli_verify_rejects_bad_worker_counts(tmp_path, flag, env):
     spec_file = tmp_path / "catalog.json"
     spec_file.write_text(json.dumps(["Q8"]))
     code, _, err = run_cli("verify", "--catalog", str(spec_file), *flag, env=env)
     _assert_input_error(code, err)
+
+
+@pytest.mark.parametrize("raw", ["1_000", "\u0661\u0660\u0660\u0660", "abc"])
+def test_cli_rejects_a_max_order_not_in_ascii_digits(raw, capsys, monkeypatch):
+    # int() reads the first two as 1000, above C(600)'s order
+    monkeypatch.setenv("PCL_MAX_ORDER", raw)
+    _assert_input_error(main(["codeperfect", "C(600)"]), capsys.readouterr().err)
 
 
 def test_cli_verify_bad_methods_leave_out_file_alone(tmp_path, capsys):
