@@ -1,35 +1,87 @@
-"""Run `pcl verify` on one catalog, then check its peak RSS and the digest of
-its record content.
+"""Run `pcl verify` on one catalog, check its peak RSS and the digest of its
+record content, and certify the records with the checker that shares no code
+with `pcl`, ``pclbench/check.py``.
 
-    python3 verify_records.py CATALOG [--max-rss-mb MB] [--sha256 HEX]
+    python3 verify_records.py CATALOG [--max-rss-mb MB] [--sha256 HEX] [--findings N]
 
 CATALOG is a JSON file listing group specs, or ``default`` for the default
-catalog.  The records are written next to it as CATALOG's stem plus
-``.jsonl``.  The peak is the largest resident set of the `pcl` process; the
-digest is the sha256 of the records, one sorted-key JSON line each with
-every verdict's ``time_ms`` dropped, the content that must not change.
-Exits nonzero when `pcl verify` fails, the peak reaches the bound, or the
-digest differs.
+catalog.  `pcl verify` runs under this script's own interpreter and writes
+the records next to CATALOG, as its stem plus ``.jsonl``; they are read back
+once, with every verdict's ``time_ms`` dropped, the content that must not
+change.  The peak is the largest resident set of the `pcl` process; the
+digest is the sha256 of that content, one sorted-key JSON line per record.
+With ``--findings N`` the same content is certified against the `pcl build`
+table of each group, and N is the number of theorem findings the catalog is
+known to have.  Exits nonzero when `pcl verify` fails, the peak reaches the
+bound, the digest differs, or the certificate finds a failed pair, a group
+problem or other than N findings.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+CHECK = Path(__file__).resolve().parents[1] / "pclbench" / "check.py"
 
-def record_digest(path: Path) -> tuple[int, str]:
+
+def load_check():
+    """``pclbench/check.py``, loaded by path, registered before it runs, as
+    ``dataclass`` looks its module up."""
+    spec = importlib.util.spec_from_file_location("pclbench_check", CHECK)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tables(groups) -> dict:
+    """The `pcl build` table of each (label, spec) in ``groups``, by label."""
+    from pcl import cli
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, spec) in enumerate(groups):
+            path = Path(tmp) / f"table-{i}.json"
+            if cli.main(["build", spec, "--out", str(path)]) != 0:
+                sys.exit(f"pcl build {spec!r} failed")
+            out[label] = json.loads(path.read_text())
+    return out
+
+
+def read_records(path: Path) -> list[dict]:
+    """The records in ``path``, each verdict without its ``time_ms``."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for record in records:
         for verdict in record["verdicts"].values():
             verdict.pop("time_ms", None)
+    return records
+
+
+def record_digest(records: list[dict]) -> str:
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
-    return len(records), hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def certify(catalog: str, records: list[dict], known_findings: int) -> bool:
+    """Whether ``check.check_records`` passes every record of ``catalog``
+    with no group problem and exactly ``known_findings`` findings."""
+    from pcl.catalog import default_catalog_specs, load_catalog_pairs
+    groups = default_catalog_specs() if catalog == "default" else load_catalog_pairs(catalog)
+    outcome = load_check().check_records(groups, tables(groups), records)
+    print(f"{len(records)} records: {outcome.failed} failed pairs, "
+          f"{len(outcome.group_problems)} group problems, {len(outcome.findings)} findings")
+    for i, problems in list(outcome.failed_pairs.items())[:5]:
+        print(f"pair {i}: {'; '.join(problems)}")
+    for line in outcome.group_problems[:5] + outcome.findings:
+        print(line)
+    return not (outcome.failed or outcome.group_problems
+                or len(outcome.findings) != known_findings)
 
 
 def main() -> int:
@@ -37,19 +89,25 @@ def main() -> int:
     parser.add_argument("catalog")
     parser.add_argument("--max-rss-mb", type=float)
     parser.add_argument("--sha256")
+    parser.add_argument("--findings", type=int)
     args = parser.parse_args()
     out = Path(args.catalog).with_suffix(".jsonl")
-    subprocess.run(["pcl", "verify", "--catalog", args.catalog, "--out", str(out)],
-                   stdout=subprocess.DEVNULL, check=True)
+    # pcl is imported only after this: a child's peak counts the resident
+    # set of the process it was started from, so this one stays small
+    subprocess.run([sys.executable, "-m", "pcl.cli", "verify", "--catalog", args.catalog,
+                    "--out", str(out)], stdout=subprocess.DEVNULL, check=True)
     mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(f"{args.catalog} verify peak RSS {mb:.1f} MB")
     if args.max_rss_mb is not None and not mb < args.max_rss_mb:
         sys.exit(f"peak RSS {mb:.1f} MB is not below {args.max_rss_mb:g} MB")
+    records = read_records(out)
     if args.sha256 is not None:
-        count, digest = record_digest(out)
-        print(f"{count} records, sha256 {digest}")
+        digest = record_digest(records)
+        print(f"{len(records)} records, sha256 {digest}")
         if digest != args.sha256:
             sys.exit(f"record digest {digest} differs from {args.sha256}")
+    if args.findings is not None and not certify(args.catalog, records, args.findings):
+        return 1
     return 0
 
 

@@ -7,7 +7,8 @@ modules, and its catalog workload replaces
 looks those names up on the module at call time.  Its checker,
 ``pclbench/check.py``, imports no ``pcl``, so it must fail a pair that a bug
 in a helper shared by every exact route decides wrongly, even where the
-routes agree.
+routes agree.  CI runs it through ``.github/verify_records.py``, which must
+certify the records its own `pcl verify` run has just written.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +72,9 @@ def test_checker_fails_pairs_that_a_shared_helper_bug_moves_every_route_on(monke
     # with ``involutions`` giving only the identity, every exact route reads
     # the same wrong solutions of y^2 = 1, so on some pairs all four agree
     # on a wrong verdict; the checker's certificates still fail them.  The
-    # checker and the tables come from ``.github/check_records.py``, as in CI
+    # checker and the tables come from ``.github/verify_records.py``, as in CI
     monkeypatch.syspath_prepend(str(ROOT / ".github"))
-    wrapper = importlib.import_module("check_records")
+    wrapper = importlib.import_module("verify_records")
     check = wrapper.load_check()
     specs, entries = [], []
     for label, spec in catalog.default_catalog_specs():
@@ -91,3 +95,30 @@ def test_checker_fails_pairs_that_a_shared_helper_bug_moves_every_route_on(monke
     agreeing = [i for i in outcome.failed_pairs
                 if len({records[i]["verdicts"][m].get("is_code") for m in check.ROUTES}) == 1]
     assert agreeing, outcome.failed
+
+
+def test_verify_records_certifies_the_records_it_has_just_written(tmp_path):
+    # a records file left under the catalog's name is overwritten by the
+    # run, not certified: its one record would be a group problem
+    catalog_file = tmp_path / "two.json"
+    catalog_file.write_text('["Q8", "D(8)"]')
+    out = tmp_path / "two.jsonl"
+    out.write_text('{"group": "Q8", "subgroup": {}, "verdicts": {}}\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def run(*options):
+        return subprocess.run(
+            [sys.executable, str(ROOT / ".github" / "verify_records.py"), str(catalog_file),
+             *options], cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    passed = run("--findings", "0")
+    assert passed.returncode == 0, passed.stdout + passed.stderr
+    assert "16 records: 0 failed pairs, 0 group problems, 0 findings" in passed.stdout
+    assert len(out.read_text().splitlines()) == 6 + 10
+    wrong = run("--sha256", "0" * 64, "--findings", "0")
+    assert wrong.returncode == 1 and "0 findings" not in wrong.stdout, wrong.stderr
+    digest = wrong.stdout.split("sha256 ")[1].split()[0]
+    # the digest passes, then the certificate fails on the findings count
+    extra = run("--sha256", digest, "--findings", "1")
+    assert extra.returncode == 1 and "16 records: 0 failed pairs" in extra.stdout, extra.stderr

@@ -88,9 +88,10 @@ def component_sizes(G, H) -> list[int]:
                                   "SD(C(5);C(4);1->2)", "SD(C(7);C(3);1->2)"])
 def test_transversal_closed_form_matches_the_reference_beside_searched_components(spec):
     # A5, A4, F20 and C7:C3 have pairs whose cosets form a component of
-    # three or more, which the search backtracks over; the lone uniform
-    # cosets and uniform pairs beside them are decided in closed form, and
-    # every component of split cosets, two cosets or more, by the one search
+    # three cosets or more, though the search never undoes a choice on them;
+    # the lone uniform cosets and uniform pairs beside them are decided in
+    # closed form, and every component of split cosets, two cosets or more,
+    # by the one search
     G = build_family(spec)
     large = 0
     for H in st.all_subgroups(G):
@@ -98,6 +99,30 @@ def test_transversal_closed_form_matches_the_reference_beside_searched_component
         assert reps(codes.find_inverse_closed_transversal(G, H)) == \
             reps(reference_transversal_search(G, H)), (spec, H)
     assert large > 0
+
+
+@pytest.mark.parametrize("spec", ["SD(Q8;C(3);1->2,2->3)", "perm:(1 2 3 4 5),(1 2)"])
+def test_transversal_search_matches_the_reference_where_it_undoes_a_choice(spec, monkeypatch):
+    # on SL(2,3) and S5 some nested search finds a component it cannot
+    # finish and returns False, so its caller undoes a choice and tries the
+    # next; the transversal found must still be the reference's
+    backtrack, depth, undone = codes._backtrack, [0], [0]
+
+    def spy(table, inv, component, assignment, first=False):
+        depth[0] += 1
+        try:
+            found = backtrack(table, inv, component, assignment, first)
+        finally:
+            depth[0] -= 1
+        undone[0] += depth[0] > 0 and not found
+        return found
+
+    monkeypatch.setattr(codes, "_backtrack", spy)
+    G = build_family(spec)
+    for H in st.all_subgroups(G):
+        assert reps(codes.find_inverse_closed_transversal(G, H)) == \
+            reps(reference_transversal_search(G, H)), (spec, H)
+    assert undone[0] > 0, spec
 
 
 @pytest.mark.parametrize("spec", ["D(128)", "perm:(1 2 3 4 5),(1 2 3)", "SD(C(5);C(4);1->2)"])
