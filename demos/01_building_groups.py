@@ -28,4 +28,4 @@ for spec in [
 m = build_family("M2(2,1)")
 a, b = m.witness["a"], m.witness["b"]
 print(f"\nIn M2(2,1): o(a) = {m.element_order(a)}, o(b) = {m.element_order(b)},"
-      f" b^-1 a b = a^{ [m.power(a, k) for k in range(4)].index(m.conjugate(a, b)) }")
+      f" b^-1 a b = a^{ [m.power(a, k) for k in range(4)].index(int(m.conjugates([a], [b])[0, 0])) }")

@@ -16,11 +16,11 @@ Four independent routes are implemented and cross-checked elsewhere:
   re-verified here, which alone proves a transversal one, and for small
   groups an exhaustive sweep over all inverse-closed connection sets refutes
   negatives.
-  The sweep checks every set, in a fixed order, against the definition, many
-  sets per array operation: a set's domination counts are the sum of its
-  blocks' rows in one table of per-block counts (``hits``), plus one for the
-  vertices in the subgroup.  It uses neither the transversal lemma nor the
-  criteria, and the set it finds is re-verified like any other positive.
+  The sweep checks every set, in a fixed order, against the definition:
+  one table holds every set's domination counts, each row the sum of its
+  blocks' rows of per-block counts (``hits``), plus one for the vertices in
+  the subgroup.  It uses neither the transversal lemma nor the criteria,
+  and the set it finds is re-verified like any other positive.
 
 Every sub-table of chosen rows and columns a route reads per pair goes
 through ``groups.gather``; the coset keys, from H's whole rows of the table,
@@ -314,9 +314,6 @@ def verify_perfect_code_in_cayley(G: Group, S: ConnectionSet, C: Subgroup) -> bo
     return bool((np.bincount(products.ravel(), minlength=G.order) == 1).all())
 
 
-SWEEP_CHUNK_BITS = 12  # 4,096 connection sets per chunk
-
-
 def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | None:
     """Brute force over every inverse-closed S: first S realizing H as a
     perfect code, or None after exhausting all of them.
@@ -325,10 +322,10 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
     {x, x^-1} in ascending order of their least element, taken by ascending
     bitmask over that block list.  With ``hits[b, g]`` the number of c in H
     for which g c^-1 lies in block b, the domination counts of the set with
-    bit vector ``bits`` are ``bits @ hits + [g in H]``, and H is a perfect
-    code with that set exactly when every count is 1.  The sets go in chunks
-    of 2^SWEEP_CHUNK_BITS that share their higher bits: the counts of the
-    low bits are tabulated once, and each chunk adds its higher bits' row.
+    bitmask m are row m of one table: row 0 is [g in H], and rows
+    [2^i, 2^(i+1)) are rows [0, 2^i) plus ``hits[i]``, written in place.  H
+    is a perfect code with set m exactly when row m's minimum and maximum
+    are both 1.
     """
     _require_subgroup_of(G, H)
     elements = np.arange(1, G.order)
@@ -339,30 +336,15 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
     # the smallest dtype for counts, which never exceed |H| + 1
     hits = (block[G.mult[:, G.inv[H.members]]] == np.arange(k)[:, None, None]
             ).sum(axis=2, dtype=np.min_scalar_type(H.order + 1))
-    low = min(k, SWEEP_CHUNK_BITS)
-    low_counts = _subset_sums(hits[:low]) + H.mask
-    for high in range(1 << (k - low)):
-        counts = low_counts + _bits(high, k - low).astype(hits.dtype) @ hits[low:]
-        found = np.flatnonzero((counts == 1).all(axis=1))
-        if found.size:
-            chosen = least[np.flatnonzero(_bits((high << low) | int(found[0]), k))]
-            members = sorted_distinct(np.concatenate((chosen, G.inv[chosen])), G.order)
-            return ConnectionSet(G, members)
-    return None
-
-
-def _bits(mask: int, width: int) -> np.ndarray:
-    """Bits 0 to width - 1 of ``mask``, lowest first."""
-    return mask >> np.arange(width) & 1
-
-
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Row m is ``_bits(m) @ rows`` for every m below 2^len(rows), built by
-    doubling: the rows for one more bit are the ones so far plus that row."""
-    sums = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows:
-        sums = np.concatenate([sums, sums + row])
-    return sums
+    counts = np.empty((1 << k, G.order), dtype=hits.dtype)
+    counts[0] = H.mask
+    for i, row in enumerate(hits):
+        np.add(counts[:1 << i], row, out=counts[1 << i:2 << i])
+    found = np.flatnonzero((counts.min(axis=1) == 1) & (counts.max(axis=1) == 1))
+    if not found.size:
+        return None
+    chosen = least[int(found[0]) >> np.arange(k) & 1 == 1]
+    return ConnectionSet(G, sorted_distinct(np.concatenate((chosen, G.inv[chosen])), G.order))
 
 
 def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:

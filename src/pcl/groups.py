@@ -146,10 +146,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
 
-    def conjugate(self, h: int, x: int) -> int:
-        """x^-1 h x."""
-        return int(self.mult[self.mult[self.inv[x], h], x])
-
     def power(self, g: int, k: int) -> int:
         if k < 0:
             g, k = int(self.inv[g]), -k

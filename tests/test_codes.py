@@ -577,11 +577,15 @@ def test_exhaustive_search_matches_reference_on_small_catalog_groups(catalog):
 
 
 def test_exhaustive_search_memory_stays_flat():
-    # EA(2,4) has 15 blocks, so 2^15 sets; D(8)xC(2) (13 blocks) refutes
-    # some subgroups, which runs every chunk
-    for spec in ["EA(2,4)", "D(8)xC(2)"]:
+    # one table holds the counts of all 2^k sets, k the group's blocks, so
+    # the peak follows the table: EA(2,4) has 15 blocks, the most at order
+    # 16; of the groups with a refuted subgroup, whose sweep reads every
+    # row, D(8)xC(2) has the most (13) and D(16) the most in the catalog (12)
+    for spec in ["EA(2,4)", "D(8)xC(2)", "D(16)"]:
         G = build_family(spec)
+        blocks = sum(1 for x in range(1, G.order) if G.inv[x] >= x)
         for H in st.all_subgroups(G):
+            table = (1 << blocks) * G.order * np.min_scalar_type(H.order + 1).itemsize
             tracemalloc.start()
             try:
                 codes.exhaustive_connection_set_search(G, H)
@@ -589,6 +593,7 @@ def test_exhaustive_search_memory_stays_flat():
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, (spec, H.members.tolist(), peak)
+            assert peak <= 1.25 * table + (16 << 10), (spec, H.members.tolist(), peak, table)
 
 
 def test_exhaustive_search_agrees_with_criterion_small():

@@ -281,7 +281,7 @@ def test_normalizer_by_conjugation_scan(d8):
     nz = st.normalizer(d8, b)
     # independent scan: x normalizes iff conjugating every member stays inside
     expected = [x for x in range(d8.order)
-                if all(d8.conjugate(h, x) in b for h in b.members.tolist())]
+                if all(int(d8.conjugates([h], [x])[0, 0]) in b for h in b.members.tolist())]
     assert nz.members.tolist() == expected
     assert nz.order == 4
     a2 = d8.power(d8.witness["a"], 2)
