@@ -13,9 +13,9 @@ Four independent routes are implemented and cross-checked elsewhere:
   identity by the subgroup, one (|S| + 1) x |H| gather, about |G| entries,
   not |G| x |H|.  This is the single source of definitional truth; positive
   verdicts from the other routes are turned into a connection set and
-  re-verified here, which alone proves a transversal one, and for small
-  groups an exhaustive sweep over all inverse-closed connection sets refutes
-  negatives.
+  re-verified here, which alone proves a transversal one, and for groups of
+  order up to SWEEP_MAX_ORDER, the only ones it takes, an exhaustive sweep
+  over all inverse-closed connection sets refutes negatives.
   The sweep checks every set, in a fixed order, against the definition:
   one table holds every set's domination counts, each row the sum of its
   blocks' rows of per-block counts (``hits``), plus one for the vertices in
@@ -35,10 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeLimitError
 from .groups import Group, _blocks, _readonly, gather, index_mask, sorted_distinct
 from .structure import (Subgroup, involutions, normalizer, _require_subgroup_of,
                         _sylow_within)
+
+SWEEP_MAX_ORDER = 16  # the sweep's 2^k x |G| counts: 512 KiB on EA(2,4), 2 MiB on C(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,9 +327,11 @@ def exhaustive_connection_set_search(G: Group, H: Subgroup) -> ConnectionSet | N
     bitmask m are row m of one table: row 0 is [g in H], and rows
     [2^i, 2^(i+1)) are rows [0, 2^i) plus ``hits[i]``, written in place.  H
     is a perfect code with set m exactly when row m's minimum and maximum
-    are both 1.
+    are both 1.  An order above SWEEP_MAX_ORDER is refused before any table.
     """
     _require_subgroup_of(G, H)
+    if G.order > SWEEP_MAX_ORDER:
+        raise SizeLimitError(f"sweep of order {G.order} exceeds SWEEP_MAX_ORDER={SWEEP_MAX_ORDER}")
     elements = np.arange(1, G.order)
     least = elements[G.inv[elements] >= elements]  # of each block, ascending
     k = least.size

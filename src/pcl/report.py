@@ -20,8 +20,6 @@ from .catalog import CatalogEntry
 from .errors import GroupSpecError, PclError, PreconditionError, SizeLimitError
 from .structure import Subgroup, all_subgroups, normalizer
 
-EXHAUSTIVE_CAYLEY_LIMIT = 16
-
 # The routes look every function up on its module at call time, so a
 # wrapper installed there (a tracer, a test double) sees every call.
 
@@ -49,7 +47,7 @@ def _cayley(entry: CatalogEntry, H: Subgroup, search) -> dict | None:
             connection = codes.connection_set_from_transversal(G, H, transversal)
         except PreconditionError as exc:
             return {"is_code": False, "evidence": {"invalid_transversal": str(exc)}}
-    elif G.order > EXHAUSTIVE_CAYLEY_LIMIT:
+    elif G.order > codes.SWEEP_MAX_ORDER:
         return None
     else:
         connection = codes.exhaustive_connection_set_search(G, H)

@@ -30,8 +30,8 @@ from . import groups
 from .errors import GroupSpecError
 from .groups import DIGITS, Group
 
-# a spec's canonical label and the function that builds its group
-Parsed = tuple[str, Callable[[], Group]]
+# a spec's canonical label and the function that builds its group, named as given
+Parsed = tuple[str, Callable[[str], Group]]
 
 # atom prefix -> (constructor, parameter count); M2 takes an optional ",1"
 _FAMILIES = {"C(": (groups.cyclic, 1), "EA(": (groups.elementary_abelian, 2),
@@ -39,7 +39,7 @@ _FAMILIES = {"C(": (groups.cyclic, 1), "EA(": (groups.elementary_abelian, 2),
 
 
 def _call(label: str, constructor, *params) -> Parsed:
-    return label, lambda: constructor(*params, label=label)
+    return label, lambda name: constructor(*params, label=name)
 
 
 class _Parser:
@@ -102,8 +102,8 @@ class _Parser:
         if len(factors) == 1:
             return factors[0]
         label = "x".join(factor_label for factor_label, _ in factors)
-        return label, lambda: groups.direct_product(*(make() for _, make in factors),
-                                                    label=label)
+        return label, lambda name: groups.direct_product(
+            *(make(factor_label) for factor_label, make in factors), label=name)
 
     def parse_atom(self) -> Parsed:
         self.skip_ws()
@@ -133,8 +133,8 @@ class _Parser:
             self.expect(")")
             pairs = ",".join(f"{g}->{h}" for g, h in action)
             label = f"SD({normal_label};{acting_label};{pairs})"
-            return label, lambda: groups.semidirect_product(normal(), acting(), action,
-                                                            label=label)
+            return label, lambda name: groups.semidirect_product(
+                normal(normal_label), acting(acting_label), action, label=name)
         if self.accept("perm:"):
             return self.parse_perm()
         raise self.error("expected a group atom (C, EA, D, Q8, M2, SD or perm:)")
@@ -193,11 +193,8 @@ def build_family(text: str, label: str | None = None) -> Group:
     by the spec's canonical form.  Raises GroupSpecError, with a position
     for a syntax error, or SizeLimitError."""
     parser = _Parser(text)
-    _, build = parser.parse_spec()
+    canonical, build = parser.parse_spec()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input after group spec")
-    group = build()
-    if label:
-        group.label = label
-    return group
+    return build(label or canonical)

@@ -5,9 +5,13 @@ subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
 an element of prime-power order that normalizes it, as a union of cosets of
 V), which is complete for solvable groups; a group that is not solvable gets
 one join pass against its cyclic subgroups on top.  The lattice is cached on
-the parent; Frattini and Sylow subgroups and the minimal nonabelian test come
-from p-group identities and never build it.  The derived and Frattini
-subgroups are one normal closure each, read from canonical generators.
+the parent; its enumeration refuses to hold more membership masks, subgroups
+times |G| bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused
+and EA(2,8) is not.  Frattini and Sylow subgroups and the minimal
+nonabelian test come from p-group identities and never build the lattice.
+``subgroup_generated`` refuses a generator outside range(|G|).  The derived
+and Frattini subgroups are one normal closure each, read from canonical
+generators.
 """
 
 from __future__ import annotations
@@ -17,8 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
-from .groups import (Group, gather, index_mask, max_order, prime_power, sorted_distinct,
+from .groups import (Group, gather, index_mask, prime_power, sorted_distinct,
                      _blocks, _readonly)
+
+# the bytes of membership masks, subgroups times |G|, a lattice may hold:
+# EA(2,8) holds 106.8 MB at the end, EA(2,9) would hold 4.24 GB
+LATTICE_MASK_BYTES = 1 << 27
 
 
 class Subgroup:
@@ -112,7 +120,11 @@ def full_subgroup(G: Group) -> Subgroup:
 
 
 def subgroup_generated(G: Group, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens``."""
+    """Smallest subgroup containing ``gens``, each in range(|G|)."""
+    gens = list(gens)
+    for g in gens:
+        if not 0 <= g < G.order:
+            raise PreconditionError(f"subgroup generator {g} out of range")
     return Subgroup(G, G.generate(gens)[0])
 
 
@@ -136,9 +148,6 @@ def all_subgroups(G: Group) -> list[Subgroup]:
 
 
 def _lattice(G: Group) -> list[Subgroup]:
-    if G.order > max_order():
-        raise SizeLimitError(
-            f"subgroup enumeration of order {G.order} exceeds PCL_MAX_ORDER={max_order()}")
     masks = _cyclic_extensions(G)
     if not masks[-1].all():  # the last layer is {G} exactly when G is solvable
         masks = _join_completion(G, masks)
@@ -152,8 +161,10 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
     """Membership masks of every subgroup reachable by cyclic extension, in
     layers by the number of prime factors of the order: each layer is deduped
     by its own dict, dropped once the layer is made, and a finished layer
-    keeps only its masks.  Each subgroup carries the generating set it was
-    made with, its parent's and the z that grew it, for ``_extenders``."""
+    keeps only its masks; before each subgroup is extended, the masks held,
+    with the next layer's so far, are counted against LATTICE_MASK_BYTES.
+    Each subgroup carries the generating set it was made with, its parent's
+    and the z that grew it, for ``_extenders``."""
     prime, _ = _prime_powers(G)
     candidates = prime.nonzero()[0]
     trivial = np.zeros(G.order, dtype=bool)
@@ -161,9 +172,10 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
     masks = []
     layer = [(trivial, ())]
     while layer:
+        masks += [V for V, _ in layer]
         grown = {}
         for V, gens in layer:
-            masks.append(V)
+            _check_mask_budget(G, len(masks) + len(grown))
             members = V.nonzero()[0]
             # z inside an extension V<y> already made gives V<z> = V<y>
             covered = V.copy()
@@ -264,7 +276,17 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
             queue.append(joined)
             for conj in conjugates(joined):
                 found.setdefault(conj.tobytes(), conj)
+            _check_mask_budget(G, len(found))
     return list(found.values())
+
+
+def _check_mask_budget(G: Group, count: int) -> None:
+    """Refuse a lattice whose ``count`` membership masks held pass
+    LATTICE_MASK_BYTES: a count, not a measure of memory, so the answer is
+    the same on every machine."""
+    if count * G.order > LATTICE_MASK_BYTES:
+        raise SizeLimitError(f"subgroup lattice of order {G.order} holds more than "
+                             f"{LATTICE_MASK_BYTES:,} bytes of membership masks")
 
 
 def maximal_subgroups(H: Subgroup) -> list[Subgroup]:

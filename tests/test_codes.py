@@ -8,7 +8,7 @@ import pytest
 
 from pcl import codes, groups, report, structure as st
 from pcl.catalog import CatalogEntry
-from pcl.errors import PreconditionError
+from pcl.errors import PreconditionError, SizeLimitError
 from pcl.specs import build_family
 
 from conftest import (cayley_verdict, inverse_closed_subsets, reference_conj_table,
@@ -594,6 +594,22 @@ def test_exhaustive_search_memory_stays_flat():
                 tracemalloc.stop()
             assert peak < 1 << 20, (spec, H.members.tolist(), peak)
             assert peak <= 1.25 * table + (16 << 10), (spec, H.members.tolist(), peak, table)
+
+
+@pytest.mark.parametrize("spec", ["C(32)", "D(64)", "EA(2,6)"])
+def test_exhaustive_search_refuses_an_order_past_its_limit(spec):
+    # the tables of 2^k x |G| counts would be 2 MiB for C(32), 16 PiB for
+    # D(64) and 2^63 rows for EA(2,6): the sweep refuses before any of them
+    G = build_family(spec)
+    H = st.trivial_subgroup(G)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"sweep of order {G.order} exceeds"):
+            codes.exhaustive_connection_set_search(G, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, (spec, peak)
 
 
 def test_exhaustive_search_agrees_with_criterion_small():

@@ -383,6 +383,23 @@ def test_cli_verify_size_limit_exit_code(tmp_path, monkeypatch):
     assert len(out_file.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_verify_lattice_past_its_mask_budget_exits_3(tmp_path, capsys, monkeypatch, workers):
+    # EA(2,5)'s 374 subgroups hold 11,968 mask bytes, past the lowered
+    # budget, which the forked workers inherit; C(2)'s records still come
+    monkeypatch.setattr(structure, "LATTICE_MASK_BYTES", 1 << 12)
+    spec_file = tmp_path / "catalog.json"
+    spec_file.write_text(json.dumps(["EA(2,5)", "C(2)"]))
+    out_file = tmp_path / "r.jsonl"
+    assert main(["verify", "--catalog", str(spec_file), "--out", str(out_file),
+                 "--workers", workers, "--summary", "table"]) == 3
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert [r["group"] for r in records] == ["C(2)", "C(2)"]
+    out, err = capsys.readouterr()
+    error = "subgroup lattice of order 32 holds more than 4,096 bytes of membership masks"
+    assert f"! {error}" in out and err == f"EA(2,5): {error}\n"
+
+
 HUGE_SPECS = ["EA(2,99999)", "M2(99999,1)", "M2(1,99999,1)"]
 
 

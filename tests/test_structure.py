@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcl import structure as st
-from pcl.errors import PreconditionError
+from pcl.errors import PreconditionError, SizeLimitError
 from pcl.groups import Group
 from pcl.specs import build_family
 from pcl.theorems import _squares
@@ -42,6 +42,28 @@ def test_subgroup_generated_trivial_cases(d8):
     assert sq.order == 2
     whole = st.subgroup_generated(d8, [a, d8.witness["b"]])
     assert whole.is_full
+
+
+@pytest.mark.parametrize("g", [-1, 8, 2 ** 40])
+def test_subgroup_generated_refuses_a_generator_out_of_range(g):
+    # unchecked, -1 read the last row of the table and gave all of C(8), and
+    # 8 and 2^40 raised a bare IndexError
+    with pytest.raises(PreconditionError, match=f"^subgroup generator {g} out of range$"):
+        st.subgroup_generated(build_family("C(8)"), [1, g])
+
+
+@pytest.mark.parametrize("spec, count", [("EA(2,5)", 374), ("perm:(1 2 3 4 5),(1 2 3)", 59)])
+def test_lattice_past_its_mask_budget_raises_size_limit(spec, count, monkeypatch):
+    # a budget of one byte less than the lattice's masks refuses it, and one
+    # of exactly those bytes does not; cyclic extension finds 58 of A5's 59
+    # subgroups, so there the join pass must count too
+    G = build_family(spec)
+    budget = count * G.order
+    monkeypatch.setattr(st, "LATTICE_MASK_BYTES", budget - 1)
+    with pytest.raises(SizeLimitError, match=f"holds more than {budget - 1:,} bytes"):
+        st.all_subgroups(G)
+    monkeypatch.setattr(st, "LATTICE_MASK_BYTES", budget)
+    assert len(st.all_subgroups(G)) == count
 
 
 def test_subgroup_invariants(d8):
