@@ -7,14 +7,16 @@ with `pcl`, ``pclbench/check.py``.
 CATALOG is a JSON file listing group specs, or ``default`` for the default
 catalog.  `pcl verify` runs under this script's own interpreter and writes
 the records next to CATALOG, as its stem plus ``.jsonl``; they are read back
-once, with every verdict's ``time_ms`` dropped, the content that must not
-change.  The peak is the largest resident set of the `pcl` process; the
-digest is the sha256 of that content, one sorted-key JSON line per record.
-With ``--findings N`` the same content is certified against the `pcl build`
-table of each group, and N is the number of theorem findings the catalog is
-known to have.  Exits nonzero when `pcl verify` fails, the peak reaches the
-bound, the digest differs, or the certificate finds a failed pair, a group
-problem or other than N findings.
+once, a line at a time, with every verdict's ``time_ms`` dropped, the content
+that must not change.  The peak is the largest resident set of the `pcl`
+process, printed beside the run's wall time; the digest is the sha256 of
+that content, one sorted-key JSON line per record, and the dropped
+``time_ms`` are summed per route and printed in seconds.  The records are
+kept only with ``--findings N``, which certifies the same content against
+the `pcl build` table of each group, N being the number of theorem findings
+the catalog is known to have.  Exits nonzero when `pcl verify` fails, the
+peak reaches the bound, the digest differs, or the certificate finds a
+failed pair, a group problem or other than N findings.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CHECK = Path(__file__).resolve().parents[1] / "pclbench" / "check.py"
@@ -54,18 +57,21 @@ def tables(groups) -> dict:
     return out
 
 
-def read_records(path: Path) -> list[dict]:
-    """The records in ``path``, each verdict without its ``time_ms``."""
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    for record in records:
-        for verdict in record["verdicts"].values():
-            verdict.pop("time_ms", None)
-    return records
-
-
-def record_digest(records: list[dict]) -> str:
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+def read_records(path: Path, keep: bool) -> tuple[int, str, dict, list[dict]]:
+    """One pass over the records in ``path``, a line at a time: their count,
+    the digest of their content, each route's ``time_ms`` sum in seconds, and
+    the records, each verdict without its ``time_ms``, if ``keep``."""
+    count, digest, seconds, records = 0, hashlib.sha256(), {}, []
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            record = json.loads(line)
+            for route, verdict in record["verdicts"].items():
+                seconds[route] = seconds.get(route, 0) + verdict.pop("time_ms", 0) / 1000
+            digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+            count += 1
+            if keep:
+                records.append(record)
+    return count, digest.hexdigest(), seconds, records
 
 
 def certify(catalog: str, records: list[dict], known_findings: int) -> bool:
@@ -94,18 +100,19 @@ def main() -> int:
     out = Path(args.catalog).with_suffix(".jsonl")
     # pcl is imported only after this: a child's peak counts the resident
     # set of the process it was started from, so this one stays small
+    start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "pcl.cli", "verify", "--catalog", args.catalog,
                     "--out", str(out)], stdout=subprocess.DEVNULL, check=True)
+    wall = time.perf_counter() - start
     mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"{args.catalog} verify peak RSS {mb:.1f} MB")
+    print(f"{args.catalog} verify peak RSS {mb:.1f} MB, wall {wall:.1f} s")
     if args.max_rss_mb is not None and not mb < args.max_rss_mb:
         sys.exit(f"peak RSS {mb:.1f} MB is not below {args.max_rss_mb:g} MB")
-    records = read_records(out)
-    if args.sha256 is not None:
-        digest = record_digest(records)
-        print(f"{len(records)} records, sha256 {digest}")
-        if digest != args.sha256:
-            sys.exit(f"record digest {digest} differs from {args.sha256}")
+    count, digest, seconds, records = read_records(out, args.findings is not None)
+    print("route time_ms sums: " + ", ".join(f"{r} {s:.2f} s" for r, s in seconds.items()))
+    print(f"{count} records, sha256 {digest}")
+    if args.sha256 is not None and digest != args.sha256:
+        sys.exit(f"record digest {digest} differs from {args.sha256}")
     if args.findings is not None and not certify(args.catalog, records, args.findings):
         return 1
     return 0

@@ -4,10 +4,11 @@ Subgroups are dense membership masks over a fixed parent group.  The full
 subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
 an element of prime-power order that normalizes it, as a union of cosets of
 V), which is complete for solvable groups; a group that is not solvable gets
-one join pass against its cyclic subgroups on top.  The lattice is cached on
-the parent; its enumeration refuses to hold more membership masks, subgroups
-times |G| bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused
-and EA(2,8) is not.  Frattini and Sylow subgroups and the minimal
+one join pass against its cyclic subgroups on top.  A mask is held once, as
+bytes, until its Subgroup is made.  The lattice is cached on the parent; its
+enumeration refuses to hold more membership masks, subgroups times |G|
+bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused and EA(2,8)
+is not.  Frattini and Sylow subgroups and the minimal
 nonabelian test come from p-group identities and never build the lattice.
 ``subgroup_generated`` refuses a generator outside range(|G|).  The derived
 and Frattini subgroups are one normal closure each, read from canonical
@@ -96,12 +97,6 @@ class Subgroup:
     def is_cyclic(self) -> bool:
         return bool((self.parent.element_orders()[self.members] == self.order).any())
 
-    def sort_key(self) -> tuple:
-        """(order, packed complement of the mask), which sorts as (order,
-        member tuple): where two member sets of one order first differ, the
-        set holding that element sorts first, and its complement bit is clear."""
-        return (self.order, np.packbits(~self.mask).tobytes())
-
 
 def _require_subgroup_of(G: Group, H: Subgroup) -> None:
     """Every public (G, H) entry point refuses H of another group object."""
@@ -148,34 +143,37 @@ def all_subgroups(G: Group) -> list[Subgroup]:
 
 
 def _lattice(G: Group) -> list[Subgroup]:
+    """The masks as bytes, sorted in reverse of (order, member tuple), that is
+    of (count of ones, descending bytes), then popped in lattice order, each
+    as its Subgroup copies it, so no mask is held twice."""
     masks = _cyclic_extensions(G)
-    if not masks[-1].all():  # the last layer is {G} exactly when G is solvable
+    if 0 in masks[-1]:  # the last layer is {G} exactly when G is solvable
         masks = _join_completion(G, masks)
-    lattice = []
-    while masks:  # each mask goes as its Subgroup copies it: no two copies held
-        lattice.append(Subgroup(G, masks.pop()))
-    return sorted(lattice, key=Subgroup.sort_key)
+    masks.sort()
+    masks.sort(key=lambda m: m.count(1), reverse=True)
+    return [Subgroup(G, np.frombuffer(masks.pop(), dtype=bool)) for _ in range(len(masks))]
 
 
-def _cyclic_extensions(G: Group) -> list[np.ndarray]:
-    """Membership masks of every subgroup reachable by cyclic extension, in
-    layers by the number of prime factors of the order: each layer is deduped
-    by its own dict, dropped once the layer is made, and a finished layer
-    keeps only its masks; before each subgroup is extended, the masks held,
-    with the next layer's so far, are counted against LATTICE_MASK_BYTES.
-    Each subgroup carries the generating set it was made with, its parent's
-    and the z that grew it, for ``_extenders``."""
+def _cyclic_extensions(G: Group) -> list[bytes]:
+    """Membership masks, as bytes, of every subgroup reachable by cyclic
+    extension, in layers by the number of prime factors of the order.  Each
+    layer is one dict from a mask's bytes to the generating set it was made
+    with, its parent's and the z that grew it, for ``_extenders``; V is read
+    through a view of its key, and a finished layer keeps only its keys.
+    Before each subgroup is extended, the masks held, with the next layer's
+    so far, are counted against LATTICE_MASK_BYTES."""
     prime, _ = _prime_powers(G)
     candidates = prime.nonzero()[0]
     trivial = np.zeros(G.order, dtype=bool)
     trivial[0] = True
     masks = []
-    layer = [(trivial, ())]
+    layer = {trivial.tobytes(): ()}
     while layer:
-        masks += [V for V, _ in layer]
+        masks += layer
         grown = {}
-        for V, gens in layer:
+        for key, gens in layer.items():
             _check_mask_budget(G, len(masks) + len(grown))
+            V = np.frombuffer(key, dtype=bool)
             members = V.nonzero()[0]
             # z inside an extension V<y> already made gives V<z> = V<y>
             covered = V.copy()
@@ -184,8 +182,8 @@ def _cyclic_extensions(G: Group) -> list[np.ndarray]:
                     continue
                 U = _grown(G, V, members, z)
                 covered |= U
-                grown.setdefault(U.tobytes(), (U, gens + (z,)))
-        layer = list(grown.values())
+                grown.setdefault(U.tobytes(), gens + (z,))
+        layer = grown
     return masks
 
 
@@ -239,7 +237,7 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(prime), _readonly(pth_power)
 
 
-def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
+def _join_completion(G: Group, masks: list[bytes]) -> list[bytes]:
     """Close the conjugation-closed ``masks`` under joins with their cyclic
     subgroups.
 
@@ -256,12 +254,13 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
         out[everything, G.conjugates(mask.nonzero()[0], everything)] = True
         return out
 
-    cyclic = [m for m in masks if (orders[m] == m.sum()).any()]
-    found = {m.tobytes(): m for m in masks}
+    views = [np.frombuffer(m, dtype=bool) for m in masks]
+    cyclic = [m for m in views if (orders[m] == m.sum()).any()]
+    found = set(masks)
     queue = []
     classed: set[bytes] = set()
-    for m in masks:
-        if m.tobytes() not in classed:
+    for key, m in zip(masks, views):
+        if key not in classed:
             queue.append(m)
             classed.update(c.tobytes() for c in conjugates(m))
     while queue:
@@ -274,10 +273,9 @@ def _join_completion(G: Group, masks: list[np.ndarray]) -> list[np.ndarray]:
             if joined.tobytes() in found:
                 continue
             queue.append(joined)
-            for conj in conjugates(joined):
-                found.setdefault(conj.tobytes(), conj)
+            found.update(conj.tobytes() for conj in conjugates(joined))
             _check_mask_budget(G, len(found))
-    return list(found.values())
+    return list(found)
 
 
 def _check_mask_budget(G: Group, count: int) -> None:
