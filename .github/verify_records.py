@@ -11,7 +11,10 @@ once, a line at a time, with every verdict's ``time_ms`` dropped, the content
 that must not change.  The peak is the largest resident set of the `pcl`
 process, printed beside the run's wall time; the digest is the sha256 of
 that content, one sorted-key JSON line per record, and the dropped
-``time_ms`` are summed per route and printed in seconds.  The records are
+``time_ms`` are summed per route and printed in seconds, with the wall time
+less those sums as the time outside the routes: start-up, group build,
+lattice, tagging and record output (with a worker pool, whose routes run in
+several processes at once, it reads low).  The records are
 kept only with ``--findings N``, which certifies the same content against
 the `pcl build` table of each group, N being the number of theorem findings
 the catalog is known to have.  Exits nonzero when `pcl verify` fails, the
@@ -110,6 +113,7 @@ def main() -> int:
         sys.exit(f"peak RSS {mb:.1f} MB is not below {args.max_rss_mb:g} MB")
     count, digest, seconds, records = read_records(out, args.findings is not None)
     print("route time_ms sums: " + ", ".join(f"{r} {s:.2f} s" for r, s in seconds.items()))
+    print(f"outside the routes: {wall - sum(seconds.values()):.2f} s")
     print(f"{count} records, sha256 {digest}")
     if args.sha256 is not None and digest != args.sha256:
         sys.exit(f"record digest {digest} differs from {args.sha256}")

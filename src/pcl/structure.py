@@ -4,12 +4,13 @@ Subgroups are dense membership masks over a fixed parent group.  The full
 subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
 an element of prime-power order that normalizes it, as a union of cosets of
 V), which is complete for solvable groups; a group that is not solvable gets
-one join pass against its cyclic subgroups on top.  A mask is held once, as
-bytes, until its Subgroup is made.  The lattice is cached on the parent; its
-enumeration refuses to hold more membership masks, subgroups times |G|
-bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused and EA(2,8)
-is not.  Frattini and Sylow subgroups and the minimal
-nonabelian test come from p-group identities and never build the lattice.
+one join pass against its cyclic subgroups on top.  The extension grows a
+layer a block of subgroups at a time.  A mask is held once, as bytes, until
+its Subgroup is made.  The lattice is cached on the parent; its enumeration
+refuses to hold more membership masks, subgroups times |G| bytes, than
+LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused and EA(2,8) is not.
+Frattini and Sylow subgroups and the minimal nonabelian test come from
+p-group identities and never build the lattice.
 ``subgroup_generated`` refuses a generator outside range(|G|).  The derived
 and Frattini subgroups are one normal closure each, read from canonical
 generators.
@@ -28,6 +29,9 @@ from .groups import (Group, gather, index_mask, prime_power, sorted_distinct,
 # the bytes of membership masks, subgroups times |G|, a lattice may hold:
 # EA(2,8) holds 106.8 MB at the end, EA(2,9) would hold 4.24 GB
 LATTICE_MASK_BYTES = 1 << 27
+# the subgroups cyclic extension grows at once: the most that
+# test_cyclic_extension_holds_each_mask_once allows (32 traced 2.25x)
+EXTENSION_BLOCK_ROWS = 16
 
 
 class Subgroup:
@@ -129,8 +133,8 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     Cyclic extension (Neubüser 1960): starting from the trivial subgroup,
     each layer extends every subgroup V of the last layer by each element z
     of prime-power order that normalizes V, lies outside V and has z^p in V
-    (p the prime of o(z)); then V<z> is the union of the p cosets V z^i,
-    one gather each (``_grown``).
+    (p the prime of o(z)); then V<z> is the union of the p cosets z^i V,
+    read for a block of subgroups at once (``_cyclic_extensions``).
     Every nontrivial solvable subgroup has a normal subgroup of prime index,
     so this reaches every subgroup of a solvable group; and a subgroup it
     reaches has a series with factors of prime order, so it reaches G exactly
@@ -156,35 +160,61 @@ def _lattice(G: Group) -> list[Subgroup]:
 
 def _cyclic_extensions(G: Group) -> list[bytes]:
     """Membership masks, as bytes, of every subgroup reachable by cyclic
-    extension, in layers by the number of prime factors of the order.  Each
-    layer is one dict from a mask's bytes to the generating set it was made
-    with, its parent's and the z that grew it, for ``_extenders``; V is read
-    through a view of its key, and a finished layer keeps only its keys.
-    Before each subgroup is extended, the masks held, with the next layer's
-    so far, are counted against LATTICE_MASK_BYTES."""
-    prime, _ = _prime_powers(G)
+    extension, in layers by the number of prime factors of the order.  A
+    layer is read in blocks of EXTENSION_BLOCK_ROWS subgroups V, one 2-D bool
+    array and one array of generating sets, L each in layer L.  The test of
+    ``_extenders`` is one pass over every (V, z) of a block; each round then
+    grows every V by its least pending z and drops the z in V<z>, which
+    would give V<z> again.  New masks are held once, as keys of the next
+    layer's dict, and counted against LATTICE_MASK_BYTES every round."""
+    n = G.order
+    prime, pth_power = _prime_powers(G)
     candidates = prime.nonzero()[0]
-    trivial = np.zeros(G.order, dtype=bool)
-    trivial[0] = True
-    masks = []
-    layer = {trivial.tobytes(): ()}
-    while layer:
-        masks += layer
-        grown = {}
-        for key, gens in layer.items():
-            _check_mask_budget(G, len(masks) + len(grown))
-            V = np.frombuffer(key, dtype=bool)
-            members = V.nonzero()[0]
-            # z inside an extension V<y> already made gives V<z> = V<y>
-            covered = V.copy()
-            for z in _extenders(G, V, gens, candidates).tolist():
-                if covered[z]:
-                    continue
-                U = _grown(G, V, members, z)
-                covered |= U
-                grown.setdefault(U.tobytes(), gens + (z,))
-        layer = grown
-    return masks
+    candidate_pth = pth_power.take(candidates)
+    row_starts = np.arange(0, EXTENSION_BLOCK_ROWS * n, n)[:, None]
+    masks, keys, gens = [], [b"\x01" + bytes(n - 1)], np.zeros((1, 0), dtype=G.mult.dtype)
+    while True:
+        masks += keys
+        grown, parts = {}, []
+        for i in range(0, len(keys), EXTENSION_BLOCK_ROWS):
+            block = slice(i, i + EXTENSION_BLOCK_ROWS)
+            V = np.frombuffer(b"".join(keys[block]), dtype=bool).reshape(-1, n)
+            W = gens[block]
+            # normality is read only for the z outside some V with z^p in it
+            pending = V.take(candidate_pth, axis=1) & ~V.take(candidates, axis=1)
+            cols = pending.any(axis=0).nonzero()[0]
+            if not cols.size:
+                continue
+            zs, pending = candidates.take(cols), pending.take(cols, axis=1)
+            for g in () if G.is_abelian else W.T:  # or every subgroup is normal
+                pending &= V.ravel().take(G.conjugates(g, zs) + row_starts[:len(V)])
+            p = int(prime.take(zs).max())  # cosets past a smaller prime's add nothing
+            rows, grew, by = np.arange(len(V)), [], []
+            while True:
+                live = pending.any(axis=1)
+                if not live.all():
+                    if not live.any():
+                        break
+                    V, pending, rows = V[live], pending[live], rows[live]
+                z = zs.take(pending.argmax(axis=1))
+                # V<z> is the union of the z^i V, each read from the last through z^-1's row
+                step = G.mult.take(G.inv.take(z), axis=0) + row_starts[:len(V)]
+                U = V.copy()
+                for _ in range(p - 1):
+                    U |= U.ravel().take(step)
+                pending &= ~U.take(zs, axis=1)
+                made = U.tobytes()
+                for r, (row, y) in enumerate(zip(rows.tolist(), z.tolist())):
+                    key = made[r * n:(r + 1) * n]
+                    if key not in grown:
+                        grown[key] = None
+                        grew.append(row)
+                        by.append(y)
+                _check_mask_budget(G, len(masks) + len(grown))
+            parts.append(np.column_stack((W.take(grew, axis=0), by)).astype(G.mult.dtype))
+        if not grown:
+            return masks
+        keys, gens = list(grown), np.concatenate(parts)
 
 
 def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],

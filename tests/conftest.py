@@ -170,6 +170,34 @@ def join_closure_subgroups(G) -> set[tuple[int, ...]]:
     return {tuple(m.tolist()) for m in records.values()}
 
 
+def reference_cyclic_extensions(G) -> list[bytes]:
+    """Mask bytes of every subgroup reachable by cyclic extension, one
+    subgroup at a time: each subgroup V of a layer, held as its mask's bytes
+    and the generators it was grown with, is grown by each of
+    ``_extenders`` z in turn that no extension of V already made covers.
+    The loop the library ran before it grew a whole layer at once."""
+    prime, _ = st._prime_powers(G)
+    candidates = prime.nonzero()[0]
+    trivial = np.zeros(G.order, dtype=bool)
+    trivial[0] = True
+    masks = []
+    layer = {trivial.tobytes(): ()}
+    while layer:
+        masks += layer
+        grown = {}
+        for key, gens in layer.items():
+            V = np.frombuffer(key, dtype=bool)
+            members = V.nonzero()[0]
+            covered = V.copy()
+            for z in st._extenders(G, V, gens, candidates).tolist():
+                if not covered[z]:
+                    U = st._grown(G, V, members, z)
+                    covered |= U
+                    grown.setdefault(U.tobytes(), gens + (z,))
+        layer = grown
+    return masks
+
+
 def reference_criterion3(G, H) -> Verdict:
     """criterion3 as the library computed it before the vectorised core: an
     ascending loop over x, so the first violator is the least one."""

@@ -116,6 +116,8 @@ def test_verify_records_certifies_the_records_it_has_just_written(tmp_path):
     assert passed.returncode == 0, passed.stdout + passed.stderr
     assert "16 records: 0 failed pairs, 0 group problems, 0 findings" in passed.stdout
     assert len(out.read_text().splitlines()) == 6 + 10
+    # the routes run inside the process, so its wall exceeds their sums
+    assert float(passed.stdout.split("outside the routes: ")[1].split()[0]) > 0
     wrong = run("--sha256", "0" * 64, "--findings", "0")
     assert wrong.returncode == 1 and "0 findings" not in wrong.stdout, wrong.stderr
     digest = wrong.stdout.split("sha256 ")[1].split()[0]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,22 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       brute_force_min_generators, brute_force_subgroups,
                       foreign_subgroups,
                       join_closure_subgroups, reference_center,
+                      reference_cyclic_extensions,
                       reference_derived_subgroup,
                       reference_frattini, reference_greedy_generators,
                       reference_is_abelian,
                       reference_normalizer, reference_omega1,
                       reference_prime_power_table, reference_squares_set)
+
+
+def _route_sweep_specs() -> list[str]:
+    """The specs of the benchmark's route-sweep groups, read from
+    ``pclbench/workloads.py`` by path."""
+    path = Path(__file__).resolve().parents[1] / "pclbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("pclbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [spec for _, spec in module.ROUTE_SWEEP]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +192,42 @@ def test_cyclic_extension_holds_each_mask_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * most[0] * G.order, (peak, most[0] * G.order)
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(_route_sweep_specs() + [
+    "D(128)", "M2(3,3,1)", "C(4)xC(4)xC(2)xC(2)xC(2)", "SD(C(7);C(3);1->2)xC(3)",
+    "SD(Q8;C(3);1->2,2->3)", "perm:(1 2 3 4),(1 2)", "perm:(1 2 3 4 5),(1 2 3)",
+    "perm:(1 2 3 4 5),(1 2)", "D(2048)", "M2(5,5,1)", "C(32)xC(16)xC(4)"])))
+def test_cyclic_extension_matches_the_per_subgroup_loop(spec, monkeypatch):
+    # the same masks as growing one subgroup at a time; join_closure_subgroups
+    # reaches only order 60, so this is the check on the larger lattices.  At
+    # order 2048 a block of 16 subgroups spans 32 KB, and D(2048)'s trivial
+    # subgroup grows by its 1,025 involutions one round each
+    monkeypatch.setenv("PCL_MAX_ORDER", "2048")
+    G = build_family(spec)
+    masks = st._cyclic_extensions(G)
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == set(reference_cyclic_extensions(G))
+
+
+def test_mask_budget_is_counted_within_a_layer(monkeypatch):
+    # EA(2,6)'s layers hold 1, 63, 651 and 1,395 masks.  A budget of its
+    # first three layers plus 100 must stop layer 3 while it is grown: a
+    # count made only at the end of each layer would first see 715 + 1,395
+    G = build_family("EA(2,6)")
+    budget = (1 + 63 + 651 + 100) * G.order
+    most = [0]
+    check = st._check_mask_budget
+
+    def counting(G, count):
+        most[0] = max(most[0], count)
+        check(G, count)
+
+    monkeypatch.setattr(st, "LATTICE_MASK_BYTES", budget)
+    monkeypatch.setattr(st, "_check_mask_budget", counting)
+    with pytest.raises(SizeLimitError, match=f"holds more than {budget:,} bytes"):
+        st._cyclic_extensions(G)
+    assert budget < most[0] * G.order and most[0] < 715 + 1395, most[0]
 
 
 @pytest.mark.parametrize("spec,joined", [
