@@ -9,7 +9,9 @@ catalog.  `pcl verify` runs under this script's own interpreter and writes
 the records next to CATALOG, as its stem plus ``.jsonl``; they are read back
 once, a line at a time, with every verdict's ``time_ms`` dropped, the content
 that must not change.  The peak is the largest resident set of the `pcl`
-process, printed beside the run's wall time; the digest is the sha256 of
+process, printed beside the run's wall time and the CPU seconds (user plus
+system) of `pcl` and any pool workers it ran: in a serial run, CPU above
+the wall is time spent on a second core; the digest is the sha256 of
 that content, one sorted-key JSON line per record, and the dropped
 ``time_ms`` are summed per route and printed in seconds, with the wall time
 less those sums as the time outside the routes: start-up, group build,
@@ -107,8 +109,10 @@ def main() -> int:
     subprocess.run([sys.executable, "-m", "pcl.cli", "verify", "--catalog", args.catalog,
                     "--out", str(out)], stdout=subprocess.DEVNULL, check=True)
     wall = time.perf_counter() - start
-    mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"{args.catalog} verify peak RSS {mb:.1f} MB, wall {wall:.1f} s")
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    mb = usage.ru_maxrss / 1024
+    print(f"{args.catalog} verify peak RSS {mb:.1f} MB, wall {wall:.1f} s, "
+          f"CPU {usage.ru_utime + usage.ru_stime:.1f} s")
     if args.max_rss_mb is not None and not mb < args.max_rss_mb:
         sys.exit(f"peak RSS {mb:.1f} MB is not below {args.max_rss_mb:g} MB")
     count, digest, seconds, records = read_records(out, args.findings is not None)

@@ -8,7 +8,24 @@ definition), reduces general groups to 2-groups through Sylow subgroups,
 and implements closed-form classifications for abelian 2-groups, minimal
 nonabelian 2-groups, dihedral groups and pairs whose reduced P is nontrivial
 and abelian, all cross-checked against each other.
+
+A pcl process runs one thread.  numpy's OpenBLAS starts a worker thread per
+further core when it loads, and that worker spins for about 0.1 s of CPU
+though pcl makes no BLAS call, so numpy is loaded here, before any
+submodule, with ``OPENBLAS_NUM_THREADS=1`` unless the caller has set that
+variable.  OpenBLAS reads it once, as it loads, so it is removed again
+straight after: the environment this process and its children see is left
+as it was.  Where numpy was imported before pcl, this changes nothing.
 """
+
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .catalog import (CatalogEntry, build_entry, default_catalog,
                       load_catalog_pairs)

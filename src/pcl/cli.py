@@ -61,13 +61,15 @@ def _cmd_build(args) -> int:
 def _cmd_subgroups(args) -> int:
     group = build_family(args.spec)
     subgroups = all_subgroups(group)
-    payload = {
-        "label": group.label,
-        "order": group.order,
-        "count": len(subgroups),
-        "subgroups": [report.subgroup_json(s) for s in subgroups],
-    }
-    _write(json.dumps(payload, sort_keys=True), args.out)
+    # the sorted-key JSON of {count, label, order, subgroups}, written one
+    # subgroup at a time so that no list of every subgroup's dict is held
+    head = json.dumps({"count": len(subgroups), "label": group.label,
+                       "order": group.order}, sort_keys=True)
+    with _output(args.out) as fh:
+        fh.write(head[:-1] + ', "subgroups": [')
+        for i, H in enumerate(subgroups):
+            fh.write((", " if i else "") + json.dumps(report.subgroup_json(H), sort_keys=True))
+        fh.write("]}\n")
     return EXIT_OK
 
 

@@ -664,6 +664,40 @@ def test_cli_subgroups(tmp_path):
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4, 4, 8]
 
 
+@pytest.mark.parametrize("spec", ["perm:(1 2 3 4 5),(1 2)", "SD(Q8;C(3);1->2,2->3)",
+                                  "D(16)", "EA(2,4)", "C(1)"])
+def test_cli_subgroups_streams_the_one_shot_json(tmp_path, spec):
+    # S5 and SL(2,3) among them; written a subgroup at a time, the output
+    # is byte for byte the sorted-key dump of the whole payload
+    out_file = tmp_path / "lattice.json"
+    assert main(["subgroups", spec, "--out", str(out_file)]) == 0
+    group = pcl.build_family(spec)
+    subgroups = structure.all_subgroups(group)
+    payload = {"label": group.label, "order": group.order, "count": len(subgroups),
+               "subgroups": [report.subgroup_json(H) for H in subgroups]}
+    assert out_file.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status")
+                    or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="needs /proc/self/status and 2 CPUs, where OpenBLAS "
+                           "would start a worker")
+def test_import_pcl_runs_one_thread_and_leaves_the_environment():
+    script = ("import os; before = dict(os.environ); import pcl; "
+              "threads = next(line.split()[1] for line in open('/proc/self/status') "
+              "if line.startswith('Threads:')); "
+              "print(threads, dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def run(env):
+        return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+
+    assert run(env) == ["1", "True", "None"]
+    # a caller's own setting is honoured and left in place
+    assert run({**env, "OPENBLAS_NUM_THREADS": "2"})[1:] == ["True", "2"]
+
+
 def test_cli_classify_single_subgroup():
     code, out, _ = run_cli("classify", "C(4)", "--subgroup", "2",
                            "--methods", "criterion3,criterion4,oracle,cayley")
