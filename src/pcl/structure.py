@@ -2,15 +2,15 @@
 
 Subgroups are dense membership masks over a fixed parent group.  The full
 subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
-an element of prime-power order that normalizes it, as a union of cosets of
-V), which is complete for solvable groups; a group that is not solvable gets
-one join pass against its cyclic subgroups on top.  The extension grows a
-layer a block of subgroups at a time.  A mask is held once, as bytes, until
-its Subgroup is made.  The lattice is cached on the parent; its enumeration
-refuses to hold more membership masks, subgroups times |G| bytes, than
-LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused and EA(2,8) is not.
-Frattini and Sylow subgroups and the minimal nonabelian test come from
-p-group identities and never build the lattice.
+each z of p-power order outside V, with z^p in V, that normalizes V, to the
+union of the p cosets V z^i), which is complete for solvable groups; a group
+that is not solvable gets one join pass against its cyclic subgroups on top.
+The extension grows a layer a block of subgroups at a time.  A mask is held
+once, as bytes, until its Subgroup is made.  The lattice is cached on the
+parent; its enumeration refuses to hold more membership masks, subgroups
+times |G| bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused
+and EA(2,8) is not.  Frattini and Sylow subgroups and the minimal
+nonabelian test come from p-group identities and never build the lattice.
 ``subgroup_generated`` refuses a generator outside range(|G|).  The derived
 and Frattini subgroups are one normal closure each, read from canonical
 generators.
@@ -162,11 +162,13 @@ def _cyclic_extensions(G: Group) -> list[bytes]:
     """Membership masks, as bytes, of every subgroup reachable by cyclic
     extension, in layers by the number of prime factors of the order.  A
     layer is read in blocks of EXTENSION_BLOCK_ROWS subgroups V, one 2-D bool
-    array and one array of generating sets, L each in layer L.  The test of
-    ``_extenders`` is one pass over every (V, z) of a block; each round then
-    grows every V by its least pending z and drops the z in V<z>, which
-    would give V<z> again.  New masks are held once, as keys of the next
-    layer's dict, and counted against LATTICE_MASK_BYTES every round."""
+    array and one array of generating sets, L each in layer L.  z of p-power
+    order extends V when it lies outside V, has z^p in V and maps each
+    generator of V into V, so normalizes V; that test is one pass over every
+    (V, z) of a block.  Each round then grows every V by its least pending z
+    and drops the z in V<z>, which would give V<z> again.  New masks are
+    held once, as keys of the next layer's dict, and counted against
+    LATTICE_MASK_BYTES every round."""
     n = G.order
     prime, pth_power = _prime_powers(G)
     candidates = prime.nonzero()[0]
@@ -215,31 +217,6 @@ def _cyclic_extensions(G: Group) -> list[bytes]:
         if not grown:
             return masks
         keys, gens = list(grown), np.concatenate(parts)
-
-
-def _extenders(G: Group, mask: np.ndarray, gens: tuple[int, ...],
-               allowed: np.ndarray) -> np.ndarray:
-    """The z of ``allowed`` (ascending elements of prime-power order) that
-    grow the subgroup V of ``mask``, generated by ``gens``, to V<z>, the
-    union of the p cosets V z^i: z lies outside V, has z^p in V and
-    normalizes V.  As conjugation by z is an automorphism, z normalizes V
-    exactly when it maps each generator into V, so only the generators'
-    conjugates are read, and only by the z that pass the first two tests."""
-    _, pth_power = _prime_powers(G)
-    allowed = allowed[~mask.take(allowed) & mask.take(pth_power.take(allowed))]
-    return allowed[mask.take(G.conjugates(gens, allowed)).all(axis=0)]
-
-
-def _grown(G: Group, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
-    """Mask of V<z> for one of V's ``_extenders`` z: the union of the cosets
-    V z^i, 0 <= i < p, one gather of V's ``members`` each.  As z^p lies in V
-    and p is prime, z^i lies outside V exactly for 0 < i < p."""
-    grown = mask.copy()
-    e = z
-    while not grown[e]:
-        grown[G.mult[members, e]] = True
-        e = G.mul(e, z)
-    return grown
 
 
 def _prime_powers(G: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -397,23 +374,24 @@ def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
 def _sylow_within(G: Group, within: Subgroup, p: int,
                   containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
-    ``containing`` (default trivial): P becomes P<z>, grown by ``_grown``,
-    for the least p-element z of ``within`` among ``_extenders`` of P, and
-    z joins the generators of ``containing`` that the test reads.
-    Such a z exists until P is Sylow, since P lies in a Sylow subgroup S and
-    N_S(P)/P is a nontrivial p-group."""
+    ``containing`` (default trivial): P becomes P<z>, of order p |P|, for the
+    least p-element z of ``within`` that lies outside P, has z^p in P and
+    maps each generator of P into P, so normalizes P; ``Group.generate``
+    grows P from its generators and z.  Such a z exists until P is Sylow,
+    since P lies in a Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
     if q == within.order:
         return within
-    prime, _ = _prime_powers(G)
+    prime, pth_power = _prime_powers(G)
     candidates = (within.mask & (prime == p)).nonzero()[0]
     P = trivial_subgroup(G) if containing is None else containing
-    gens = P.generators
-    while P.order < q:
-        z = int(_extenders(G, P.mask, gens, candidates)[0])
-        P = Subgroup(G, _grown(G, P.mask, P.members, z))
-        gens += (z,)
-    return P
+    mask, gens, order = P.mask, P.generators, P.order
+    while order < q:
+        zs = candidates[~mask.take(candidates) & mask.take(pth_power.take(candidates))]
+        z = int(zs[mask.take(G.conjugates(gens, zs)).all(axis=0)][0])
+        mask, gens = G.generate(gens + (z,))
+        order *= p
+    return P if order == P.order else Subgroup(G, mask)
 
 
 def involutions(G: Group) -> np.ndarray:

@@ -170,12 +170,33 @@ def join_closure_subgroups(G) -> set[tuple[int, ...]]:
     return {tuple(m.tolist()) for m in records.values()}
 
 
+def _reference_extenders(G, mask: np.ndarray, gens: tuple[int, ...],
+                         allowed: np.ndarray) -> np.ndarray:
+    """The z of ``allowed`` (ascending elements of prime-power order) that
+    grow the subgroup V of ``mask``, generated by ``gens``, to V<z>: z lies
+    outside V, has z^p in V and maps each generator into V."""
+    _, pth_power = st._prime_powers(G)
+    allowed = allowed[~mask.take(allowed) & mask.take(pth_power.take(allowed))]
+    return allowed[mask.take(G.conjugates(gens, allowed)).all(axis=0)]
+
+
+def _reference_grown(G, mask: np.ndarray, members: np.ndarray, z: int) -> np.ndarray:
+    """Mask of V<z> for an extender z of V: the union of the cosets V z^i,
+    one gather of V's ``members`` each, until z^i lies in V."""
+    grown = mask.copy()
+    e = z
+    while not grown[e]:
+        grown[G.mult[members, e]] = True
+        e = G.mul(e, z)
+    return grown
+
+
 def reference_cyclic_extensions(G) -> list[bytes]:
     """Mask bytes of every subgroup reachable by cyclic extension, one
     subgroup at a time: each subgroup V of a layer, held as its mask's bytes
-    and the generators it was grown with, is grown by each of
-    ``_extenders`` z in turn that no extension of V already made covers.
-    The loop the library ran before it grew a whole layer at once."""
+    and the generators it was grown with, is grown by each extender z in
+    turn that no extension of V already made covers.  The loop the library
+    ran before it grew a whole layer at once."""
     prime, _ = st._prime_powers(G)
     candidates = prime.nonzero()[0]
     trivial = np.zeros(G.order, dtype=bool)
@@ -189,13 +210,34 @@ def reference_cyclic_extensions(G) -> list[bytes]:
             V = np.frombuffer(key, dtype=bool)
             members = V.nonzero()[0]
             covered = V.copy()
-            for z in st._extenders(G, V, gens, candidates).tolist():
+            for z in _reference_extenders(G, V, gens, candidates).tolist():
                 if not covered[z]:
-                    U = st._grown(G, V, members, z)
+                    U = _reference_grown(G, V, members, z)
                     covered |= U
                     grown.setdefault(U.tobytes(), gens + (z,))
         layer = grown
     return masks
+
+
+def reference_sylow_growth(G, within: Subgroup, p: int,
+                           containing: Subgroup | None) -> Subgroup:
+    """A Sylow p-subgroup of ``within`` grown from ``containing`` (default
+    trivial) one Subgroup per step: P becomes P<z> for the least p-element z
+    of ``within`` among P's extenders, and z joins the generators of
+    ``containing``.  The rule as the library ran it with its own extender
+    and coset-union helpers."""
+    q = _p_part(within.order, p)
+    if q == within.order:
+        return within
+    prime, _ = st._prime_powers(G)
+    candidates = (within.mask & (prime == p)).nonzero()[0]
+    P = st.trivial_subgroup(G) if containing is None else containing
+    gens = P.generators
+    while P.order < q:
+        z = int(_reference_extenders(G, P.mask, gens, candidates)[0])
+        P = Subgroup(G, _reference_grown(G, P.mask, P.members, z))
+        gens += (z,)
+    return P
 
 
 def reference_criterion3(G, H) -> Verdict:

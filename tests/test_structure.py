@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcl import structure as st
+from pcl import codes, structure as st
 from pcl.errors import PreconditionError, SizeLimitError
-from pcl.groups import Group
+from pcl.groups import Group, prime_power
 from pcl.specs import build_family
 from pcl.theorems import _squares
 
@@ -24,7 +24,8 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       reference_frattini, reference_greedy_generators,
                       reference_is_abelian,
                       reference_normalizer, reference_omega1,
-                      reference_prime_power_table, reference_squares_set)
+                      reference_prime_power_table, reference_squares_set,
+                      reference_sylow_growth)
 
 
 def _route_sweep_specs() -> list[str]:
@@ -417,6 +418,33 @@ def test_sylow_containing(d8):
     three = next(S for S in st.all_subgroups(a4) if S.order == 3)
     with pytest.raises(PreconditionError):
         st.sylow_containing(a4, 2, three)
+
+
+@pytest.mark.parametrize("spec", [
+    "perm:(1 2 3),(1 2)", "perm:(1 2 3),(1 2)(3 4)", "perm:(1 2 3 4),(1 2)",
+    "perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3 4 5),(1 2)", "SD(Q8;C(3);1->2,2->3)",
+    "SD(C(5);C(4);1->2)", "SD(C(7);C(3);1->2)", "D(24)", "D(12)xC(3)", "C(3)xD(64)",
+    "C(5)xEA(2,4)", "SD(C(7);C(3);1->2)xD(8)", "C(3)xC(64)xC(2)"])
+def test_sylow_growth_matches_the_per_step_rule(spec):
+    # the same subgroup, not only one of the right order: growing through
+    # Group.generate must pick each z as the one-Subgroup-per-step rule did
+    G = build_family(spec)
+    full = st.full_subgroup(G)
+    primes = [p for p in range(2, G.order + 1)
+              if G.order % p == 0 and prime_power(p) == (p, 1)]
+    for H in st.all_subgroups(G):
+        for p in primes:
+            R = reference_sylow_growth(G, H, p, None)
+            assert np.array_equal(st._sylow_within(G, H, p, None).mask, R.mask), \
+                (H.members.tolist(), p)
+            assert np.array_equal(st.sylow_containing(G, p, R).mask,
+                                  reference_sylow_growth(G, full, p, R).mask), \
+                (H.members.tolist(), p)
+        Q, P = codes.zhang_reduce(G, H)
+        RQ = reference_sylow_growth(G, H, 2, None)
+        RP = reference_sylow_growth(G, reference_normalizer(G, RQ), 2, RQ)
+        assert np.array_equal(Q.mask, RQ.mask) and np.array_equal(P.mask, RP.mask), \
+            H.members.tolist()
 
 
 def test_involutions_and_omega1():
