@@ -4,16 +4,16 @@ Subgroups are dense membership masks over a fixed parent group.  The full
 subgroup lattice is enumerated by cyclic extension (grow each subgroup V by
 each z of p-power order outside V, with z^p in V, that normalizes V, to the
 union of the p cosets V z^i), which is complete for solvable groups; a group
-that is not solvable gets one join pass against its cyclic subgroups on top.
-The extension grows a layer a block of subgroups at a time.  A mask is held
-once, as bytes, until its Subgroup is made.  The lattice is cached on the
-parent; its enumeration refuses to hold more membership masks, subgroups
-times |G| bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused
-and EA(2,8) is not.  Frattini and Sylow subgroups and the minimal
-nonabelian test come from p-group identities and never build the lattice.
-``subgroup_generated`` refuses a generator outside range(|G|).  The derived
-and Frattini subgroups are one normal closure each, read from canonical
-generators.
+that is not solvable gets one join pass on top, one step per conjugacy
+class, against its cyclic subgroups of prime-power order.  The extension
+grows a layer a block of subgroups at a time.  A mask is held once, as
+bytes, until its Subgroup is made.  The lattice is cached on the parent; its
+enumeration refuses to hold more membership masks, subgroups times |G|
+bytes, than LATTICE_MASK_BYTES (128 MiB), so EA(2,9) is refused and EA(2,8)
+is not.  Frattini and Sylow subgroups and the minimal nonabelian test come
+from p-group identities and never build the lattice.  ``subgroup_generated``
+refuses a generator outside range(|G|).  The derived and Frattini subgroups
+are one normal closure each, read from canonical generators.
 """
 
 from __future__ import annotations
@@ -138,9 +138,10 @@ def all_subgroups(G: Group) -> list[Subgroup]:
     Every nontrivial solvable subgroup has a normal subgroup of prime index,
     so this reaches every subgroup of a solvable group; and a subgroup it
     reaches has a series with factors of prime order, so it reaches G exactly
-    when G is solvable.  When it does not reach G, one join pass against the
-    cyclic subgroups, seeded with what the extension found, completes the
-    lattice.  Generators are the canonical ones of ``Subgroup``, so they do
+    when G is solvable.  When it does not reach G, one join pass, seeded with
+    what the extension found, completes the lattice: it joins one subgroup of
+    each conjugacy class with each cyclic subgroup of prime-power order
+    (``_join_completion``).  Generators are the canonical ones of ``Subgroup``, so they do
     not depend on how the lattice was found.
     """
     return G.memo("lattice", lambda: _lattice(G))
@@ -246,42 +247,36 @@ def _prime_power_table(G: Group) -> tuple[np.ndarray, np.ndarray]:
 
 def _join_completion(G: Group, masks: list[bytes]) -> list[bytes]:
     """Close the conjugation-closed ``masks`` under joins with their cyclic
-    subgroups.
+    subgroups of prime-power order.
 
-    Every nontrivial subgroup is the join of a maximal subgroup and a cyclic
-    subgroup, and joins commute with conjugation, so joining one subgroup of
-    each conjugacy class, old or new, with every cyclic subgroup, and adding
-    each new subgroup with all its conjugates, reaches the whole lattice.
+    A subgroup U != 1 is <M, c> for M maximal in U and c in U outside M; c
+    is a product of powers of itself of prime-power order, one of which lies
+    outside M and so generates U with M.  Joins commute with conjugation, so
+    joining one subgroup of each conjugacy class, old or new, with each of
+    them reaches the whole lattice.  One step serves the extension's masks
+    and every join: a mask not yet found is queued, its conjugates found.
     """
-    orders = G.element_orders()
     everything = np.arange(G.order)
+    found, queue = set(), []
 
-    def conjugates(mask: np.ndarray) -> np.ndarray:
-        out = np.zeros((G.order, G.order), dtype=bool)
-        out[everything, G.conjugates(mask.nonzero()[0], everything)] = True
-        return out
+    def add(mask: np.ndarray) -> None:
+        if mask.tobytes() not in found:
+            queue.append(mask)
+            conjugates = np.zeros((G.order, G.order), dtype=bool)
+            conjugates[everything, G.conjugates(mask.nonzero()[0], everything)] = True
+            found.update(c.tobytes() for c in conjugates)
+            _check_mask_budget(G, len(found))
 
     views = [np.frombuffer(m, dtype=bool) for m in masks]
-    cyclic = [m for m in views if (orders[m] == m.sum()).any()]
-    found = set(masks)
-    queue = []
-    classed: set[bytes] = set()
-    for key, m in zip(masks, views):
-        if key not in classed:
-            queue.append(m)
-            classed.update(c.tobytes() for c in conjugates(m))
+    orders = G.element_orders()
+    zuppos = [m for m in views if prime_power(k := int(m.sum())) and (orders[m] == k).any()]
+    for m in views:
+        add(m)
     while queue:
         current = queue.pop()
-        for c in cyclic:
-            if not (c & ~current).any():
-                continue
-            joined = np.zeros(G.order, dtype=bool)
-            joined[G.closure(np.flatnonzero(current | c))] = True
-            if joined.tobytes() in found:
-                continue
-            queue.append(joined)
-            found.update(conj.tobytes() for conj in conjugates(joined))
-            _check_mask_budget(G, len(found))
+        for c in zuppos:
+            if (c & ~current).any():
+                add(G.generate(np.flatnonzero(current | c))[0])
     return list(found)
 
 
@@ -376,9 +371,10 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
     """A Sylow p-subgroup of ``within`` grown from its p-subgroup
     ``containing`` (default trivial): P becomes P<z>, of order p |P|, for the
     least p-element z of ``within`` that lies outside P, has z^p in P and
-    maps each generator of P into P, so normalizes P; ``Group.generate``
-    grows P from its generators and z.  Such a z exists until P is Sylow,
-    since P lies in a Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
+    maps each generator of P into P, so normalizes P; P<z> is the union of
+    the cosets z^i P, i < p, each read from the last through z^-1's row, and
+    z joins P's generators.  Such a z exists until P is Sylow, since P lies
+    in a Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
     q = _p_part(within.order, p)
     if q == within.order:
         return within
@@ -389,7 +385,9 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
     while order < q:
         zs = candidates[~mask.take(candidates) & mask.take(pth_power.take(candidates))]
         z = int(zs[mask.take(G.conjugates(gens, zs)).all(axis=0)][0])
-        mask, gens = G.generate(gens + (z,))
+        for _ in range(p - 1):
+            mask = mask | mask.take(G.mult[G.inv[z]])
+        gens += (z,)
         order *= p
     return P if order == P.order else Subgroup(G, mask)
 

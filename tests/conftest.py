@@ -219,6 +219,43 @@ def reference_cyclic_extensions(G) -> list[bytes]:
     return masks
 
 
+def reference_join_completion(G, masks: list[bytes]) -> list[bytes]:
+    """Close the conjugation-closed ``masks`` under joins with all their
+    cyclic subgroups: one subgroup of each conjugacy class, old or new, is
+    joined with every cyclic subgroup through ``Group.closure``, and each new
+    subgroup is added with all its conjugates.  The library joins only with
+    cyclic subgroups of prime-power order; equal results show those suffice."""
+    orders = G.element_orders()
+    everything = np.arange(G.order)
+
+    def conjugates(mask: np.ndarray) -> np.ndarray:
+        out = np.zeros((G.order, G.order), dtype=bool)
+        out[everything, G.conjugates(mask.nonzero()[0], everything)] = True
+        return out
+
+    views = [np.frombuffer(m, dtype=bool) for m in masks]
+    cyclic = [m for m in views if (orders[m] == m.sum()).any()]
+    found = set(masks)
+    queue = []
+    classed: set[bytes] = set()
+    for key, m in zip(masks, views):
+        if key not in classed:
+            queue.append(m)
+            classed.update(c.tobytes() for c in conjugates(m))
+    while queue:
+        current = queue.pop()
+        for c in cyclic:
+            if not (c & ~current).any():
+                continue
+            joined = np.zeros(G.order, dtype=bool)
+            joined[G.closure(np.flatnonzero(current | c))] = True
+            if joined.tobytes() in found:
+                continue
+            queue.append(joined)
+            found.update(conj.tobytes() for conj in conjugates(joined))
+    return list(found)
+
+
 def reference_sylow_growth(G, within: Subgroup, p: int,
                            containing: Subgroup | None) -> Subgroup:
     """A Sylow p-subgroup of ``within`` grown from ``containing`` (default

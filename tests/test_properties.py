@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
+import json
 from math import gcd, prod
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as stst
 
-from pcl import codes, groups, structure as st, theorems as th
+from pcl import codes, groups, report, structure as st, theorems as th
+from pcl.catalog import CatalogEntry
 from pcl.errors import PreconditionError
 from pcl.groups import index_mask, sorted_distinct
 from pcl.specs import build_family
@@ -263,3 +267,45 @@ def test_structural_subgroups_match_the_lattice_references_outside_the_catalog(s
 @given(stst.one_of(product_specs(), semidirect_specs(), permutation_specs()))
 def test_witnesses_match_the_reference_finders_outside_the_catalog(spec):
     assert_witnesses_match_references(build_family(spec))
+
+
+RELABELLED_SPECS = [
+    "perm:(1 2 3),(1 2)", "perm:(1 2 3),(1 2)(3 4)", "perm:(1 2 3 4),(1 2)",
+    "perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3 4 5),(1 2)", "SD(C(5);C(4);1->2)",
+    "SD(C(7);C(3);1->2)", "SD(Q8;C(3);1->2,2->3)", "D(16)", "D(12)", "Q8", "M2(3,1)",
+    "M2(2,2,1)", "C(4)xC(2)xC(2)", "C(3)xD(8)",
+]
+
+
+def _verdicts_by_subgroup(G: groups.Group) -> tuple[dict, int]:
+    """({member tuple: each route's is_code and the theorem clause}, finding
+    count) from the records of every subgroup of G."""
+    out = io.StringIO()
+    row = report.write_records(CatalogEntry(G.label, G), st.all_subgroups(G),
+                               report.METHODS, out)
+    verdicts = {}
+    for line in out.getvalue().splitlines():
+        record = json.loads(line)
+        verdicts[tuple(record["subgroup"]["elements"])] = {
+            m: (v.get("is_code"), v.get("clause")) for m, v in record["verdicts"].items()}
+    return verdicts, row["findings"]
+
+
+@pytest.mark.parametrize("spec", RELABELLED_SPECS)
+def test_verdicts_do_not_depend_on_the_element_numbering(spec):
+    # relabel the elements by a seeded permutation pi fixing the identity:
+    # the lattice maps onto the relabelled one, and every route's verdict,
+    # the theorem clause and the finding count stay; evidence may differ
+    G = build_family(spec)
+    verdicts, findings = _verdicts_by_subgroup(G)
+    for seed in range(2):
+        rng = np.random.default_rng([seed, G.order])
+        pi = np.concatenate(([0], 1 + rng.permutation(G.order - 1)))
+        table = np.empty_like(G.mult)
+        table[np.ix_(pi, pi)] = pi.take(G.mult)  # pi(a) pi(b) = pi(ab)
+        relabelled = groups.Group(table, label=G.label)
+        mapped = {tuple(sorted(pi.take(members).tolist())): v for members, v in verdicts.items()}
+        assert {tuple(S.members.tolist()) for S in st.all_subgroups(relabelled)} == set(mapped)
+        assert _verdicts_by_subgroup(relabelled) == (mapped, findings), (spec, seed)
+    if spec == "M2(2,2,1)":
+        assert findings == 1

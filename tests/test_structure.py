@@ -22,7 +22,7 @@ from conftest import (abelian_rank, assert_generators_match_references,
                       reference_cyclic_extensions,
                       reference_derived_subgroup,
                       reference_frattini, reference_greedy_generators,
-                      reference_is_abelian,
+                      reference_is_abelian, reference_join_completion,
                       reference_normalizer, reference_omega1,
                       reference_prime_power_table, reference_squares_set,
                       reference_sylow_growth)
@@ -117,13 +117,23 @@ def test_lattice_matches_join_closure_on_catalog(catalog):
     ("perm:(1 2 3 4 5),(1 2 3)", 59, False),   # A5, through the join pass
     ("perm:(1 2 3 4 5),(1 2)", 156, False),    # S5, through the join pass
     ("SD(Q8;C(3);1->2,2->3)", 15, True),       # SL(2,3)
+    ("perm:(1 2 3 4 5),(1 2 3),(6 7)", 164, False),      # A5xC2
+    ("perm:(1 2 3 4 5 6 7),(1 2)(3 6)", 179, False),     # PSL(2,7)
+    ("perm:(1 2 3 4 5),(4 5 6)", 501, False),            # A6
+    ("perm:(1 2 3 4 5),(1 2 3),(6 7 8)", 148, False),    # A5xC3
+    ("perm:(1 2 3 4 5),(1 2),(6 7)", 535, False),        # S5xC2
 ])
 def test_symmetric_and_alternating_subgroup_counts(spec, count, solvable):
     G = build_family(spec)
     subs = st.all_subgroups(G)
     assert len(subs) == count
     # cyclic extension reaches the whole group exactly when it is solvable
-    assert any(0 not in m for m in st._cyclic_extensions(G)) == solvable
+    masks = st._cyclic_extensions(G)
+    assert any(0 not in m for m in masks) == solvable
+    if not solvable:
+        # joining with every cyclic subgroup finds nothing more than joining
+        # with those of prime-power order
+        assert {S.mask.tobytes() for S in subs} == set(reference_join_completion(G, masks))
     if G.order <= 60:
         assert {tuple(S.members.tolist()) for S in subs} == join_closure_subgroups(G)
 
@@ -426,8 +436,8 @@ def test_sylow_containing(d8):
     "SD(C(5);C(4);1->2)", "SD(C(7);C(3);1->2)", "D(24)", "D(12)xC(3)", "C(3)xD(64)",
     "C(5)xEA(2,4)", "SD(C(7);C(3);1->2)xD(8)", "C(3)xC(64)xC(2)"])
 def test_sylow_growth_matches_the_per_step_rule(spec):
-    # the same subgroup, not only one of the right order: growing through
-    # Group.generate must pick each z as the one-Subgroup-per-step rule did
+    # the same subgroup, not only one of the right order: growing by the
+    # cosets of P must pick each z as the one-Subgroup-per-step rule did
     G = build_family(spec)
     full = st.full_subgroup(G)
     primes = [p for p in range(2, G.order + 1)
@@ -445,6 +455,34 @@ def test_sylow_growth_matches_the_per_step_rule(spec):
         RP = reference_sylow_growth(G, reference_normalizer(G, RQ), 2, RQ)
         assert np.array_equal(Q.mask, RQ.mask) and np.array_equal(P.mask, RP.mask), \
             H.members.tolist()
+
+
+@pytest.mark.parametrize("spec,p", [
+    ("C(3)xD(64)", 2), ("perm:(1 2 3 4 5),(1 2 3)", 3), ("perm:(1 2 3 4 5),(1 2 3)", 5),
+    ("perm:(1 2 3 4 5),(1 2)", 3), ("perm:(1 2 3 4 5),(1 2)", 5)])
+def test_sylow_growth_reads_cosets_without_regrowing(spec, p, monkeypatch):
+    # each step adds the cosets of P through z^-1's row; Group.generate is
+    # called at most once, to read the starting subgroup's generators
+    G = build_family(spec)
+    starts = [None]
+    if spec == "C(3)xD(64)":  # D(64) grows over five steps from this Q of order 2
+        H = next(S for S in st.all_subgroups(G) if S.order == 6)
+        starts.append(reference_sylow_growth(G, H, p, None))
+    expected = [reference_sylow_growth(G, st.full_subgroup(G), p, Q).mask for Q in starts]
+    calls = [0]
+    generate = Group.generate
+
+    def counting(self, elems):
+        calls[0] += 1
+        return generate(self, elems)
+
+    monkeypatch.setattr(Group, "generate", counting)
+    for Q, mask in zip(starts, expected):
+        calls[0] = 0
+        Q = None if Q is None else st.Subgroup(G, Q.mask)  # generators not yet read
+        P = st.sylow(G, p) if Q is None else st.sylow_containing(G, p, Q)
+        assert np.array_equal(P.mask, mask)
+        assert calls[0] <= 1, (spec, p, calls[0])
 
 
 def test_involutions_and_omega1():
