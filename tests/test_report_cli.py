@@ -852,6 +852,9 @@ def test_cli_verify_rejects_an_empty_catalog_label(tmp_path, capsys):
     # digits are ASCII, as in a spec: int() would read 2 workers from these
     (["--workers", "\u0662"], None),
     ([], {"PCL_WORKERS": "\u0662"}),
+    # set but empty is an input error, not the default
+    ([], {"PCL_WORKERS": ""}),
+    ([], {"PCL_WORKERS": " "}),
 ])
 def test_cli_verify_rejects_bad_worker_counts(tmp_path, flag, env):
     spec_file = tmp_path / "catalog.json"
@@ -860,9 +863,10 @@ def test_cli_verify_rejects_bad_worker_counts(tmp_path, flag, env):
     _assert_input_error(code, err)
 
 
-@pytest.mark.parametrize("raw", ["1_000", "\u0661\u0660\u0660\u0660", "abc"])
+@pytest.mark.parametrize("raw", ["1_000", "\u0661\u0660\u0660\u0660", "abc", "", " "])
 def test_cli_rejects_a_max_order_not_in_ascii_digits(raw, capsys, monkeypatch):
-    # int() reads the first two as 1000, above C(600)'s order
+    # int() reads the first two as 1000, above C(600)'s order; a set but
+    # empty value is refused too, not read as the default cap
     monkeypatch.setenv("PCL_MAX_ORDER", raw)
     _assert_input_error(main(["codeperfect", "C(600)"]), capsys.readouterr().err)
 
