@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import PreconditionError, SizeLimitError
 from .groups import Group, _blocks, _readonly, gather, index_mask, sorted_distinct
-from .structure import (Subgroup, involutions, normalizer, _require_subgroup_of,
-                        _sylow_within)
+from .structure import Subgroup, involutions, normalizer, sylow, _require_subgroup_of
 
 SWEEP_MAX_ORDER = 16  # the sweep's 2^k x |G| counts: 512 KiB on EA(2,4), 2 MiB on C(32)
 
@@ -186,10 +185,6 @@ def find_inverse_closed_transversal(G: Group, H: Subgroup) -> np.ndarray | None:
     not kept.
     """
     _require_subgroup_of(G, H)
-    return _transversal_search(G, H)
-
-
-def _transversal_search(G: Group, H: Subgroup) -> np.ndarray | None:
     key = _coset_keys(G, H)
     partner = key.take(G.inv)  # the coset of g^-1
     keys = (key == np.arange(G.order, dtype=np.int32)).nonzero()[0]  # ascending
@@ -357,11 +352,11 @@ def zhang_reduce(G: Group, H: Subgroup) -> tuple[Subgroup, Subgroup]:
     Returns (Q, P) with Q a Sylow 2-subgroup of H, grown from the trivial
     subgroup, and P a Sylow 2-subgroup of the normalizer of Q grown from Q.
     H is a perfect code of G exactly when Q is a perfect code of P; the
-    choice of Sylow subgroups does not affect that verdict.
+    choice of Sylow subgroups does not affect that verdict.  H of another
+    group object is refused by the first ``sylow`` call.
     """
-    _require_subgroup_of(G, H)
-    Q = _sylow_within(G, H, 2, None)
-    return Q, _sylow_within(G, normalizer(G, Q), 2, Q)
+    Q = sylow(G, 2, within=H)
+    return Q, sylow(G, 2, within=normalizer(G, Q), containing=Q)
 
 
 def order4_witness(G: Group) -> int | None:

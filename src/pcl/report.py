@@ -84,13 +84,13 @@ GROUND_TRUTH_METHODS = frozenset(ROUTES) - {"theorem"}
 
 
 def parse_methods(methods) -> tuple[str, ...]:
-    """Route names from a comma separated string or a sequence of names;
-    None selects every route."""
+    """Route names from a comma separated string or a sequence of names,
+    each kept at its first listing; None selects every route."""
     if methods is None:
         return METHODS
     if isinstance(methods, str):
         methods = methods.split(",")
-    chosen = tuple(m.strip() for m in methods if m.strip())
+    chosen = tuple(dict.fromkeys(m.strip() for m in methods if m.strip()))
     for m in chosen:
         if m not in ROUTES:
             raise GroupSpecError(

@@ -346,41 +346,33 @@ def _p_part(n: int, p: int) -> int:
     return q
 
 
-def sylow(G: Group, p: int) -> Subgroup:
-    """A Sylow p-subgroup of G, grown as in ``_sylow_within``."""
-    if prime_power(p) != (p, 1):
-        raise PreconditionError(f"sylow requires a prime, got {p}")
-    return _sylow_within(G, full_subgroup(G), p, None)
-
-
-def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
-    """A Sylow p-subgroup of G containing the p-group Q, grown from Q."""
-    _require_subgroup_of(G, Q)
-    if prime_power(p) != (p, 1):
-        raise PreconditionError(f"sylow_containing requires a prime, got {p}")
-    if Q.order != 1:
-        pk = prime_power(Q.order)
-        if pk is None or pk[0] != p:
-            raise PreconditionError(
-                f"sylow_containing requires a {p}-subgroup, got order {Q.order}")
-    return _sylow_within(G, full_subgroup(G), p, Q)
-
-
-def _sylow_within(G: Group, within: Subgroup, p: int,
-                  containing: Subgroup | None) -> Subgroup:
-    """A Sylow p-subgroup of ``within`` grown from its p-subgroup
+def sylow(G: Group, p: int, within: Subgroup | None = None,
+          containing: Subgroup | None = None) -> Subgroup:
+    """A Sylow p-subgroup of ``within`` (default G) grown from its p-subgroup
     ``containing`` (default trivial): P becomes P<z>, of order p |P|, for the
     least p-element z of ``within`` that lies outside P, has z^p in P and
     maps each generator of P into P, so normalizes P; P<z> is the union of
     the cosets z^i P, i < p, each read from the last through z^-1's row, and
     z joins P's generators.  Such a z exists until P is Sylow, since P lies
     in a Sylow subgroup S and N_S(P)/P is a nontrivial p-group."""
+    if prime_power(p) != (p, 1):
+        raise PreconditionError(f"sylow requires a prime, got {p}")
+    within = full_subgroup(G) if within is None else within
+    _require_subgroup_of(G, within)
+    if containing is None:
+        P = trivial_subgroup(G)
+    else:
+        P = containing
+        _require_subgroup_of(G, P)
+        if _p_part(P.order, p) != P.order:
+            raise PreconditionError(f"sylow requires a {p}-subgroup, got order {P.order}")
+        if not P.issubset(within):
+            raise PreconditionError("sylow requires containing to lie in within")
     q = _p_part(within.order, p)
     if q == within.order:
         return within
     prime, pth_power = _prime_powers(G)
     candidates = (within.mask & (prime == p)).nonzero()[0]
-    P = trivial_subgroup(G) if containing is None else containing
     mask, gens, order = P.mask, P.generators, P.order
     while order < q:
         zs = candidates[~mask.take(candidates) & mask.take(pth_power.take(candidates))]
@@ -390,6 +382,11 @@ def _sylow_within(G: Group, within: Subgroup, p: int,
         gens += (z,)
         order *= p
     return P if order == P.order else Subgroup(G, mask)
+
+
+def sylow_containing(G: Group, p: int, Q: Subgroup) -> Subgroup:
+    """A Sylow p-subgroup of G containing the p-group Q, grown from Q."""
+    return sylow(G, p, containing=Q)
 
 
 def involutions(G: Group) -> np.ndarray:

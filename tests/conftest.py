@@ -14,7 +14,7 @@ from pcl.groups import Group, _extend_action, prime_power
 from pcl.specs import build_family
 from pcl.structure import (Subgroup, all_subgroups, frattini, full_subgroup,
                            is_minimal_nonabelian, sylow, sylow_containing,
-                           _require_subgroup_of, _sylow_within)
+                           _require_subgroup_of)
 from pcl.theorems import (CLAUSE_SYLOW2, ClassificationOutcome, FamilyMatch,
                           _family_table)
 
@@ -647,7 +647,7 @@ def reference_abelian_sylow2(G, H: Subgroup) -> ClassificationOutcome:
     if P0.order == 1 or not P0.is_abelian:
         raise WrongClassifierError(
             f"classify_abelian_sylow2 requires a nontrivial abelian Sylow 2-subgroup, got {G.label}")
-    Q = _sylow_within(G, H, 2, None)
+    Q = sylow(G, 2, within=H)
     P = sylow_containing(G, 2, Q)
     phi_p = frattini(P)
     phi_q = frattini(Q)
@@ -673,7 +673,7 @@ def assert_structure_matches_references(G) -> None:
             assert np.array_equal(frattini(H).mask, reference_frattini(H)), \
                 (G.label, H.members.tolist())
         for p in primes:
-            Q = _sylow_within(G, H, p, None)
+            Q = sylow(G, p, within=H)
             P = sylow_containing(G, p, Q)
             for S, within in ((Q, H), (P, full)):
                 assert S.order == _p_part(within.order, p)

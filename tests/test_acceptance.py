@@ -16,7 +16,7 @@ import pytest
 
 from pcl import codes, structure as st, theorems as th
 from pcl.groups import prime_power
-from pcl.structure import all_subgroups, _sylow_within
+from pcl.structure import all_subgroups, sylow
 
 from conftest import (abelian_rank, brute_force_min_generators, reference_center,
                       reference_omega1)
@@ -196,7 +196,7 @@ def test_criterion_6_abelian_sylow_reduction(catalog_by_label):
 
         f20 = catalog_by_label["F20"].group
         for H in all_subgroups(f20):
-            sylow_part = _sylow_within(f20, H, 2, None).order
+            sylow_part = sylow(f20, 2, within=H).order
             assert codes.criterion3(f20, H).is_code == (sylow_part in (1, 4)), \
                 H.members
 

@@ -11,8 +11,8 @@ from pcl.catalog import CatalogEntry
 from pcl.errors import PreconditionError, SizeLimitError
 from pcl.specs import build_family
 
-from conftest import (cayley_verdict, inverse_closed_subsets, reference_conj_table,
-                      reference_coset_criterion,
+from conftest import (cayley_verdict, foreign_subgroups, inverse_closed_subsets,
+                      reference_conj_table, reference_coset_criterion,
                       reference_criterion3, reference_criterion3_on_pair,
                       reference_cayley_check, reference_criterion4,
                       reference_connection_set, reference_exhaustive_search,
@@ -633,6 +633,9 @@ def test_zhang_reduce_examples():
     Q, P = codes.zhang_reduce(s3, three)
     assert Q.is_trivial
     assert reference_criterion3_on_pair(P, Q).is_code
+    for F in foreign_subgroups():
+        with pytest.raises(PreconditionError, match="different group"):
+            codes.zhang_reduce(s3, F)
 
 
 def test_zhang_reduce_f20_center_of_sylow():

@@ -199,18 +199,15 @@ def test_matrix_writes_each_record_as_its_pair_is_decided(monkeypatch):
 
 @pytest.mark.parametrize("methods", [None, "cayley"], ids=["all", "cayley"])
 def test_each_pair_searches_for_its_transversal_once(monkeypatch, methods):
-    build, find, search = (pcl.catalog.build_entry, codes.find_inverse_closed_transversal,
-                           codes._transversal_search)
-    built, found, searched = [], [], []
+    build, find = pcl.catalog.build_entry, codes.find_inverse_closed_transversal
+    built, found = [], []
     monkeypatch.setattr(pcl.catalog, "build_entry",
                         lambda label, spec: built.append(build(label, spec)) or built[-1])
     monkeypatch.setattr(codes, "find_inverse_closed_transversal",
                         lambda G, H: found.append(H) or find(G, H))
-    monkeypatch.setattr(codes, "_transversal_search",
-                        lambda G, H: searched.append(H) or search(G, H))
     report.run_verification_matrix([("D(16)", "D(16)")], methods=methods)
     G = built[0].group
-    assert found == searched == structure.all_subgroups(G)
+    assert found == structure.all_subgroups(G)
     # and nothing of a search outlives its pair
     assert not [key for key in G._cache
                 if (key[0] if isinstance(key, tuple) else key).startswith("transversal")]
@@ -358,6 +355,14 @@ def test_worker_pool_never_exceeds_the_entry_count(monkeypatch):
 def test_matrix_rejects_unknown_method():
     with pytest.raises(PclError):
         report.run_verification_matrix([("Q8", "Q8")], methods=("bogus",))
+
+
+def test_matrix_runs_a_route_listed_twice_once(monkeypatch):
+    criterion3, calls = codes.criterion3, []
+    monkeypatch.setattr(codes, "criterion3",
+                        lambda G, H: calls.append(H) or criterion3(G, H))
+    report.run_verification_matrix([("D(8)", "D(8)")], methods="criterion3,criterion3")
+    assert calls == structure.all_subgroups(calls[0].parent)  # one call per subgroup
 
 
 def test_matrix_surfaces_size_limit_per_entry(monkeypatch):

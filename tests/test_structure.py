@@ -445,7 +445,7 @@ def test_sylow_growth_matches_the_per_step_rule(spec):
     for H in st.all_subgroups(G):
         for p in primes:
             R = reference_sylow_growth(G, H, p, None)
-            assert np.array_equal(st._sylow_within(G, H, p, None).mask, R.mask), \
+            assert np.array_equal(st.sylow(G, p, within=H).mask, R.mask), \
                 (H.members.tolist(), p)
             assert np.array_equal(st.sylow_containing(G, p, R).mask,
                                   reference_sylow_growth(G, full, p, R).mask), \
@@ -737,13 +737,33 @@ def test_a1_recognition_of_isomorphic_copies(spec, tag, params, witness):
     assert (rec.tag, rec.params, rec.witness) == (tag, params, witness)
 
 
-def test_sylow_requires_a_prime():
+def sylow_refusals():
+    """C(12) and sylow's four refusals at p = 2 after the prime check, as
+    (keyword arguments, message): a foreign ``within``, a foreign
+    ``containing``, a ``containing`` that is not a 2-group and one outside
+    ``within``."""
     g = build_family("C(12)")
+    by_order = {S.order: S for S in st.all_subgroups(g)}
+    foreign = foreign_subgroups()[1]
+    return g, [
+        ({"within": foreign}, "different group"),
+        ({"containing": foreign}, "different group"),
+        ({"containing": by_order[3]}, "^sylow requires a 2-subgroup, got order 3$"),
+        ({"within": by_order[3], "containing": by_order[2]},
+         "^sylow requires containing to lie in within$"),
+    ]
+
+
+def test_sylow_requires_a_prime():
+    g, refusals = sylow_refusals()
     with pytest.raises(PreconditionError, match="^sylow requires a prime, got 4$"):
         st.sylow(g, 4)
-    with pytest.raises(PreconditionError,
-                       match="^sylow_containing requires a prime, got 1$"):
+    with pytest.raises(PreconditionError, match="^sylow requires a prime, got 1$"):
         st.sylow_containing(g, 1, st.trivial_subgroup(g))
+    # the prime is checked first, whatever else is wrong
+    for kwargs, _ in refusals:
+        with pytest.raises(PreconditionError, match="^sylow requires a prime, got 4$"):
+            st.sylow(g, 4, **kwargs)
 
 
 # the ownership rule: a subgroup of another group object, even one with an
@@ -760,6 +780,10 @@ def test_sylow_containing_refuses_a_subgroup_of_another_group(d8):
     for H in foreign_subgroups():
         with pytest.raises(PreconditionError, match="different group"):
             st.sylow_containing(d8, 2, H)
+    g, refusals = sylow_refusals()
+    for kwargs, message in refusals:
+        with pytest.raises(PreconditionError, match=message):
+            st.sylow(g, 2, **kwargs)
 
 
 def test_issubset_is_false_across_group_objects(d8):
