@@ -115,12 +115,9 @@ def classify_a1_2group(G: Group, H: Subgroup) -> ClassificationOutcome:
         nonsquare = bool((~G.square_mask[gens]).any())
         return ClassificationOutcome(nonsquare, CLAUSE_NONSQUARE)
     if rec.tag == "metacyclic":
-        if rec.params == (2, 1):
-            klein = H.order == 4 and bool((G.element_orders()[H.members] <= 2).all())
-            if klein:
-                match = FamilyMatch("Z2xZ2 in D8", {}, H.generators)
-                return ClassificationOutcome(True, CLAUSE_KLEIN_D8, match)
-            return ClassificationOutcome(False, CLAUSE_KLEIN_D8)
+        if rec.params == (2, 1):  # G is D8: a noncyclic proper H is a Klein four
+            return ClassificationOutcome(True, CLAUSE_KLEIN_D8,
+                                         FamilyMatch("Z2xZ2 in D8", {}, H.generators))
         return ClassificationOutcome(False, CLAUSE_METACYCLIC_NONCYCLIC)
     match = _match_theorem_family(G, rec, H)
     return ClassificationOutcome(match is not None, CLAUSE_FAMILY, match)

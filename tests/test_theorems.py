@@ -57,15 +57,25 @@ def test_q8_admits_only_trivial_codes():
         assert out.is_code == (S.is_trivial or S.is_full)
 
 
-def test_d8_klein_four_is_a_code():
-    d8 = build_family("D(8)")
-    a, b = d8.witness["a"], d8.witness["b"]
-    klein = st.subgroup_generated(d8, [d8.power(a, 2), b])
-    assert klein.order == 4 and not klein.is_cyclic
-    out = th.classify_a1_2group(d8, klein)
-    assert out.is_code and out.clause == th.CLAUSE_KLEIN_D8
-    center = st.subgroup_generated(d8, [d8.power(a, 2)])
-    assert not th.classify_a1_2group(d8, center).is_code
+@pytest.mark.parametrize("spec", ["D(8)", "perm:(1 2 3 4),(1 3)", "SD(C(4);C(2);1->3)"])
+def test_d8_klein_four_is_a_code(spec):
+    # subgroups come from the lattice: only D(8) sets Group.witness
+    d8 = build_family(spec)
+    rec = st.recognize_a1_family(d8)
+    assert (rec.tag, rec.params) == ("metacyclic", (2, 1))
+    subs = st.all_subgroups(d8)
+    assert len(subs) == 10
+    noncyclic = [S for S in subs if not (S.is_cyclic or S.is_full)]
+    assert len(noncyclic) == 2
+    orders = d8.element_orders()
+    for klein in noncyclic:
+        assert klein.order == 4 and (orders[klein.members] <= 2).all()
+        assert th.classify_a1_2group(d8, klein) == th.ClassificationOutcome(
+            True, th.CLAUSE_KLEIN_D8, th.FamilyMatch("Z2xZ2 in D8", {}, klein.generators))
+    for S in subs:
+        assert th.classify(d8, S).is_code == (codes.find_inverse_closed_transversal(d8, S) is not None)
+    center = reference_center(d8)
+    assert center.order == 2 and not th.classify_a1_2group(d8, center).is_code
 
 
 def test_a1_classifier_rejects_wrong_groups():
